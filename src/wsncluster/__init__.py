@@ -5,13 +5,13 @@ LEACH and SEP baselines."""
 from .baselines import PolicyKind
 from .engine import RunTrace, run
 from .metrics import MetricsSummary, aggregate, summarize
-from .model import (ConfigError, ContractViolation, NodeState, RadioParams,
-                    ScenarioConfig, deploy, load_scenario, table1_scenario)
+from .model import (ConfigError, ContractViolation, RadioParams, ScenarioConfig,
+                    deploy, load_scenario, table1_scenario)
 from .planner import IdealPlan, make_plan
 
 __all__ = [
     "PolicyKind", "RunTrace", "run", "MetricsSummary", "aggregate", "summarize",
-    "ConfigError", "ContractViolation", "NodeState", "RadioParams",
-    "ScenarioConfig", "deploy", "load_scenario", "table1_scenario",
+    "ConfigError", "ContractViolation", "RadioParams", "ScenarioConfig",
+    "deploy", "load_scenario", "table1_scenario",
     "IdealPlan", "make_plan",
 ]

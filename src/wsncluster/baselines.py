@@ -1,15 +1,16 @@
 """Baseline election policies: classic rotation (LEACH) and initial-energy
 weighted rotation (SEP), sharing the engine and radio model.
 
-SEP's two-level weighting is generalized to multi-level heterogeneity by
-making each node's election probability proportional to its initial energy,
-normalized so the probabilities sum to the optimal head count.
+Both use the rotation threshold of eepca.eepca_thresholds_all with unit
+weights; they differ only in each node's election probability.  LEACH gives
+every node p_opt.  SEP's two-level weighting is generalized to multi-level
+heterogeneity by making each node's election probability proportional to its
+initial energy, normalized so the probabilities sum to the optimal head count.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -30,19 +31,6 @@ class PolicyKind(enum.Enum):
                                     f"{[p.value for p in cls]}") from None
 
 
-def leach_threshold(p_opt: float, r: int, in_g: bool) -> float:
-    """Classic rotation threshold: p/(1 - p*(r mod epoch)) for eligible nodes."""
-    if not (0.0 < p_opt < 1.0):
-        raise ContractViolation(f"p_opt must lie in (0, 1), got {p_opt}")
-    if not in_g:
-        return 0.0
-    epoch = math.ceil(1.0 / p_opt)
-    denom = 1.0 - p_opt * (r % epoch)
-    if denom <= 0:
-        return 1.0
-    return min(p_opt / denom, 1.0)
-
-
 def sep_probabilities(e_init: np.ndarray, p_opt: float) -> np.ndarray:
     """Per-node election probability proportional to initial energy.
 
@@ -55,11 +43,3 @@ def sep_probabilities(e_init: np.ndarray, p_opt: float) -> np.ndarray:
     p = p_opt * e_init.size * e_init / total
     return np.clip(p, 1e-12, 1.0 - 1e-12)
 
-
-def sep_probability(e_init_i: float, e_init_all, p_opt: float) -> float:
-    """Scalar form of the SEP weighting for a single node."""
-    arr = np.asarray(list(e_init_all), dtype=float)
-    total = float(arr.sum())
-    if total <= 0:
-        raise ContractViolation("zero total initial energy")
-    return min(max(p_opt * arr.size * e_init_i / total, 1e-12), 1.0 - 1e-12)

@@ -35,7 +35,6 @@ class SweepSpec:
     out_dir: Path = Path("results")
     max_rounds: int = 10000
     jobs: int = 1
-    write_traces: bool = False
 
     def __post_init__(self):
         if self.sweep_var not in SWEEP_VARS:

@@ -1,4 +1,5 @@
-"""Cluster-head election for the prediction-clustering protocol.
+"""Cluster-head election and broadcast suppression for the
+prediction-clustering protocol, as whole-network array operations.
 
 Each round, a node weighs two factors: how its residual energy compares with
 the mean believed energy of its neighbors (energy factor), and how cheap one
@@ -7,44 +8,33 @@ ideal analytic value (communication-cost factor).  The weighted combination
 scales the base head proportion into a per-node election probability, which
 feeds a rotation threshold.  A node whose weight is below 1 gains 1 - w on
 its threshold bracket for each whole rotation epoch it has gone unelected; a
-node whose weight is 1 or more keeps its bracket at w.
+node whose weight is 1 or more keeps its bracket at w.  With unit weights the
+threshold is the classic LEACH rotation.
 
-Scalar functions define the per-node contracts; the *_all variants are the
-vectorized forms the engine uses, and tests pin their equality.
+A regular-data-acquisition node whose residual energy its neighbors can
+compute to within tolerance skips its setup broadcast.  Neighbor distances
+are the ones nodes estimate from the received strength of those broadcasts.
+
+Every function takes and returns arrays indexed by node id.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .model import NodeState, RadioParams
-from .radio import estimate_distance, received_power, rx_energy, tx_energy, tx_energy_per_bit
+from .model import ContractViolation, RadioParams
+from .radio import tx_energy_per_bit
 
 
 # --- energy factor -----------------------------------------------------------
 
-def energy_factor(e_i: float, neighbor_energies) -> float:
-    """Node energy over the mean believed energy of its neighbors.
-
-    An empty neighborhood gives no information; the factor defaults to 1.
-    """
-    neighbor_energies = list(neighbor_energies)
-    if not neighbor_energies:
-        return 1.0
-    mean = sum(neighbor_energies) / len(neighbor_energies)
-    if mean <= 0:
-        return 1.0
-    return e_i / mean
-
-
 def energy_factors_all(e: np.ndarray, belief: np.ndarray, neigh: np.ndarray) -> np.ndarray:
-    """Vectorized energy factor; neigh[i, j] marks j as a live neighbor of i.
+    """Node energy over the mean believed energy of its live neighbors.
 
-    The fallback to 1 tests the mean, as the scalar form does: a positive
-    sum of subnormal beliefs can still have a mean that rounds to 0.
+    neigh[i, j] marks j as a live neighbor of i.  A node with no neighbors,
+    or whose neighbors' mean belief is 0, gets 1.  The fallback tests the
+    mean, not the sum: a positive sum of subnormal beliefs can still have a
+    mean that rounds to 0.
     """
     counts = neigh.sum(axis=1)
     sums = neigh @ belief
@@ -56,27 +46,13 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, neigh: np.ndarray) -> 
 
 # --- communication-cost factor ----------------------------------------------
 
-def avg_round_energy_if_head(lengths, distances, radio: RadioParams,
-                             ideal_fallback: float = 0.0) -> float:
-    """Mean energy of one transmission from each neighbor to this node.
-
-    With no neighbors the ideal value is returned so the cost factor
-    degenerates to 1.
-    """
-    lengths = list(lengths)
-    distances = list(distances)
-    if not lengths:
-        return ideal_fallback
-    total = sum(tx_energy(l, d, radio).joules for l, d in zip(lengths, distances))
-    return total / len(lengths)
-
-
 def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
                            neigh: np.ndarray, ideal_fallback: float) -> np.ndarray:
-    """Vectorized per-node mean neighbor-to-node transmission energy.
+    """Per node, the mean energy of one transmission from each neighbor to it.
 
     cost_per_bit is the static matrix e_elec + amplifier(d_ij); l_sched holds
-    each node's scheduled message length for this round.
+    each node's scheduled message length for this round.  A node with no
+    neighbors gets ideal_fallback, so its cost factor degenerates to 1.
     """
     counts = neigh.sum(axis=1)
     sums = (cost_per_bit * neigh) @ l_sched
@@ -86,14 +62,9 @@ def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
     return out
 
 
-def cost_factor(e_ideal: float, e_i_round: float, cap: float = 5.0) -> float:
-    """Ideal per-transmission energy over this node's would-be intra-cluster mean."""
-    if e_i_round <= 0:
-        return cap
-    return min(e_ideal / e_i_round, cap)
-
-
 def cost_factors_all(e_ideal: float, e_round: np.ndarray, cap: float) -> np.ndarray:
+    """Ideal per-transmission energy over each node's would-be intra-cluster
+    mean, capped at cap; a node whose mean is not positive gets cap."""
     out = np.full(e_round.shape, cap, dtype=float)
     ok = e_round > 0
     out[ok] = np.minimum(e_ideal / e_round[ok], cap)
@@ -105,107 +76,66 @@ def cost_factors_all(e_ideal: float, e_round: np.ndarray, cap: float) -> np.ndar
 _P_EPS = 1e-12
 
 
-def election_probability(p_opt: float, w_energy: float, w_cost: float,
-                         alpha: float, beta: float) -> float:
-    """p_i = p_opt * (alpha*w_energy + beta*w_cost), clamped into (0, 1)."""
-    p = p_opt * (alpha * w_energy + beta * w_cost)
-    return min(max(p, _P_EPS), 1.0 - _P_EPS)
-
-
 def election_probabilities_all(p_opt: float, w: np.ndarray) -> np.ndarray:
+    """p_i = p_opt * w_i, clamped into the open interval (0, 1)."""
     return np.clip(p_opt * w, _P_EPS, 1.0 - _P_EPS)
 
 
-def rotation_epoch(p_i: float) -> int:
-    """Rounds per rotation epoch: ceil(1/p_i), so the epoch is always finite."""
-    return int(math.ceil(1.0 / p_i))
-
-
-def eepca_threshold(p_i: float, r: int, r_s: int, w: float, in_g: bool) -> float:
-    """Election threshold for one node.
-
-    The classic rotation threshold p/(1 - p*(r mod epoch)) is scaled by the
-    bracket w + k*max(1 - w, 0), where k = r_s // epoch counts the whole
-    epochs the node has gone unelected.  The starvation bonus is never
-    negative: a node with w >= 1 keeps w however long it waits, and a node
-    with w < 1 reaches 1 after one epoch and passes it after more.  With
-    w == 1 this is the classic threshold.  Clamped into [0, 1].
-    """
-    if not in_g:
-        return 0.0
-    epoch = rotation_epoch(p_i)
-    denom = 1.0 - p_i * (r % epoch)
-    if denom <= 0:
-        return 1.0
-    base = p_i / denom
-    t = base * (w + (r_s // epoch) * max(1.0 - w, 0.0))
-    return min(max(t, 0.0), 1.0)
+def rotation_epochs(p: np.ndarray) -> np.ndarray:
+    """Rounds per rotation epoch: ceil(1/p), finite because p > 0."""
+    return np.ceil(1.0 / p).astype(np.int64)
 
 
 def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray,
                          in_g: np.ndarray) -> np.ndarray:
-    epoch = np.ceil(1.0 / p).astype(np.int64)
+    """Election threshold of every node in round r.
+
+    The classic rotation threshold p/(1 - p*(r mod epoch)), or 1 where the
+    denominator is not positive, is scaled by the bracket w + k*max(1 - w, 0),
+    where k = r_s // epoch counts the whole epochs the node has gone
+    unelected.  The starvation bonus is never negative: a node with w >= 1
+    keeps w however long it waits, and a node with w < 1 reaches 1 after one
+    epoch and passes it after more.  With w == 1 this is the classic
+    threshold.  Clamped into [0, 1], and 0 for nodes outside the eligible
+    set in_g.
+    """
+    epoch = rotation_epochs(p)
     denom = 1.0 - p * (r % epoch)
     base = np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), 1.0)
     t = base * (w + (r_s // epoch) * np.maximum(1.0 - w, 0.0))
     return np.clip(t, 0.0, 1.0) * in_g
 
 
-# --- neighbor tables (object form, used by tests and debugging) -------------
+# --- prediction-based broadcast suppression ---------------------------------
 
-@dataclass
-class NeighborEntry:
-    id: int
-    distance: float
-    e_known: float
-    rda_schedule: tuple[int, int] | None = None
-    e_predicted: float | None = None
-    ch_id: int | None = None
-    d_to_ch: float | None = None
+def broadcast_suppressed(belief: np.ndarray, e: np.ndarray, epsilon_tol: float,
+                         literal_rule: bool = False) -> np.ndarray:
+    """Which nodes may skip their setup broadcast.
 
-
-@dataclass
-class NeighborTable:
-    owner: int
-    entries: dict[int, NeighborEntry] = field(default_factory=dict)
-
-
-def build_neighbor_tables(nodes: list[NodeState], radio: RadioParams,
-                          neighbor_radius: float,
-                          broadcast_bits: int = 2500) -> dict[int, NeighborTable]:
-    """Simulate a local info-broadcast round and build per-node tables.
-
-    Every alive node broadcasts once at neighbor_radius reach (debited to the
-    broadcaster); every alive node within range hears it (debited per heard
-    broadcast) and estimates the distance from the received signal strength.
-    Dead nodes neither appear in tables nor pay anything.
+    belief is the residual energy neighbors compute for each node and e its
+    actual residual, which must be positive.  The relative prediction error is
+    gamma = |1 - belief/e|.  Default rule: suppress iff gamma <= 1 - epsilon_tol,
+    so epsilon_tol = 1 means zero tolerance (any error forces a broadcast) and
+    lower values tolerate larger errors.  literal_rule uses gamma < epsilon_tol
+    instead.
     """
-    alive = [n for n in nodes if n.alive and n.e_now > 0]
-    tables = {n.id: NeighborTable(owner=n.id) for n in alive}
-    e_tran = tx_energy(broadcast_bits, neighbor_radius, radio).joules
-    for sender in alive:
-        sender.e_now = max(0.0, sender.e_now - e_tran)
-    for sender in alive:
-        sx, sy = sender.pos
-        for hearer in alive:
-            if hearer.id == sender.id:
-                continue
-            hx, hy = hearer.pos
-            d_true = math.hypot(sx - hx, sy - hy)
-            if d_true > neighbor_radius or d_true == 0.0:
-                continue
-            d_est = estimate_distance(e_tran, received_power(e_tran, d_true, radio), radio)
-            hearer.e_now = max(0.0, hearer.e_now - rx_energy(broadcast_bits, radio))
-            sched = (sender.msgs_per_round, sender.msg_len_bits) if sender.is_rda else None
-            tables[hearer.id].entries[sender.id] = NeighborEntry(
-                id=sender.id, distance=d_est, e_known=sender.e_now,
-                rda_schedule=sched, e_predicted=sender.e_predicted_next)
-    return tables
+    if (e <= 0).any():
+        raise ContractViolation("prediction error is undefined for a dead node (e <= 0)")
+    gamma = np.abs(1.0 - belief / e)
+    if literal_rule:
+        return gamma < epsilon_tol
+    return gamma <= 1.0 - epsilon_tol
 
+
+# --- ranging -----------------------------------------------------------------
 
 def estimated_distance_matrix(x: np.ndarray, y: np.ndarray,
                               radio: RadioParams, broadcast_energy: float) -> np.ndarray:
-    """All-pairs distances as nodes would estimate them from broadcast RSS."""
+    """All-pairs distances as nodes estimate them from broadcast RSS.
+
+    The received strength k_rss * E / d^alpha_pathloss of a broadcast sent
+    with energy E is inverted back to a distance; the diagonal is 0.
+    """
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
     d_true = np.hypot(dx, dy)

@@ -97,17 +97,12 @@ class _Sim:
         self.policy = policy
         self.detail = detail
         radio = config.radio
-        nodes = deploy(config)
         n = config.n_nodes
         self.n = n
-        self.x = np.array([nd.pos[0] for nd in nodes])
-        self.y = np.array([nd.pos[1] for nd in nodes])
-        self.e_init = np.array([nd.e_init for nd in nodes])
+        self.x, self.y, self.e_init, self.is_rda, self.is_malf = deploy(config)
         self.e = self.e_init.copy()
         self.belief = self.e_init.copy()
         self.alive = self.e > 0.0
-        self.is_rda = np.array([nd.is_rda for nd in nodes])
-        self.is_malf = np.array([nd.is_malfunctioning for nd in nodes])
         self.r_s = np.zeros(n, dtype=np.int64)
         self.in_g = np.ones(n, dtype=bool)
         self.msg_count = np.zeros(n, dtype=np.int64)
@@ -121,11 +116,10 @@ class _Sim:
         self.e_ideal = plan.e_consume_avg
         self.nonrda_mean_len = sum(config.nonrda_len_range_bits) / 2.0
 
-        bcast_e = tx_energy(config.broadcast_bits, config.neighbor_radius, radio).joules
+        bcast_e = tx_energy(config.broadcast_bits, config.neighbor_radius, radio)
         self.bcast_cost = bcast_e
         self.rx_bcast = rx_energy(config.broadcast_bits, radio)
-        self.ad_cost = tx_energy(config.broadcast_bits,
-                                 config.m_field * math.sqrt(2.0), radio).joules
+        self.ad_cost = tx_energy(config.broadcast_bits, config.m_field * math.sqrt(2.0), radio)
         # distances as the nodes themselves estimate them from broadcast RSS
         self.d_est = eepca.estimated_distance_matrix(self.x, self.y, radio, bcast_e)
         self.cost_pb = eepca.cost_per_bit_matrix(self.d_est, radio)
@@ -133,16 +127,15 @@ class _Sim:
         self.neigh_f = self.neigh.astype(float)
         bx, by = config.bs_xy
         self.d_bs = np.hypot(self.x - bx, self.y - by)
-        self.bs_cost = np.array([tx_energy(config.fused_len_bits, d, radio).joules
-                                 for d in self.d_bs])
+        self.bs_cost = np.array([tx_energy(config.fused_len_bits, d, radio) for d in self.d_bs])
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
 
+        self.unit_w = np.ones(n)
         if policy is PolicyKind.SEP:
             self.static_p = sep_probabilities(self.e_init, self.p_opt)
         else:
-            self.static_p = np.clip(np.full(n, self.p_opt), 1e-12, 1.0 - 1e-12)
-        self.unit_w = np.ones(n)
+            self.static_p = eepca.election_probabilities_all(self.p_opt, self.unit_w)
         # the belief ledger only matters where suppression/factors consume it
         self.track_belief = policy is PolicyKind.EEPCA
 
@@ -206,25 +199,16 @@ class _Sim:
         if (self.policy is PolicyKind.EEPCA and not cfg.disable_suppression and r > 0):
             cand = self.alive & self.is_rda
             if cand.any():
-                gam = np.abs(1.0 - self.belief[cand] / self.e[cand])
-                if cfg.gamma_rule_literal:
-                    ok = gam < cfg.epsilon_tol
-                else:
-                    ok = gam <= 1.0 - cfg.epsilon_tol
-                suppressed[np.flatnonzero(cand)[ok]] = True
-        senders = self.alive & ~suppressed
-        if self.bcast_cost > 0:
-            idx = np.flatnonzero(senders)
-            sent = self._debit_messages(idx, self.bcast_cost, self.bcast_cost, 1)
-            ok_senders = np.zeros(self.n, dtype=bool)
-            ok_senders[idx[sent > 0]] = True
-        else:
-            ok_senders = senders
+                suppressed[cand] = eepca.broadcast_suppressed(
+                    self.belief[cand], self.e[cand], cfg.epsilon_tol, cfg.gamma_rule_literal)
+        idx = np.flatnonzero(self.alive & ~suppressed)
+        sent = self._debit_messages(idx, self.bcast_cost, self.bcast_cost, 1)
+        ok_senders = np.zeros(self.n, dtype=bool)
+        ok_senders[idx[sent > 0]] = True
         # receptions: each alive node hears each successful neighbor broadcast
-        if self.rx_bcast > 0:
-            hearers = np.flatnonzero(self.alive)
-            heard = (self.neigh_f[hearers] @ ok_senders.astype(float)).astype(np.int64)
-            self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
+        hearers = np.flatnonzero(self.alive)
+        heard = (self.neigh_f[hearers] @ ok_senders.astype(float)).astype(np.int64)
+        self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
         if self.track_belief:
             bsent = ok_senders & self.alive
@@ -247,8 +231,7 @@ class _Sim:
             p = self.static_p
             w = self.unit_w
 
-        epoch = np.ceil(1.0 / p).astype(np.int64)
-        self.in_g |= (r % epoch) == 0
+        self.in_g |= (r % eepca.rotation_epochs(p)) == 0
         t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g)
         u = self.rng.random(self.n)
         elected = alive & (u < t)
@@ -266,16 +249,13 @@ class _Sim:
         cfg = self.cfg
         assignment = np.full(self.n, -1, dtype=np.int64)
         h_idx = np.flatnonzero(heads)
-        if h_idx.size and self.ad_cost > 0:
-            sent = self._debit_messages(h_idx, self.ad_cost, self.ad_cost, 1)
-            ok_heads_idx = h_idx[sent > 0]
-        else:
-            ok_heads_idx = h_idx
+        sent = self._debit_messages(h_idx, self.ad_cost, self.ad_cost, 1)
+        ok_heads_idx = h_idx[sent > 0]
         ok_heads = np.zeros(self.n, dtype=bool)
         ok_heads[ok_heads_idx] = True
         n_ads = ok_heads_idx.size
         # every alive node hears every successful advertisement but its own
-        if n_ads and self.rx_bcast > 0:
+        if n_ads:
             hearers = np.flatnonzero(self.alive)
             counts = n_ads - ok_heads[hearers]
             self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, counts)
@@ -294,7 +274,7 @@ class _Sim:
             joined = self._debit_messages(members, join_cost, join_cost, 1)
             assignment[members[joined == 0]] = -1
             members = members[joined > 0]
-            if members.size and self.rx_bcast > 0:
+            if members.size:
                 n_join = np.bincount(assignment[members], minlength=self.n)[ok_heads_idx]
                 self._debit_messages(ok_heads_idx, self.rx_bcast, self.rx_bcast, n_join)
                 if not self.alive[ok_heads_idx].all():
@@ -474,15 +454,3 @@ def run(config: ScenarioConfig, policy: PolicyKind | str,
     trace.total_debits = total
     return trace
 
-
-def debit(node, joules: float):
-    """Single-node debit: clamp at zero, kill on exhaustion, flag blocked actions.
-
-    Returns (node, action_ok).
-    """
-    if joules < 0:
-        raise ValueError("debit amount must be non-negative")
-    ok = joules <= node.e_now
-    node.e_now = max(0.0, node.e_now - joules)
-    node.alive = node.e_now > 0
-    return node, ok

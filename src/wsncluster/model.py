@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,6 +102,11 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(name, "must lie in [0, 1]")
+        n_het = _flag_count(self.frac_energy_heterogeneous, self.n_nodes)
+        if not ((n_het < self.n_nodes and self.homogeneous_energy > 0)
+                or (n_het > 0 and self.e_max > 0)):
+            raise ConfigError("homogeneous_energy" if n_het < self.n_nodes else "e_max",
+                              "no node can start with positive energy")
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
             raise ConfigError("alpha", "alpha + beta must equal 1")
         if self.frames_per_round < 1:
@@ -111,8 +116,9 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
                 raise ConfigError(name, "must be a non-negative (lo, hi) range with lo <= hi")
-        if self.broadcast_bits < 0:
-            raise ConfigError("broadcast_bits", "must be non-negative")
+        if self.broadcast_bits <= 0:
+            # a broadcast sent with no energy cannot be ranged: 0/0 distances
+            raise ConfigError("broadcast_bits", "must be positive")
         if self.fused_len_bits < 0:
             raise ConfigError("fused_len_bits", "must be non-negative")
         if self.neighbor_radius <= 0:
@@ -185,33 +191,25 @@ def table1_scenario(**overrides) -> ScenarioConfig:
     return scenario_from_dict(overrides) if overrides else ScenarioConfig()
 
 
-@dataclass
-class NodeState:
-    """One sensor node."""
+class Deployment(NamedTuple):
+    """Per-node arrays of a seeded deployment, indexed by node id."""
 
-    id: int
-    pos: tuple[float, float]
-    e_init: float
-    e_now: float
-    is_rda: bool = False
-    is_malfunctioning: bool = False
-    alive: bool = True
-    msgs_per_round: int = 0
-    msg_len_bits: int = 0
-    r_s: int = 0
-    in_G: bool = True
-    e_predicted_next: Optional[float] = None
+    x: np.ndarray
+    y: np.ndarray
+    e_init: np.ndarray
+    is_rda: np.ndarray
+    is_malf: np.ndarray
 
 
 def _flag_count(frac: float, n: int) -> int:
     return int(math.floor(frac * n + 0.5))
 
 
-def deploy(config: ScenarioConfig) -> list[NodeState]:
+def deploy(config: ScenarioConfig) -> Deployment:
     """Seeded random deployment: positions, initial energies, role flags.
 
-    Identical seed yields a bit-identical node list.  The RDA and
-    malfunctioning subsets are independent draws, so a node may be both.
+    Identical seed yields bit-identical arrays.  The RDA and malfunctioning
+    subsets are independent draws, so a node may be both.
     """
     n = config.n_nodes
     rng = np.random.default_rng([config.rng_seed, 0])
@@ -227,27 +225,4 @@ def deploy(config: ScenarioConfig) -> list[NodeState]:
     is_rda[rng.permutation(n)[:_flag_count(config.frac_rda, n)]] = True
     is_malf = np.zeros(n, dtype=bool)
     is_malf[rng.permutation(n)[:_flag_count(config.frac_malfunction, n)]] = True
-
-    return [
-        NodeState(
-            id=i,
-            pos=(float(xs[i]), float(ys[i])),
-            e_init=float(e_init[i]),
-            e_now=float(e_init[i]),
-            is_rda=bool(is_rda[i]),
-            is_malfunctioning=bool(is_malf[i]),
-        )
-        for i in range(n)
-    ]
-
-
-def regenerate_rda_schedule(node: NodeState, rng: np.random.Generator,
-                            config: ScenarioConfig) -> NodeState:
-    """Redraw an RDA node's per-round message count and length in place."""
-    if not node.is_rda:
-        raise ContractViolation(f"node {node.id} is not an RDA node")
-    n1, n2 = config.rda_msgs_range
-    l1, l2 = config.msg_len_range_bits
-    node.msgs_per_round = int(rng.integers(n1, n2 + 1))
-    node.msg_len_bits = int(rng.integers(l1, l2 + 1))
-    return node
+    return Deployment(xs, ys, e_init, is_rda, is_malf)

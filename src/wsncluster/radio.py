@@ -1,36 +1,26 @@
-"""First-order radio energy model and RSS-based distance estimation.
+"""First-order radio energy model.
 
 Transmission cost is piecewise in distance: free-space (d^2 amplifier) below
-the crossover distance d0, multipath (d^4) at or above it.  Received signal
-strength follows an inverse power law in distance, which nodes invert to
-estimate their mutual distances from overheard broadcasts.
+the crossover distance d0, multipath (d^4) at or above it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ContractViolation, RadioParams
 
 
-@dataclass(frozen=True)
-class TxCost:
-    joules: float
-    branch: str  # "free-space" | "multipath"
-
-
-def tx_energy(l_bits: float, d: float, radio: RadioParams) -> TxCost:
-    """Energy to transmit l_bits over distance d.
+def tx_energy(l_bits: float, d: float, radio: RadioParams) -> float:
+    """Energy in joules to transmit l_bits over distance d.
 
     Takes the multipath branch at exactly d == d0.
     """
     if l_bits < 0 or d < 0:
         raise ContractViolation(f"tx_energy requires l >= 0 and d >= 0, got l={l_bits}, d={d}")
     if d < radio.d0:
-        return TxCost(l_bits * radio.e_elec + l_bits * radio.eps_fs * d * d, "free-space")
-    return TxCost(l_bits * radio.e_elec + l_bits * radio.eps_mp * d ** 4, "multipath")
+        return l_bits * radio.e_elec + l_bits * radio.eps_fs * d * d
+    return l_bits * radio.e_elec + l_bits * radio.eps_mp * d ** 4
 
 
 def rx_energy(l_bits: float, radio: RadioParams) -> float:
@@ -38,22 +28,6 @@ def rx_energy(l_bits: float, radio: RadioParams) -> float:
     if l_bits < 0:
         raise ContractViolation(f"rx_energy requires l >= 0, got {l_bits}")
     return l_bits * radio.e_elec
-
-
-def received_power(e_tran: float, d: float, radio: RadioParams) -> float:
-    """Signal strength seen at distance d when transmitting with energy e_tran."""
-    if d <= 0:
-        raise ContractViolation(f"received_power requires d > 0, got {d}")
-    return radio.k_rss * e_tran / d ** radio.alpha_pathloss
-
-
-def estimate_distance(e_tran: float, e_rec: float, radio: RadioParams) -> float:
-    """Invert the path-loss law: distance from transmit energy and received strength."""
-    if e_tran <= 0:
-        raise ContractViolation(f"estimate_distance requires e_tran > 0, got {e_tran}")
-    if e_rec <= 0:
-        raise ContractViolation("estimate_distance: zero received energy, node unreachable")
-    return (radio.k_rss * e_tran / e_rec) ** (1.0 / radio.alpha_pathloss)
 
 
 def amplifier_energy_per_bit(d, radio: RadioParams):

@@ -18,12 +18,12 @@ import pytest
 
 import wsncluster
 from wsncluster.baselines import PolicyKind
+from wsncluster.eepca import eepca_thresholds_all
 from wsncluster.engine import run
 from wsncluster.metrics import summarize
 from wsncluster.model import ScenarioConfig, deploy
 from wsncluster.planner import d_to_bs, expected_member_distances
 from wsncluster.radio import tx_energy
-from wsncluster.baselines import leach_threshold
 
 CACHE_DIR = Path(__file__).parent / "_cache"
 
@@ -205,8 +205,8 @@ def test_c06_bs_messages_exceed_baselines(rda_lifetime_data):
 
 def test_c07_prediction_exact_for_healthy_rda_nodes():
     trace = run(RDA, PolicyKind.EEPCA, max_rounds=400, detail=True)
-    nodes = deploy(RDA)
-    healthy_rda = np.array([n.is_rda and not n.is_malfunctioning for n in nodes])
+    dep = deploy(RDA)
+    healthy_rda = dep.is_rda & ~dep.is_malf
     checked = 0
     for rec in trace.records:
         sent = healthy_rda & (rec.data_energy > 0)
@@ -236,15 +236,16 @@ def test_c08_energy_conservation(config, policy):
 
 def test_c09_formula_golden_values():
     # 4000 * 5e-9 + 4000 * 10e-12 * 50^2
-    assert tx_energy(4000, 50.0, BASE.radio).joules == \
-        pytest.approx(1.2e-4, rel=1e-12)
+    assert tx_energy(4000, 50.0, BASE.radio) == pytest.approx(1.2e-4, rel=1e-12)
     # 0.765 * 100 / 2
     assert d_to_bs(100.0) == pytest.approx(38.25, rel=1e-12)
     # near-group mean distance 2/3 * 75 once the cluster reaches d0
     assert expected_member_distances(100.0, 75.0)[0] == \
         pytest.approx(50.0, rel=1e-12)
-    # 0.1 / (1 - 0.1 * 5)
-    assert leach_threshold(0.1, 5, True) == pytest.approx(0.2, rel=1e-12)
+    # 0.1 / (1 - 0.1 * 5): the LEACH threshold is the EEPCA one with w = 1
+    t = eepca_thresholds_all(np.array([0.1]), 5, np.zeros(1, dtype=np.int64),
+                             np.ones(1), np.ones(1, dtype=bool))
+    assert t[0] == pytest.approx(0.2, rel=1e-12)
 
 
 # --- criterion 10: Monte-Carlo disc oracle -------------------------------

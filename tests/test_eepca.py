@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,20 +7,98 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsncluster import eepca
-from wsncluster.model import NodeState, RadioParams
+from wsncluster.baselines import PolicyKind
+from wsncluster.engine import _Sim
+from wsncluster.model import RadioParams
 from wsncluster.radio import rx_energy, tx_energy
 
 RADIO = RadioParams()
 
 
+# --- per-node reference forms of the vectorized election -------------------
+# The engine uses only the eepca *_all functions; these scalar forms state the
+# contract one node at a time, and the tests below pin the two to each other.
+
+def energy_factor(e_i: float, neighbor_energies) -> float:
+    """Node energy over the mean believed energy of its neighbors.
+
+    An empty neighborhood gives no information; the factor defaults to 1.
+    """
+    neighbor_energies = list(neighbor_energies)
+    if not neighbor_energies:
+        return 1.0
+    mean = sum(neighbor_energies) / len(neighbor_energies)
+    if mean <= 0:
+        return 1.0
+    return e_i / mean
+
+
+def avg_round_energy_if_head(lengths, distances, radio: RadioParams,
+                             ideal_fallback: float = 0.0) -> float:
+    """Mean energy of one transmission from each neighbor to this node.
+
+    With no neighbors the ideal value is returned so the cost factor
+    degenerates to 1.
+    """
+    lengths = list(lengths)
+    distances = list(distances)
+    if not lengths:
+        return ideal_fallback
+    total = sum(tx_energy(l, d, radio) for l, d in zip(lengths, distances))
+    return total / len(lengths)
+
+
+def cost_factor(e_ideal: float, e_i_round: float, cap: float = 5.0) -> float:
+    """Ideal per-transmission energy over this node's would-be intra-cluster mean."""
+    if e_i_round <= 0:
+        return cap
+    return min(e_ideal / e_i_round, cap)
+
+
+_P_EPS = 1e-12
+
+
+def election_probability(p_opt: float, w_energy: float, w_cost: float,
+                         alpha: float, beta: float) -> float:
+    """p_i = p_opt * (alpha*w_energy + beta*w_cost), clamped into (0, 1)."""
+    p = p_opt * (alpha * w_energy + beta * w_cost)
+    return min(max(p, _P_EPS), 1.0 - _P_EPS)
+
+
+def rotation_epoch(p_i: float) -> int:
+    """Rounds per rotation epoch: ceil(1/p_i), so the epoch is always finite."""
+    return int(math.ceil(1.0 / p_i))
+
+
+def eepca_threshold(p_i: float, r: int, r_s: int, w: float, in_g: bool) -> float:
+    """Election threshold for one node.
+
+    The classic rotation threshold p/(1 - p*(r mod epoch)) is scaled by the
+    bracket w + k*max(1 - w, 0), where k = r_s // epoch counts the whole
+    epochs the node has gone unelected.  The starvation bonus is never
+    negative: a node with w >= 1 keeps w however long it waits, and a node
+    with w < 1 reaches 1 after one epoch and passes it after more.  With
+    w == 1 this is the classic threshold.  Clamped into [0, 1].
+    """
+    if not in_g:
+        return 0.0
+    epoch = rotation_epoch(p_i)
+    denom = 1.0 - p_i * (r % epoch)
+    if denom <= 0:
+        return 1.0
+    base = p_i / denom
+    t = base * (w + (r_s // epoch) * max(1.0 - w, 0.0))
+    return min(max(t, 0.0), 1.0)
+
+
 class TestEnergyFactor:
     def test_hand_value(self):
-        assert eepca.energy_factor(2.0, [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-        assert eepca.energy_factor(3.0, [1.0, 1.0]) == pytest.approx(3.0)
+        assert energy_factor(2.0, [1.0, 2.0, 3.0]) == pytest.approx(1.0)
+        assert energy_factor(3.0, [1.0, 1.0]) == pytest.approx(3.0)
 
     def test_no_neighbors_defaults_to_one(self):
-        assert eepca.energy_factor(2.0, []) == 1.0
-        assert eepca.energy_factor(2.0, [0.0, 0.0]) == 1.0
+        assert energy_factor(2.0, []) == 1.0
+        assert energy_factor(2.0, [0.0, 0.0]) == 1.0
 
     def test_mean_rounding_to_zero_defaults_to_one(self):
         # the sum is the smallest subnormal, but half of it rounds to 0
@@ -27,7 +106,7 @@ class TestEnergyFactor:
         neigh = np.zeros((4, 4), dtype=bool)
         neigh[3, [1, 2]] = True
         out = eepca.energy_factors_all(np.ones(4), belief, neigh)
-        assert eepca.energy_factor(1.0, belief[neigh[3]]) == 1.0
+        assert energy_factor(1.0, belief[neigh[3]]) == 1.0
         assert out[3] == 1.0
 
     @given(st.data())
@@ -44,27 +123,27 @@ class TestEnergyFactor:
         np.fill_diagonal(neigh, False)
         out = eepca.energy_factors_all(e, belief, neigh)
         for i in range(n):
-            expect = eepca.energy_factor(e[i], belief[neigh[i]])
+            expect = energy_factor(e[i], belief[neigh[i]])
             assert out[i] == pytest.approx(expect, rel=1e-12)
 
 
 class TestCostFactor:
     def test_hand_values(self):
-        assert eepca.cost_factor(2e-5, 4e-5) == pytest.approx(0.5)
-        assert eepca.cost_factor(2e-5, 1e-6) == 5.0  # capped
-        assert eepca.cost_factor(2e-5, 0.0) == 5.0
-        assert eepca.cost_factor(2e-5, 1e-6, cap=30.0) == pytest.approx(20.0)
+        assert cost_factor(2e-5, 4e-5) == pytest.approx(0.5)
+        assert cost_factor(2e-5, 1e-6) == 5.0  # capped
+        assert cost_factor(2e-5, 0.0) == 5.0
+        assert cost_factor(2e-5, 1e-6, cap=30.0) == pytest.approx(20.0)
 
     def test_round_energy_mean_over_neighbors(self):
         lengths = [1000, 2000]
         distances = [10.0, 20.0]
-        expect = (tx_energy(1000, 10.0, RADIO).joules
-                  + tx_energy(2000, 20.0, RADIO).joules) / 2
-        got = eepca.avg_round_energy_if_head(lengths, distances, RADIO)
+        expect = (tx_energy(1000, 10.0, RADIO)
+                  + tx_energy(2000, 20.0, RADIO)) / 2
+        got = avg_round_energy_if_head(lengths, distances, RADIO)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_round_energy_empty_falls_back_to_ideal(self):
-        assert eepca.avg_round_energy_if_head([], [], RADIO, ideal_fallback=0.7) == 0.7
+        assert avg_round_energy_if_head([], [], RADIO, ideal_fallback=0.7) == 0.7
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -82,50 +161,51 @@ class TestCostFactor:
         out = eepca.avg_round_energies_all(lengths, cpb, neigh, 0.123)
         for i in range(n):
             js = np.flatnonzero(neigh[i])
-            expect = eepca.avg_round_energy_if_head(
+            expect = avg_round_energy_if_head(
                 lengths[js], d[i, js], RADIO, ideal_fallback=0.123)
             assert out[i] == pytest.approx(expect, rel=1e-9)
 
     def test_vectorized_cost_factor_matches_scalar(self):
         e_round = np.array([4e-5, 1e-6, 0.0, 2e-5])
         out = eepca.cost_factors_all(2e-5, e_round, 5.0)
-        expect = [eepca.cost_factor(2e-5, v, 5.0) for v in e_round]
+        expect = [cost_factor(2e-5, v, 5.0) for v in e_round]
         assert out == pytest.approx(expect)
 
 
 class TestElection:
     def test_probability_combines_factors(self):
-        p = eepca.election_probability(0.2, w_energy=1.5, w_cost=0.5,
+        p = election_probability(0.2, w_energy=1.5, w_cost=0.5,
                                        alpha=0.7, beta=0.3)
         assert p == pytest.approx(0.2 * (0.7 * 1.5 + 0.3 * 0.5), rel=1e-12)
 
     def test_probability_clamped_open_interval(self):
-        assert eepca.election_probability(0.9, 10.0, 10.0, 0.7, 0.3) < 1.0
-        assert eepca.election_probability(0.2, 0.0, 0.0, 0.7, 0.3) > 0.0
+        assert election_probability(0.9, 10.0, 10.0, 0.7, 0.3) < 1.0
+        assert election_probability(0.2, 0.0, 0.0, 0.7, 0.3) > 0.0
 
     def test_epoch_is_finite_ceiling(self):
-        assert eepca.rotation_epoch(0.25) == 4
-        assert eepca.rotation_epoch(0.3) == 4
-        assert eepca.rotation_epoch(0.999) == 2
+        assert rotation_epoch(0.25) == 4
+        assert rotation_epoch(0.3) == 4
+        assert rotation_epoch(0.999) == 2
+        assert eepca.rotation_epochs(np.array([0.25, 0.3, 0.999])).tolist() == [4, 4, 2]
 
     def test_threshold_reduces_to_classic_rotation(self):
         # with unit weight this is p / (1 - p * (r mod epoch))
-        t = eepca.eepca_threshold(0.1, r=5, r_s=0, w=1.0, in_g=True)
+        t = eepca_threshold(0.1, r=5, r_s=0, w=1.0, in_g=True)
         assert t == pytest.approx(0.2, rel=1e-12)
 
     def test_threshold_zero_outside_g(self):
-        assert eepca.eepca_threshold(0.5, 0, 0, 1.0, in_g=False) == 0.0
+        assert eepca_threshold(0.5, 0, 0, 1.0, in_g=False) == 0.0
 
     def test_threshold_starvation_bonus(self):
         # two whole epochs unelected with w = 0.5 pulls the bracket to 1.5
-        t = eepca.eepca_threshold(0.2, r=0, r_s=10, w=0.5, in_g=True)
+        t = eepca_threshold(0.2, r=0, r_s=10, w=0.5, in_g=True)
         assert t == pytest.approx(0.2 * 1.5, rel=1e-12)
         # the bonus is never negative: three whole epochs with w = 1.5 keep 1.5
-        t = eepca.eepca_threshold(0.2, r=0, r_s=15, w=1.5, in_g=True)
+        t = eepca_threshold(0.2, r=0, r_s=15, w=1.5, in_g=True)
         assert t == pytest.approx(0.2 * 1.5, rel=1e-12)
 
     def test_threshold_clamped_to_one(self):
-        assert eepca.eepca_threshold(0.2, r=0, r_s=100, w=0.1, in_g=True) == 1.0
+        assert eepca_threshold(0.2, r=0, r_s=100, w=0.1, in_g=True) == 1.0
 
     @given(p=st.floats(0.01, 0.99), r=st.integers(0, 50), w=st.floats(0.0, 3.0))
     @settings(max_examples=80, deadline=None)
@@ -134,7 +214,7 @@ class TestElection:
         n = r_s.size
         vec = eepca.eepca_thresholds_all(np.full(n, p), r, r_s, np.full(n, w),
                                          np.ones(n, dtype=bool))
-        scalar = np.array([eepca.eepca_threshold(p, r, int(k), w, True) for k in r_s])
+        scalar = np.array([eepca_threshold(p, r, int(k), w, True) for k in r_s])
         for t in (vec, scalar):
             assert np.all(np.diff(t) >= 0.0)
             assert np.all(t >= t[0])
@@ -154,61 +234,68 @@ class TestElection:
             st.booleans(), min_size=n, max_size=n)))
         out = eepca.eepca_thresholds_all(p, r, r_s, w, in_g)
         for i in range(n):
-            expect = eepca.eepca_threshold(p[i], r, int(r_s[i]), w[i], bool(in_g[i]))
+            expect = eepca_threshold(p[i], r, int(r_s[i]), w[i], bool(in_g[i]))
             assert out[i] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
-def _node(i, x, y, e=1.0, **kw):
-    return NodeState(id=i, pos=(x, y), e_init=e, e_now=e, **kw)
+def _setup_spend(config, dead=()):
+    """Energy each node spends in round 0's info broadcasts."""
+    sim = _Sim(config, PolicyKind.LEACH, detail=False)
+    sim.e[list(dead)] = 0.0
+    sim.alive[list(dead)] = False
+    before = sim.e.copy()
+    sim._setup_broadcasts(0)
+    return sim, before - sim.e
+
+
+def _expected_setup_spend(config, sim):
+    """One broadcast at neighbor_radius reach per alive node, plus one
+    reception per alive node within that radius; nothing for dead nodes."""
+    radio, bits = config.radio, config.broadcast_bits
+    d = np.hypot(sim.x[:, None] - sim.x[None, :], sim.y[:, None] - sim.y[None, :])
+    heard = ((d <= config.neighbor_radius) & (d > 0) & sim.alive[None, :]).sum(axis=1)
+    spend = tx_energy(bits, config.neighbor_radius, radio) + heard * rx_energy(bits, radio)
+    return np.where(sim.alive, spend, 0.0)
 
 
 class TestNeighborTables:
+    """What the setup broadcasts give each node: ranged distances to its
+    neighbors, at the price of one broadcast and one reception per neighbor."""
+
     def test_distances_estimated_exactly(self):
-        nodes = [_node(0, 0.0, 0.0), _node(1, 5.0, 0.0), _node(2, 0.0, 8.0)]
-        tables = eepca.build_neighbor_tables(nodes, RADIO, neighbor_radius=12.0)
-        assert tables[0].entries[1].distance == pytest.approx(5.0, rel=1e-9)
-        assert tables[0].entries[2].distance == pytest.approx(8.0, rel=1e-9)
-        assert tables[1].entries[2].distance == pytest.approx(
-            math.hypot(5.0, 8.0), rel=1e-9)
+        x, y = np.array([0.0, 5.0, 0.0]), np.array([0.0, 0.0, 8.0])
+        bcast = tx_energy(2500, 12.0, RADIO)
+        est = eepca.estimated_distance_matrix(x, y, RADIO, bcast)
+        assert est[0, 1] == pytest.approx(5.0, rel=1e-9)
+        assert est[0, 2] == pytest.approx(8.0, rel=1e-9)
+        assert est[1, 2] == pytest.approx(math.hypot(5.0, 8.0), rel=1e-9)
 
-    def test_out_of_range_node_excluded(self):
-        nodes = [_node(0, 0.0, 0.0), _node(1, 50.0, 0.0)]
-        tables = eepca.build_neighbor_tables(nodes, RADIO, neighbor_radius=12.0)
-        assert tables[0].entries == {}
-        assert tables[1].entries == {}
+    def test_energy_debits(self, default_config):
+        sim, spent = _setup_spend(default_config)
+        assert sim.alive.all()
+        assert spent == pytest.approx(_expected_setup_spend(default_config, sim), rel=1e-9)
 
-    def test_dead_node_neither_pays_nor_appears(self):
-        dead = _node(1, 3.0, 0.0, e=0.0)
-        dead.alive = False
-        nodes = [_node(0, 0.0, 0.0), dead, _node(2, 0.0, 4.0)]
-        tables = eepca.build_neighbor_tables(nodes, RADIO, neighbor_radius=12.0)
-        assert 1 not in tables
-        assert 1 not in tables[0].entries
-        assert dead.e_now == 0.0
+    def test_out_of_range_node_excluded(self, default_config):
+        # with a 1 m radius almost every node hears no one
+        cfg = dataclasses.replace(default_config, neighbor_radius=1.0)
+        sim, spent = _setup_spend(cfg)
+        alone = np.isclose(spent, tx_energy(cfg.broadcast_bits, 1.0, cfg.radio), rtol=1e-9)
+        assert alone.sum() > 90
+        assert spent == pytest.approx(_expected_setup_spend(cfg, sim), rel=1e-9)
 
-    def test_energy_debits(self):
-        nodes = [_node(0, 0.0, 0.0), _node(1, 5.0, 0.0)]
-        bcast = tx_energy(2500, 12.0, RADIO).joules
-        rx = rx_energy(2500, RADIO)
-        eepca.build_neighbor_tables(nodes, RADIO, neighbor_radius=12.0)
-        # each pays one broadcast and hears one
-        assert nodes[0].e_now == pytest.approx(1.0 - bcast - rx, rel=1e-12)
-        assert nodes[1].e_now == pytest.approx(1.0 - bcast - rx, rel=1e-12)
-
-    def test_rda_schedule_carried(self):
-        rda = _node(0, 0.0, 0.0, is_rda=True)
-        rda.msgs_per_round, rda.msg_len_bits = 4, 3000
-        nodes = [rda, _node(1, 2.0, 0.0)]
-        tables = eepca.build_neighbor_tables(nodes, RADIO, neighbor_radius=12.0)
-        assert tables[1].entries[0].rda_schedule == (4, 3000)
-        assert tables[0].entries[1].rda_schedule is None
+    def test_dead_node_neither_pays_nor_appears(self, default_config):
+        hub = int(np.argmax(_Sim(default_config, PolicyKind.LEACH, False).neigh.sum(axis=1)))
+        sim, spent = _setup_spend(default_config, dead=[hub])
+        assert spent[hub] == 0.0
+        assert sim.neigh[hub].sum() >= 3
+        assert spent == pytest.approx(_expected_setup_spend(default_config, sim), rel=1e-9)
 
 
 class TestMatrices:
     def test_estimated_matrix_recovers_true_distances(self):
         rng = np.random.default_rng(3)
         x, y = rng.uniform(0, 100, 12), rng.uniform(0, 100, 12)
-        bcast = tx_energy(2500, 12.0, RADIO).joules
+        bcast = tx_energy(2500, 12.0, RADIO)
         est = eepca.estimated_distance_matrix(x, y, RADIO, bcast)
         true = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
         assert np.allclose(est, true, rtol=1e-9)

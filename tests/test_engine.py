@@ -1,12 +1,14 @@
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RunTrace, debit, run
-from wsncluster.model import NodeState
+from wsncluster.engine import RunTrace, _Sim, run
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
 
@@ -136,24 +138,71 @@ def test_config_hash_recorded(small_config):
 
 
 class TestScalarDebit:
-    def _node(self, e):
-        return NodeState(id=0, pos=(0.0, 0.0), e_init=e, e_now=e)
+    """The engine's debit helpers, one node at a time."""
 
-    def test_normal_debit(self):
-        node, ok = debit(self._node(1.0), 0.3)
-        assert ok and node.alive
-        assert node.e_now == pytest.approx(0.7)
+    def _sim(self, small_config, e):
+        sim = _Sim(small_config, PolicyKind.LEACH, detail=False)
+        sim.e[0] = e
+        sim.alive[0] = e > 0.0
+        return sim
 
-    def test_exhaustion_kills(self):
-        node, ok = debit(self._node(0.2), 0.2)
-        assert ok and not node.alive
-        assert node.e_now == 0.0
+    def test_normal_debit(self, small_config):
+        sim = self._sim(small_config, 1.0)
+        assert sim._debit_bulk(np.array([0]), np.array([0.3])).tolist() == [True]
+        assert sim.alive[0]
+        assert sim.e[0] == pytest.approx(0.7)
+        assert sim.debits == pytest.approx(0.3)
 
-    def test_blocked_action_clamps_to_zero(self):
-        node, ok = debit(self._node(0.1), 0.5)
-        assert not ok and not node.alive
-        assert node.e_now == 0.0
+    def test_exhaustion_kills(self, small_config):
+        sim = self._sim(small_config, 0.2)
+        assert sim._debit_bulk(np.array([0]), np.array([0.2])).tolist() == [True]
+        assert not sim.alive[0]
+        assert sim.e[0] == 0.0
 
-    def test_negative_amount_rejected(self):
-        with pytest.raises(ValueError):
-            debit(self._node(1.0), -0.1)
+    def test_blocked_action_clamps_to_zero(self, small_config):
+        sim = self._sim(small_config, 0.1)
+        assert sim._debit_bulk(np.array([0]), np.array([0.5])).tolist() == [False]
+        assert not sim.alive[0] and sim.e[0] == 0.0
+        assert sim.debits == pytest.approx(0.1)  # only what the node had
+        # a message the node cannot afford is not delivered
+        sim = self._sim(small_config, 0.1)
+        assert sim._debit_messages(np.array([0]), 0.04, 0.04, 3).tolist() == [2]
+        assert not sim.alive[0] and sim.e[0] == 0.0
+
+
+class TestSteadyPaths:
+    """The whole-round steady path is a shortcut for the per-frame one."""
+
+    @given(seed=st.integers(0, 10_000), policy=st.sampled_from(POLICIES),
+           frac_rda=st.floats(0.0, 1.0), frac_malfunction=st.floats(0.0, 1.0),
+           r=st.integers(0, 40))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fast_path_matches_per_frame_path(self, small_config, seed, policy,
+                                              frac_rda, frac_malfunction, r):
+        cfg = dataclasses.replace(small_config, frac_rda=frac_rda,
+                                  frac_malfunction=frac_malfunction, rng_seed=seed)
+        sim = _Sim(cfg, policy, detail=False)
+        for k in range(r):
+            sim.play_round(k)
+        assume(sim.alive.any())
+        seen = []
+        fast = sim._steady_fast
+
+        def both_paths(assignment, heads, noise, counts, lengths):
+            slow_sim = copy.deepcopy(sim)
+            args = [a.copy() for a in (assignment, heads, noise, counts, lengths)]
+            got = fast(assignment, heads, noise, counts, lengths)
+            if got is not None:
+                seen.append((got, slow_sim._steady_slow(*args), slow_sim))
+            return got
+
+        sim._steady_fast = both_paths
+        sim.play_round(r)
+        assume(seen)
+        (bs_f, act_f, pred_f), (bs_s, act_s, pred_s), slow_sim = seen[0]
+        assert bs_f == bs_s
+        assert np.array_equal(sim.alive, slow_sim.alive)
+        for a, b in ((sim.e, slow_sim.e), (sim.belief, slow_sim.belief),
+                     (act_f, act_s), (pred_f, pred_s)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsncluster.model import (ConfigError, ContractViolation, RadioParams,
-                              ScenarioConfig, deploy, load_scenario,
-                              regenerate_rda_schedule, scenario_from_dict,
-                              table1_scenario)
+from wsncluster.baselines import PolicyKind
+from wsncluster.engine import _Sim
+from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, deploy,
+                              load_scenario, scenario_from_dict, table1_scenario)
 
 
 class TestValidation:
@@ -32,6 +32,10 @@ class TestValidation:
         ({"neighbor_radius": 0.0}, "neighbor_radius"),
         ({"broadcast_bits": -1}, "broadcast_bits"),
         ({"cost_factor_cap": 0.0}, "cost_factor_cap"),
+        ({"broadcast_bits": 0}, "broadcast_bits"),
+        ({"e_min": 0.0, "e_max": 0.0, "homogeneous_energy": 0.0}, "e_max"),
+        ({"frac_energy_heterogeneous": 0.0, "homogeneous_energy": 0.0},
+         "homogeneous_energy"),
     ])
     def test_invalid_field_raises_with_field_name(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
@@ -48,6 +52,10 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             RadioParams(**kwargs)
         assert exc.value.field_name == field_name
+
+    def test_one_source_of_positive_energy_suffices(self):
+        ScenarioConfig(frac_energy_heterogeneous=0.5, homogeneous_energy=0.0)
+        ScenarioConfig(frac_energy_heterogeneous=0.5, e_min=0.0, e_max=0.0)
 
     def test_bs_defaults_to_field_centre(self):
         assert ScenarioConfig().bs_xy == (50.0, 50.0)
@@ -89,38 +97,41 @@ class TestSerialization:
 
 class TestDeploy:
     def test_determinism(self, default_config):
-        a = deploy(default_config)
-        b = deploy(default_config)
-        assert [(n.pos, n.e_init, n.is_rda) for n in a] == \
-               [(n.pos, n.e_init, n.is_rda) for n in b]
+        cfg = dataclasses.replace(default_config, frac_rda=0.5, frac_malfunction=0.1)
+        a = deploy(cfg)
+        b = deploy(cfg)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_seed_changes_layout(self, default_config):
         a = deploy(default_config)
         b = deploy(default_config.with_seed(1))
-        assert [n.pos for n in a] != [n.pos for n in b]
+        assert not np.array_equal(a.x, b.x)
+        assert not np.array_equal(a.y, b.y)
 
     def test_positions_inside_field(self, default_config):
-        for node in deploy(default_config):
-            assert 0.0 <= node.pos[0] <= default_config.m_field
-            assert 0.0 <= node.pos[1] <= default_config.m_field
+        dep = deploy(default_config)
+        for coord in (dep.x, dep.y):
+            assert coord.shape == (default_config.n_nodes,)
+            assert ((0.0 <= coord) & (coord <= default_config.m_field)).all()
 
     def test_full_heterogeneity_energy_range(self, default_config):
-        energies = [n.e_init for n in deploy(default_config)]
-        assert all(1.0 <= e <= 3.0 for e in energies)
+        energies = deploy(default_config).e_init
+        assert ((1.0 <= energies) & (energies <= 3.0)).all()
         assert np.std(energies) > 0.1
 
     def test_partial_heterogeneity_counts(self):
         cfg = ScenarioConfig(frac_energy_heterogeneous=0.3)
-        nodes = deploy(cfg)
-        at_base = sum(1 for n in nodes if n.e_init == cfg.homogeneous_energy)
+        at_base = int((deploy(cfg).e_init == cfg.homogeneous_energy).sum())
         assert at_base == 70
 
     @given(frac=st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_rda_count_rounds_to_nearest(self, frac):
-        cfg = ScenarioConfig(n_nodes=40, frac_rda=frac)
-        nodes = deploy(cfg)
-        assert sum(n.is_rda for n in nodes) == int(np.floor(frac * 40 + 0.5))
+        cfg = ScenarioConfig(n_nodes=40, frac_rda=frac, frac_malfunction=frac)
+        dep = deploy(cfg)
+        expect = int(np.floor(frac * 40 + 0.5))
+        assert dep.is_rda.sum() == expect
+        assert dep.is_malf.sum() == expect
 
     def test_expected_neighbor_density(self, default_config):
         # mean degree for uniform deployment is close to N*pi*R^2 / M^2,
@@ -129,20 +140,21 @@ class TestDeploy:
         expect = default_config.n_nodes * np.pi * r * r / default_config.m_field ** 2
         degrees = []
         for seed in range(30):
-            nodes = deploy(default_config.with_seed(seed))
-            xs = np.array([n.pos[0] for n in nodes])
-            ys = np.array([n.pos[1] for n in nodes])
-            d = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
-            degrees.append(((d <= r).sum() - len(nodes)) / len(nodes))
+            dep = deploy(default_config.with_seed(seed))
+            d = np.hypot(dep.x[:, None] - dep.x[None, :], dep.y[:, None] - dep.y[None, :])
+            degrees.append(((d <= r).sum() - dep.x.size) / dep.x.size)
         assert abs(np.mean(degrees) - expect) < 0.5
 
-    def test_schedule_regeneration_contract(self, default_config):
-        nodes = deploy(dataclasses.replace(default_config, frac_rda=0.5))
-        rng = np.random.default_rng(7)
-        rda = next(n for n in nodes if n.is_rda)
-        plain = next(n for n in nodes if not n.is_rda)
-        regenerate_rda_schedule(rda, rng, default_config)
-        assert 3 <= rda.msgs_per_round <= 7
-        assert 2000 <= rda.msg_len_bits <= 6000
-        with pytest.raises(ContractViolation):
-            regenerate_rda_schedule(plain, rng, default_config)
+    def test_schedule_regeneration_contract(self, rda_config):
+        # every round redraws each RDA node's message count and length from
+        # the configured ranges; other nodes have no schedule
+        sim = _Sim(rda_config, PolicyKind.LEACH, detail=False)
+        rda = sim.is_rda
+        lengths = set()
+        for r in range(3):
+            sim.play_round(r)
+            assert ((3 <= sim.msg_count[rda]) & (sim.msg_count[rda] <= 7)).all()
+            assert ((2000 <= sim.msg_len[rda]) & (sim.msg_len[rda] <= 6000)).all()
+            assert (sim.msg_count[~rda] == 0).all() and (sim.msg_len[~rda] == 0).all()
+            lengths.add(sim.msg_len[rda].tobytes())
+        assert len(lengths) == 3

@@ -1,77 +1,93 @@
+"""Consumption prediction for regular-data-acquisition (RDA) nodes, and the
+broadcast suppression it allows (eepca.broadcast_suppressed).
+
+A node skips its setup broadcast when the residual energy its neighbors
+compute for it (belief) is within tolerance of its actual residual (e).  The
+relative prediction error is gamma = |1 - belief/e|.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsncluster.model import ContractViolation, NodeState, RadioParams
-from wsncluster.predictor import (gamma, predict_round_consumption,
-                                  should_suppress_broadcast)
+from wsncluster.baselines import PolicyKind
+from wsncluster.eepca import broadcast_suppressed
+from wsncluster.engine import _Sim
+from wsncluster.model import ContractViolation
 from wsncluster.radio import tx_energy
 
-RADIO = RadioParams()
 
-
-def _rda(msgs=4, bits=3000):
-    return NodeState(id=0, pos=(0.0, 0.0), e_init=2.0, e_now=2.0,
-                     is_rda=True, msgs_per_round=msgs, msg_len_bits=bits)
+def _suppressed(belief, e, epsilon_tol, literal_rule=False):
+    return bool(broadcast_suppressed(np.array([belief]), np.array([e]),
+                                     epsilon_tol, literal_rule)[0])
 
 
 class TestPrediction:
-    def test_schedule_times_unit_cost(self):
-        node = _rda(msgs=5, bits=2000)
-        expect = 5 * tx_energy(2000, 9.0, RADIO).joules
-        assert predict_round_consumption(node, 9.0, RADIO) == \
-            pytest.approx(expect, rel=1e-12)
-
-    def test_non_rda_rejected(self):
-        plain = NodeState(id=1, pos=(0.0, 0.0), e_init=2.0, e_now=2.0)
-        with pytest.raises(ContractViolation):
-            predict_round_consumption(plain, 9.0, RADIO)
-
-    @given(msgs=st.integers(0, 10), bits=st.integers(0, 6000),
-           d=st.floats(0.0, 200.0))
-    @settings(max_examples=60, deadline=None)
-    def test_scales_linearly_with_message_count(self, msgs, bits, d):
-        one = predict_round_consumption(_rda(1, bits), d, RADIO)
-        many = predict_round_consumption(_rda(msgs, bits), d, RADIO)
-        assert many == pytest.approx(msgs * one, rel=1e-9, abs=1e-30)
+    def test_schedule_times_unit_cost(self, rda_config):
+        # an RDA member's predicted data energy for the round is its message
+        # count times the cost of one scheduled message to its head
+        sim = _Sim(rda_config, PolicyKind.EEPCA, detail=True)
+        rec = sim.play_round(0)
+        members = np.flatnonzero(sim.is_rda & (rec.assignment >= 0))
+        assert members.size > 10
+        for i in members:
+            d = sim.d_est[i, rec.assignment[i]]
+            expect = sim.msg_count[i] * tx_energy(int(sim.msg_len[i]), d, rda_config.radio)
+            assert rec.data_energy_predicted[i] == pytest.approx(expect, rel=1e-12)
 
 
 class TestGamma:
     def test_exact_prediction_is_zero(self):
-        assert gamma(1.5, 1.5) == 0.0
+        # zero error passes even the zero-tolerance bound
+        assert _suppressed(1.5, 1.5, 1.0)
+        assert _suppressed(1.5, 1.5, 1e-9, literal_rule=True)
 
     def test_relative_error(self):
-        assert gamma(0.9, 1.0) == pytest.approx(0.1, rel=1e-12)
-        assert gamma(1.2, 1.0) == pytest.approx(0.2, rel=1e-12)
+        # gamma 0.1 for an under-prediction, 0.2 for an over-prediction,
+        # whatever the energy scale
+        for scale in (1.0, 2.0, 1e-3):
+            assert _suppressed(0.9 * scale, scale, 0.89)
+            assert not _suppressed(0.9 * scale, scale, 0.91)
+            assert _suppressed(1.2 * scale, scale, 0.79)
+            assert not _suppressed(1.2 * scale, scale, 0.81)
 
     def test_dead_node_rejected(self):
         with pytest.raises(ContractViolation):
-            gamma(1.0, 0.0)
+            broadcast_suppressed(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 0.93)
 
     @given(pred=st.floats(0.0, 10.0), actual=st.floats(1e-6, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_non_negative(self, pred, actual):
-        assert gamma(pred, actual) >= 0.0
+        # gamma >= 0, so at zero tolerance only an exact ratio is suppressed,
+        # over-predictions included
+        assert _suppressed(pred, actual, 1.0) == (pred / actual == 1.0)
 
 
 class TestSuppression:
     def test_decision_rule_tolerance_is_complement(self):
         # epsilon 0.93 tolerates up to 7% relative error
-        assert should_suppress_broadcast(0.0, 0.93)
-        assert should_suppress_broadcast(0.069, 0.93)
-        assert not should_suppress_broadcast(0.08, 0.93)
+        assert _suppressed(1.0, 1.0, 0.93)
+        assert _suppressed(0.931, 1.0, 0.93)   # gamma 0.069
+        assert not _suppressed(0.92, 1.0, 0.93)  # gamma 0.08
 
     def test_full_epsilon_still_accepts_exact_prediction(self):
-        assert should_suppress_broadcast(0.0, 1.0)
-        assert not should_suppress_broadcast(1e-9, 1.0)
+        assert _suppressed(1.0, 1.0, 1.0)
+        assert not _suppressed(1.0 - 1e-9, 1.0, 1.0)
 
     def test_literal_rule_compares_against_epsilon(self):
-        assert should_suppress_broadcast(0.5, 0.93, literal_rule=True)
-        assert not should_suppress_broadcast(0.95, 0.93, literal_rule=True)
+        assert _suppressed(0.5, 1.0, 0.93, literal_rule=True)       # gamma 0.5
+        assert not _suppressed(0.05, 1.0, 0.93, literal_rule=True)  # gamma 0.95
 
     @given(g=st.floats(0.0, 2.0), eps=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_decision_rule_monotone_in_epsilon(self, g, eps):
         # anything suppressed at tolerance eps stays suppressed at lower eps
-        if should_suppress_broadcast(g, eps):
-            assert should_suppress_broadcast(g, eps * 0.5)
+        if _suppressed(1.0 + g, 1.0, eps):
+            assert _suppressed(1.0 + g, 1.0, eps * 0.5)
+
+    def test_mask_is_per_node(self):
+        belief = np.array([1.0, 0.9, 1.0, 0.5])
+        e = np.array([1.0, 1.0, 2.0, 1.0])
+        assert broadcast_suppressed(belief, e, 0.93).tolist() == \
+            [True, False, False, False]
