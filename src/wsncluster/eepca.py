@@ -15,7 +15,10 @@ A regular-data-acquisition node whose residual energy its neighbors can
 compute to within tolerance skips its setup broadcast.  Neighbor distances
 are the ones nodes estimate from the received strength of those broadcasts.
 
-Every function takes and returns arrays indexed by node id.
+Per-node arrays are indexed by node id.  Neighborhoods are directed edge
+lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
+src[k], and neighborhood sums are bincounts over src, so memory and time
+grow with the number of edges, not with n^2.
 """
 
 from __future__ import annotations
@@ -28,16 +31,19 @@ from .radio import tx_energy_per_bit
 
 # --- energy factor -----------------------------------------------------------
 
-def energy_factors_all(e: np.ndarray, belief: np.ndarray, neigh: np.ndarray) -> np.ndarray:
+def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
+                       dst: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Node energy over the mean believed energy of its live neighbors.
 
-    neigh[i, j] marks j as a live neighbor of i.  A node with no neighbors,
-    or whose neighbors' mean belief is 0, gets 1.  The fallback tests the
-    mean, not the sum: a positive sum of subnormal beliefs can still have a
-    mean that rounds to 0.
+    Edge k makes dst[k] a neighbor of src[k]; live[j] is 1 for a neighbor
+    that counts (alive) and 0 for one that does not.  A node with no live
+    neighbors, or whose neighbors' mean belief is 0, gets 1.  The fallback
+    tests the mean, not the sum: a positive sum of subnormal beliefs can
+    still have a mean that rounds to 0.
     """
-    counts = neigh.sum(axis=1)
-    sums = neigh @ belief
+    w = live[dst]
+    counts = np.bincount(src, weights=w, minlength=e.size)
+    sums = np.bincount(src, weights=w * belief[dst], minlength=e.size)
     out = np.ones_like(e)
     ok = (counts > 0) & (sums / np.maximum(counts, 1) > 0)
     out[ok] = e[ok] * counts[ok] / sums[ok]
@@ -47,15 +53,21 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, neigh: np.ndarray) -> 
 # --- communication-cost factor ----------------------------------------------
 
 def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
-                           neigh: np.ndarray, ideal_fallback: float) -> np.ndarray:
-    """Per node, the mean energy of one transmission from each neighbor to it.
+                           src: np.ndarray, dst: np.ndarray, live: np.ndarray,
+                           ideal_fallback: float) -> np.ndarray:
+    """Per node, the mean energy of one transmission from each live neighbor
+    to it.
 
-    cost_per_bit is the static matrix e_elec + amplifier(d_ij); l_sched holds
-    each node's scheduled message length for this round.  A node with no
-    neighbors gets ideal_fallback, so its cost factor degenerates to 1.
+    cost_per_bit[k] is the static per-bit cost e_elec + amplifier(d) over
+    edge k, from neighbor dst[k] to node src[k]; l_sched holds each node's
+    scheduled message length for this round and live is as in
+    energy_factors_all.  A node with no live neighbors gets ideal_fallback,
+    so its cost factor degenerates to 1.
     """
-    counts = neigh.sum(axis=1)
-    sums = (cost_per_bit * neigh) @ l_sched
+    w = live[dst]
+    counts = np.bincount(src, weights=w, minlength=l_sched.size)
+    sums = np.bincount(src, weights=cost_per_bit * l_sched[dst] * w,
+                       minlength=l_sched.size)
     out = np.full(l_sched.shape, ideal_fallback, dtype=float)
     ok = counts > 0
     out[ok] = sums[ok] / counts[ok]
@@ -129,23 +141,69 @@ def broadcast_suppressed(belief: np.ndarray, e: np.ndarray, epsilon_tol: float,
 
 # --- ranging -----------------------------------------------------------------
 
-def estimated_distance_matrix(x: np.ndarray, y: np.ndarray,
+def estimated_distance_matrix(dx: np.ndarray, dy: np.ndarray,
                               radio: RadioParams, broadcast_energy: float) -> np.ndarray:
-    """All-pairs distances as nodes estimate them from broadcast RSS.
+    """Distances as nodes estimate them from broadcast RSS, elementwise over
+    coordinate differences of any shape (edges, or members x heads).
 
     The received strength k_rss * E / d^alpha_pathloss of a broadcast sent
-    with energy E is inverted back to a distance; the diagonal is 0.
+    with energy E is inverted back to a distance.  Co-located nodes receive
+    infinite strength and so estimate 0.
     """
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
     d_true = np.hypot(dx, dy)
-    est = np.zeros_like(d_true)
-    off = d_true > 0
-    rec = radio.k_rss * broadcast_energy / d_true[off] ** radio.alpha_pathloss
-    est[off] = (radio.k_rss * broadcast_energy / rec) ** (1.0 / radio.alpha_pathloss)
-    return est
+    k_e = radio.k_rss * broadcast_energy
+    with np.errstate(divide="ignore"):
+        rec = k_e / d_true ** radio.alpha_pathloss
+        return (k_e / rec) ** (1.0 / radio.alpha_pathloss)
 
 
 def cost_per_bit_matrix(d_est: np.ndarray, radio: RadioParams) -> np.ndarray:
-    """Static matrix of per-bit neighbor-to-node transmission cost."""
+    """Per-bit transmission cost over estimated distances, elementwise."""
     return tx_energy_per_bit(d_est, radio)
+
+
+# Cells are a little wider than the radius, and there are at most this many
+# to a side, so that rounding in the cell index can never put two neighbors
+# more than one cell apart and the cell keys stay small integers.
+_CELL_SLACK = 1.0 + 1e-6
+_MAX_CELLS = 1 << 20
+
+
+def neighbor_edges(x: np.ndarray, y: np.ndarray, radius: float, radio: RadioParams,
+                   broadcast_energy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed neighbor edges (src, dst, d_est), sorted by src then dst.
+
+    dst is a neighbor of src when src != dst and the distance src estimates
+    to dst is at most radius; co-located nodes (distance 0) are neighbors.
+    Candidates come from a uniform cell grid: each node is compared only with
+    the nodes in its own and the 8 surrounding cells, so the cost is
+    O(n + candidate pairs) instead of O(n^2).
+    """
+    n = x.size
+    side = max(radius * _CELL_SLACK, max(np.ptp(x), np.ptp(y)) / _MAX_CELLS)
+    cx = np.floor((x - x.min()) / side).astype(np.int64)
+    cy = np.floor((y - y.min()) / side).astype(np.int64)
+    # a column holds cy.max() + 1 cells plus an empty guard cell at each end,
+    # so a step of -1 or +1 in y never wraps into the next column
+    stride = int(cy.max()) + 3
+    key = cx * stride + cy + 1
+    order = np.argsort(key)
+    sorted_key = key[order]
+    src_parts, dst_parts = [], []
+    for ox in (-1, 0, 1):
+        for oy in (-1, 0, 1):
+            cell = key + ox * stride + oy
+            lo = np.searchsorted(sorted_key, cell, side="left")
+            cnt = np.searchsorted(sorted_key, cell, side="right") - lo
+            # node i meets sorted positions lo[i] .. lo[i] + cnt[i] - 1
+            pos = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+            src_parts.append(np.repeat(np.arange(n), cnt))
+            dst_parts.append(order[pos])
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    d_est = estimated_distance_matrix(x[src] - x[dst], y[src] - y[dst],
+                                      radio, broadcast_energy)
+    keep = (src != dst) & (d_est <= radius)
+    src, dst, d_est = src[keep], dst[keep], d_est[keep]
+    idx = np.lexsort((dst, src))
+    return src[idx], dst[idx], d_est[idx]

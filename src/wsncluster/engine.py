@@ -13,6 +13,12 @@ transmissions charged at their predicted (noise-free) cost.  This is the
 residual-energy value neighbors can compute for an RDA node without hearing
 a broadcast; for non-malfunctioning nodes it tracks ground truth exactly.
 
+Neighborhoods are held as edge arrays (src, dst) with the per-bit cost over
+each edge, built once per run; nothing in a run is n x n.  Cluster formation
+ranges members to this round's heads afresh and keeps each member's per-bit
+cost to its chosen head in one per-node vector, which the join and both
+steady paths read.
+
 The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
 round spend, and a per-frame granular path that handles mid-round deaths.
@@ -120,11 +126,13 @@ class _Sim:
         self.bcast_cost = bcast_e
         self.rx_bcast = rx_energy(config.broadcast_bits, radio)
         self.ad_cost = tx_energy(config.broadcast_bits, config.m_field * math.sqrt(2.0), radio)
-        # distances as the nodes themselves estimate them from broadcast RSS
-        self.d_est = eepca.estimated_distance_matrix(self.x, self.y, radio, bcast_e)
-        self.cost_pb = eepca.cost_per_bit_matrix(self.d_est, radio)
-        self.neigh = (self.d_est <= config.neighbor_radius) & ~np.eye(n, dtype=bool)
-        self.neigh_f = self.neigh.astype(float)
+        # neighbor edges dst -> src, ranged as the nodes themselves estimate
+        # distances from broadcast RSS, and the per-bit cost over each edge
+        self.src, self.dst, d_nb = eepca.neighbor_edges(
+            self.x, self.y, config.neighbor_radius, radio, bcast_e)
+        self.cost_nb = eepca.cost_per_bit_matrix(d_nb, radio)
+        # per-bit cost from each member to the head it joined this round
+        self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
         self.d_bs = np.hypot(self.x - bx, self.y - by)
         self.bs_cost = np.array([tx_energy(config.fused_len_bits, d, radio) for d in self.d_bs])
@@ -207,7 +215,7 @@ class _Sim:
         ok_senders[idx[sent > 0]] = True
         # receptions: each alive node hears each successful neighbor broadcast
         hearers = np.flatnonzero(self.alive)
-        heard = (self.neigh_f[hearers] @ ok_senders.astype(float)).astype(np.int64)
+        heard = np.bincount(self.src[ok_senders[self.dst]], minlength=self.n)[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
         if self.track_belief:
@@ -219,11 +227,11 @@ class _Sim:
         cfg = self.cfg
         alive = self.alive
         if self.policy is PolicyKind.EEPCA and not cfg.force_unit_factors:
-            neigh_alive = self.neigh & alive[None, :]
-            w_e = eepca.energy_factors_all(self.e, self.belief, neigh_alive)
+            live = alive.astype(float)
+            w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst, live)
             l_sched = np.where(self.is_rda, self.msg_len, self.nonrda_mean_len)
-            e_round = eepca.avg_round_energies_all(l_sched, self.cost_pb,
-                                                   neigh_alive, self.e_ideal)
+            e_round = eepca.avg_round_energies_all(l_sched, self.cost_nb, self.src,
+                                                   self.dst, live, self.e_ideal)
             w_c = eepca.cost_factors_all(self.e_ideal, e_round, cfg.cost_factor_cap)
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
@@ -265,12 +273,17 @@ class _Sim:
             return assignment, ok_heads
         members = np.flatnonzero(self.alive & ~ok_heads)
         if members.size:
-            # nearest advertisement wins; argmin takes the lowest head id on ties
-            d_mh = self.d_est[np.ix_(members, ok_heads_idx)]
+            # nearest advertisement wins; argmin takes the lowest head id on
+            # ties.  Members range the heads from the same broadcast RSS model.
+            d_mh = eepca.estimated_distance_matrix(
+                self.x[members][:, None] - self.x[ok_heads_idx],
+                self.y[members][:, None] - self.y[ok_heads_idx],
+                cfg.radio, self.bcast_cost)
             choice = np.argmin(d_mh, axis=1)
             assignment[members] = ok_heads_idx[choice]
-            join_cost = (cfg.broadcast_bits
-                         * self.cost_pb[members, assignment[members]])
+            self.cpb_head[members] = eepca.cost_per_bit_matrix(
+                d_mh[np.arange(members.size), choice], cfg.radio)
+            join_cost = cfg.broadcast_bits * self.cpb_head[members]
             joined = self._debit_messages(members, join_cost, join_cost, 1)
             assignment[members[joined == 0]] = -1
             members = members[joined > 0]
@@ -314,16 +327,17 @@ class _Sim:
         safe_assign = np.maximum(assignment, 0)
         member = (assignment >= 0) & self.alive & head_alive[safe_assign]
 
-        cpb_head = self.cost_pb[np.arange(self.n), safe_assign]
-        msg_cost_nf = lengths * cpb_head[None, :]          # per message, per frame
+        msg_cost_nf = lengths * self.cpb_head[None, :]     # per message, per frame
         data_nf = (counts * msg_cost_nf).sum(axis=0) * member
         data_act = data_nf * noise
 
         bits = counts * lengths                            # (frames, n)
-        bits_rx = np.zeros((counts.shape[0], self.n))
+        # bits each head receives per frame; whole numbers, so exact in any order
+        frames = counts.shape[0]
         member_idx = np.flatnonzero(member)
-        for f in range(counts.shape[0]):
-            np.add.at(bits_rx[f], assignment[member_idx], bits[f, member_idx])
+        slot = np.arange(frames)[:, None] * self.n + assignment[member_idx]
+        bits_rx = np.bincount(slot.ravel(), weights=bits[:, member_idx].ravel(),
+                              minlength=frames * self.n).reshape(frames, self.n)
         total_bits = bits_rx + bits * head_alive[None, :]  # heads sense their own
         rx_spend = bits_rx.sum(axis=0) * self.e_elec * head_alive
         agg_spend = total_bits.sum(axis=0) * self.e_da * head_alive
@@ -355,13 +369,15 @@ class _Sim:
             tx_idx = np.flatnonzero((assignment >= 0) & self.alive & (counts[f] > 0))
             bits_rx = np.zeros(self.n)
             if tx_idx.size:
-                per_msg_nf = lengths[f, tx_idx] * self.cost_pb[tx_idx, assignment[tx_idx]]
+                per_msg_nf = lengths[f, tx_idx] * self.cpb_head[tx_idx]
                 per_msg = per_msg_nf * noise[tx_idx]
                 delivered = self._debit_messages(tx_idx, per_msg, per_msg_nf,
                                                  counts[f, tx_idx])
                 data_spent[tx_idx] += delivered * per_msg
                 data_pred[tx_idx] += delivered * per_msg_nf
-                np.add.at(bits_rx, assignment[tx_idx], delivered * lengths[f, tx_idx])
+                bits_rx = np.bincount(assignment[tx_idx],
+                                      weights=delivered * lengths[f, tx_idx],
+                                      minlength=self.n)
             h_idx = np.flatnonzero(head_alive & self.alive)
             if h_idx.size == 0:
                 continue

@@ -33,6 +33,19 @@ class ContractViolation(ValueError):
     """An operation was called outside its contract."""
 
 
+def _require_finite(obj) -> None:
+    """Reject NaN and +-inf in any float field or float tuple element.
+
+    JSON scenario files may carry NaN and Infinity, and NaN passes every
+    ordering check, so this runs before the range checks.
+    """
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        for item in v if isinstance(v, tuple) else (v,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f.name, "must be finite")
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Radio energy-model constants and the path-loss law used for ranging."""
@@ -45,6 +58,7 @@ class RadioParams:
     alpha_pathloss: float = 2.0   # path-loss exponent, in [1, 6]
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("e_elec", "eps_fs", "eps_mp", "d0", "k_rss", "alpha_pathloss"):
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be strictly positive")
@@ -87,6 +101,7 @@ class ScenarioConfig:
     radio: RadioParams = field(default_factory=RadioParams)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.m_field <= 0:
             raise ConfigError("m_field", "must be positive")
         if self.n_nodes < 1:

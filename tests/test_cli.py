@@ -65,6 +65,15 @@ class TestMain:
         assert "positive energy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys):
+        # json.load accepts the non-standard NaN and Infinity literals
+        path = tmp_path / "nan.json"
+        path.write_text('{"neighbor_radius": NaN}')
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "neighbor_radius: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sweep_var_is_config_error(self, tmp_path, scenario_file):
         rc = main(["--scenario", str(scenario_file), "--sweep", "d0=1,2",
                    "--out", str(tmp_path / "o")])

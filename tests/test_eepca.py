@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsncluster import eepca
@@ -103,10 +103,9 @@ class TestEnergyFactor:
     def test_mean_rounding_to_zero_defaults_to_one(self):
         # the sum is the smallest subnormal, but half of it rounds to 0
         belief = np.array([0.0, 0.0, 5e-324, 0.0])
-        neigh = np.zeros((4, 4), dtype=bool)
-        neigh[3, [1, 2]] = True
-        out = eepca.energy_factors_all(np.ones(4), belief, neigh)
-        assert energy_factor(1.0, belief[neigh[3]]) == 1.0
+        src, dst = np.array([3, 3]), np.array([1, 2])
+        out = eepca.energy_factors_all(np.ones(4), belief, src, dst, np.ones(4))
+        assert energy_factor(1.0, belief[dst]) == 1.0
         assert out[3] == 1.0
 
     @given(st.data())
@@ -121,7 +120,8 @@ class TestEnergyFactor:
             st.lists(st.booleans(), min_size=n, max_size=n),
             min_size=n, max_size=n)))
         np.fill_diagonal(neigh, False)
-        out = eepca.energy_factors_all(e, belief, neigh)
+        src, dst = np.nonzero(neigh)
+        out = eepca.energy_factors_all(e, belief, src, dst, np.ones(n))
         for i in range(n):
             expect = energy_factor(e[i], belief[neigh[i]])
             assert out[i] == pytest.approx(expect, rel=1e-12)
@@ -157,8 +157,9 @@ class TestCostFactor:
             st.floats(0.0, 100.0), min_size=n, max_size=n)))
         d = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
         neigh = (d < 40.0) & ~np.eye(n, dtype=bool)
-        cpb = eepca.cost_per_bit_matrix(d, RADIO)
-        out = eepca.avg_round_energies_all(lengths, cpb, neigh, 0.123)
+        src, dst = np.nonzero(neigh)
+        cpb = eepca.cost_per_bit_matrix(d[src, dst], RADIO)
+        out = eepca.avg_round_energies_all(lengths, cpb, src, dst, np.ones(n), 0.123)
         for i in range(n):
             js = np.flatnonzero(neigh[i])
             expect = avg_round_energy_if_head(
@@ -265,7 +266,8 @@ class TestNeighborTables:
     def test_distances_estimated_exactly(self):
         x, y = np.array([0.0, 5.0, 0.0]), np.array([0.0, 0.0, 8.0])
         bcast = tx_energy(2500, 12.0, RADIO)
-        est = eepca.estimated_distance_matrix(x, y, RADIO, bcast)
+        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, bcast)
+        est = dict(zip(zip(src.tolist(), dst.tolist()), d_est))
         assert est[0, 1] == pytest.approx(5.0, rel=1e-9)
         assert est[0, 2] == pytest.approx(8.0, rel=1e-9)
         assert est[1, 2] == pytest.approx(math.hypot(5.0, 8.0), rel=1e-9)
@@ -284,11 +286,61 @@ class TestNeighborTables:
         assert spent == pytest.approx(_expected_setup_spend(cfg, sim), rel=1e-9)
 
     def test_dead_node_neither_pays_nor_appears(self, default_config):
-        hub = int(np.argmax(_Sim(default_config, PolicyKind.LEACH, False).neigh.sum(axis=1)))
+        hub = int(np.argmax(np.bincount(_Sim(default_config, PolicyKind.LEACH, False).src)))
         sim, spent = _setup_spend(default_config, dead=[hub])
         assert spent[hub] == 0.0
-        assert sim.neigh[hub].sum() >= 3
+        assert (sim.src == hub).sum() >= 3
         assert spent == pytest.approx(_expected_setup_spend(default_config, sim), rel=1e-9)
+
+
+def _dense_neighbors(x, y, radius, radio, broadcast_energy):
+    """The all-pairs form the edge list replaces: (est <= radius) & ~eye over
+    the n x n matrix of RSS-estimated distances."""
+    d_true = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    est = np.zeros_like(d_true)
+    off = d_true > 0
+    rec = radio.k_rss * broadcast_energy / d_true[off] ** radio.alpha_pathloss
+    est[off] = (radio.k_rss * broadcast_energy / rec) ** (1.0 / radio.alpha_pathloss)
+    return est, (est <= radius) & ~np.eye(x.size, dtype=bool)
+
+
+@st.composite
+def _layouts(draw):
+    """Node layouts with co-located nodes, coordinates on cell boundaries
+    (whole multiples of the radius) and radii up to twice the field."""
+    radius = draw(st.floats(0.5, 60.0))
+    side = draw(st.floats(1.0, 120.0))
+    coord = st.one_of(st.floats(0.0, side), st.integers(0, 6).map(lambda k: k * radius))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    radio = RadioParams(alpha_pathloss=draw(st.floats(1.0, 6.0)),
+                        k_rss=draw(st.sampled_from([1.0, 3.7e-4])))
+    x, y = (np.array(c, dtype=float) for c in zip(*pts))
+    return x, y, radius, radio
+
+
+class TestNeighborEdges:
+    @given(_layouts())
+    @example((np.array([3.0]), np.array([4.0]), 12.0, RADIO))  # one node, no edges
+    @settings(max_examples=150, deadline=None)
+    def test_edges_equal_dense_oracle(self, layout):
+        x, y, radius, radio = layout
+        bcast = tx_energy(2500, radius, radio)
+        src, dst, d_est = eepca.neighbor_edges(x, y, radius, radio, bcast)
+        est, neigh = _dense_neighbors(x, y, radius, radio, bcast)
+        o_src, o_dst = np.nonzero(neigh)  # row-major: sorted by src, then dst
+        assert np.array_equal(src, o_src)
+        assert np.array_equal(dst, o_dst)
+        assert np.array_equal(d_est, est[neigh])  # bit for bit
+
+    def test_co_located_and_boundary_pairs(self):
+        # 0 and 1 share a spot; 2 is exactly one radius away, 3 two radii
+        x = np.array([0.0, 0.0, 12.0, 24.0])
+        y = np.zeros(4)
+        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, 1e-5)
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)]
+        assert d_est[0] == 0.0
 
 
 class TestMatrices:
@@ -296,7 +348,8 @@ class TestMatrices:
         rng = np.random.default_rng(3)
         x, y = rng.uniform(0, 100, 12), rng.uniform(0, 100, 12)
         bcast = tx_energy(2500, 12.0, RADIO)
-        est = eepca.estimated_distance_matrix(x, y, RADIO, bcast)
+        est = eepca.estimated_distance_matrix(x[:, None] - x[None, :],
+                                              y[:, None] - y[None, :], RADIO, bcast)
         true = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
         assert np.allclose(est, true, rtol=1e-9)
         assert (np.diag(est) == 0.0).all()

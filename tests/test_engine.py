@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RunTrace, _Sim, run
+from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
 
@@ -206,3 +209,60 @@ class TestSteadyPaths:
         for a, b in ((sim.e, slow_sim.e), (sim.belief, slow_sim.belief),
                      (act_f, act_s), (pred_f, pred_s)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def test_large_field_memory_stays_linear():
+    # 4000 nodes at table1 density: one dense n x n float matrix alone is 128 MB
+    cfg = table1_scenario(n_nodes=4000, m_field=100.0 * math.sqrt(40.0))
+    tracemalloc.start()
+    try:
+        sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+        for r in range(2):
+            sim.play_round(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+@st.composite
+def _scenarios(draw):
+    """Valid finite scenarios of up to 60 nodes; invalid draws are rejected."""
+    unit = st.floats(0.0, 1.0)
+    side = draw(st.floats(1.0, 300.0))
+    alpha = draw(unit)
+    e_min = draw(st.floats(0.0, 1.0))
+    lo = draw(st.floats(0.0, 1.5))
+    kwargs = dict(
+        n_nodes=draw(st.integers(1, 60)), m_field=side,
+        bs_pos=draw(st.none() | st.tuples(st.floats(-side, 2 * side),
+                                          st.floats(-side, 2 * side))),
+        e_min=e_min, e_max=e_min + draw(st.floats(0.0, 2.0)),
+        homogeneous_energy=draw(st.floats(0.0, 3.0)),
+        frac_energy_heterogeneous=draw(unit), frac_rda=draw(unit),
+        frac_malfunction=draw(unit), alpha=alpha, beta=1.0 - alpha,
+        epsilon_tol=draw(unit), nonrda_tx_prob_per_frame=draw(unit),
+        frames_per_round=draw(st.integers(1, 5)),
+        neighbor_radius=draw(st.floats(0.5, 200.0)),
+        malfunction_noise_range=(lo, lo + draw(st.floats(0.0, 1.0))),
+        rng_seed=draw(st.integers(0, 2**31)),
+        radio=RadioParams(alpha_pathloss=draw(st.floats(1.0, 6.0)),
+                          k_rss=draw(st.sampled_from([1.0, 3.7e-4]))))
+    try:
+        return ScenarioConfig(**kwargs)
+    except ConfigError:
+        assume(False)
+
+
+@given(cfg=_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_valid_scenarios_conserve_energy(cfg):
+    for policy in POLICIES:
+        trace = run(cfg, policy, max_rounds=60)
+        assert all(math.isfinite(rec.debits) and math.isfinite(rec.e_total_end)
+                   for rec in trace.records)
+        assert np.isfinite(trace.e_final).all()
+        dropped = trace.e_init.sum() - trace.e_final.sum()
+        assert dropped == pytest.approx(trace.total_debits, rel=1e-9)
+        alive = [int((trace.e_init > 0).sum())] + [rec.alive_end for rec in trace.records]
+        assert all(a >= b for a, b in zip(alive, alive[1:]))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,21 @@ class TestValidation:
         ({"e_min": 0.0, "e_max": 0.0, "homogeneous_energy": 0.0}, "e_max"),
         ({"frac_energy_heterogeneous": 0.0, "homogeneous_energy": 0.0},
          "homogeneous_energy"),
+        ({"neighbor_radius": math.nan}, "neighbor_radius"),
+        ({"neighbor_radius": math.inf}, "neighbor_radius"),
+        ({"bs_pos": (math.nan, 0.0)}, "bs_pos"),
+        ({"bs_pos": (0.0, -math.inf)}, "bs_pos"),
+        ({"e_min": math.nan}, "e_min"),
+        ({"e_max": math.inf}, "e_max"),
+        ({"m_field": math.inf}, "m_field"),
+        ({"malfunction_noise_range": (0.5, math.nan)}, "malfunction_noise_range"),
+        ({"msg_len_range_bits": (2000, math.inf)}, "msg_len_range_bits"),
+        ({"e_da_per_bit": math.nan}, "e_da_per_bit"),
+        ({"homogeneous_energy": math.inf}, "homogeneous_energy"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"epsilon_tol": math.nan}, "epsilon_tol"),
+        ({"cost_factor_cap": math.inf}, "cost_factor_cap"),
+        ({"n_nodes": math.nan}, "n_nodes"),
     ])
     def test_invalid_field_raises_with_field_name(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
@@ -47,6 +63,12 @@ class TestValidation:
         ({"d0": -1.0}, "d0"),
         ({"alpha_pathloss": 0.5}, "alpha_pathloss"),
         ({"alpha_pathloss": 7.0}, "alpha_pathloss"),
+        ({"eps_fs": math.nan}, "eps_fs"),
+        ({"eps_mp": math.inf}, "eps_mp"),
+        ({"e_elec": -math.inf}, "e_elec"),
+        ({"d0": math.nan}, "d0"),
+        ({"k_rss": math.inf}, "k_rss"),
+        ({"alpha_pathloss": math.nan}, "alpha_pathloss"),
     ])
     def test_invalid_radio_field(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:

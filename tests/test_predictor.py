@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsncluster.baselines import PolicyKind
-from wsncluster.eepca import broadcast_suppressed
+from wsncluster.eepca import broadcast_suppressed, estimated_distance_matrix
 from wsncluster.engine import _Sim
 from wsncluster.model import ContractViolation
 from wsncluster.radio import tx_energy
@@ -31,8 +31,11 @@ class TestPrediction:
         rec = sim.play_round(0)
         members = np.flatnonzero(sim.is_rda & (rec.assignment >= 0))
         assert members.size > 10
-        for i in members:
-            d = sim.d_est[i, rec.assignment[i]]
+        heads = rec.assignment[members]
+        d_est = estimated_distance_matrix(sim.x[members] - sim.x[heads],
+                                          sim.y[members] - sim.y[heads],
+                                          rda_config.radio, sim.bcast_cost)
+        for i, d in zip(members, d_est):
             expect = sim.msg_count[i] * tx_energy(int(sim.msg_len[i]), d, rda_config.radio)
             assert rec.data_energy_predicted[i] == pytest.approx(expect, rel=1e-12)
 

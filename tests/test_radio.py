@@ -60,9 +60,9 @@ class TestRxEnergy:
 
 
 def _ranged(d, e, radio):
-    """Distance node 1 estimates to node 0 from one broadcast of energy e."""
-    est = estimated_distance_matrix(np.array([0.0, d]), np.zeros(2), radio, e)
-    return est[1, 0]
+    """Distance a node estimates to another d away from one broadcast of
+    energy e."""
+    return estimated_distance_matrix(np.array([d]), np.zeros(1), radio, e)[0]
 
 
 class TestRanging:
