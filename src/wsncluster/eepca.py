@@ -13,7 +13,11 @@ threshold is the classic LEACH rotation.
 
 A regular-data-acquisition node whose residual energy its neighbors can
 compute to within tolerance skips its setup broadcast.  Neighbor distances
-are the ones nodes estimate from the received strength of those broadcasts.
+are the ones nodes estimate from the received strength of those broadcasts,
+by estimated_distance_matrix, the one ranging formula.  A cluster member
+joins the head it ranges nearest; nearest_heads picks that head by squared
+distance and ranges only the pair it picked, which gives the same head and
+the same distance bits as ranging every head.
 
 Per-node arrays are indexed by node id.  Neighborhoods are directed edge
 lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
@@ -22,6 +26,8 @@ grow with the number of edges, not with n^2.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -155,6 +161,81 @@ def estimated_distance_matrix(dx: np.ndarray, dy: np.ndarray,
     with np.errstate(divide="ignore"):
         rec = k_e / d_true ** radio.alpha_pathloss
         return (k_e / rec) ** (1.0 / radio.alpha_pathloss)
+
+
+# Members are matched to heads in blocks of about this many member-head pairs,
+# so that the squared-distance temporaries stay small.
+_PAIRS_PER_BLOCK = 1 << 15
+# Squared distances within this relative gap of a row's minimum count as a
+# near-tie: rounding in the ranging chain could swap their order.
+_TIE_GAP = 1e-9
+# Binary orders of magnitude kept clear of each end of the normal range.
+_RANGE_MARGIN = 64
+
+
+def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, float]:
+    """Squared distances (lo, hi) over which estimated_distance_matrix is exact
+    enough to be ordered by squared distance.
+
+    For a squared distance sq in [lo, hi], sq itself, d^alpha = sq^(alpha/2)
+    and k_rss * E / d^alpha are all normal, finite floats at least
+    2**_RANGE_MARGIN away from underflow and overflow, so each step of the
+    ranging chain is monotone and accurate to a few ulps.  The window is
+    empty (lo > hi) when no squared distance qualifies.
+    """
+    lo_exp, hi_exp = -1022 + _RANGE_MARGIN, 1023 - _RANGE_MARGIN
+    k_e = radio.k_rss * broadcast_energy
+    if not 2.0 ** lo_exp <= k_e <= 2.0 ** hi_exp:
+        return math.inf, 0.0
+    a = radio.alpha_pathloss
+    log_k = math.log2(k_e)
+    lo = max(lo_exp, 2.0 * lo_exp / a, 2.0 * (log_k - hi_exp) / a)
+    hi = min(hi_exp, 2.0 * hi_exp / a, 2.0 * (log_k - lo_exp) / a)
+    if lo > hi:
+        return math.inf, 0.0
+    return 2.0 ** lo, 2.0 ** hi
+
+
+def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray,
+                  radio: RadioParams, broadcast_energy: float,
+                  window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's nearest head by estimated distance: (head index, distance).
+
+    Equal, bit for bit, to argmin over estimated_distance_matrix of every
+    member-head pair (lowest head index on ties) and that argmin's distance.
+    A member's head is picked by squared distance dx*dx + dy*dy, and only
+    the pair picked is ranged.  That is exact when one head alone lies
+    within _TIE_GAP of the member's smallest squared distance and that
+    distance lies in window, the ranging_window of radio and
+    broadcast_energy: there the chain's rounding is far below the gap.  Any
+    other member (near-ties, co-located heads, estimates that saturate to 0
+    or inf) ranges every head and takes the argmin.
+    """
+    choice = np.empty(xm.size, dtype=np.int64)
+    n_near = np.empty(xm.size, dtype=np.int64)
+    sq_min = np.empty(xm.size)
+    step = max(1, _PAIRS_PER_BLOCK // xh.size)
+    for start in range(0, xm.size, step):
+        blk = slice(start, start + step)
+        # heads x members, so the reductions run over contiguous rows
+        dx = xh[:, None] - xm[blk]
+        dy = yh[:, None] - ym[blk]
+        sq = np.multiply(dx, dx, out=dx)
+        sq += np.multiply(dy, dy, out=dy)
+        sq_min[blk] = np.minimum.reduce(sq, axis=0)
+        near = sq <= sq_min[blk] * (1.0 + _TIE_GAP)
+        choice[blk] = near.argmax(axis=0)
+        n_near[blk] = np.add.reduce(near, axis=0)
+    lo, hi = window
+    unclear = (n_near != 1) | (sq_min < lo) | (sq_min > hi)
+    rows = unclear.nonzero()[0]
+    if rows.size:
+        d = estimated_distance_matrix(xm[rows][:, None] - xh, ym[rows][:, None] - yh,
+                                      radio, broadcast_energy)
+        choice[rows] = np.argmin(d, axis=1)
+    d_est = estimated_distance_matrix(xm - xh[choice], ym - yh[choice],
+                                      radio, broadcast_energy)
+    return choice, d_est
 
 
 def cost_per_bit_matrix(d_est: np.ndarray, radio: RadioParams) -> np.ndarray:

@@ -14,10 +14,13 @@ residual-energy value neighbors can compute for an RDA node without hearing
 a broadcast; for non-malfunctioning nodes it tracks ground truth exactly.
 
 Neighborhoods are held as edge arrays (src, dst) with the per-bit cost over
-each edge, built once per run; nothing in a run is n x n.  Cluster formation
-ranges members to this round's heads afresh and keeps each member's per-bit
-cost to its chosen head in one per-node vector, which the join and both
-steady paths read.
+each edge, built once per run; nothing in a run is n x n.  In cluster
+formation each member picks this round's nearest head by squared distance
+and ranges only that head, unless a near-tie or a distance at the edge of
+the float range needs every head ranged (eepca.nearest_heads); the choice is
+the one ranging every head would give.  Each member's per-bit cost to its
+chosen head is kept in one per-node vector, which the join and both steady
+paths read.
 
 The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
@@ -131,6 +134,8 @@ class _Sim:
         self.src, self.dst, d_nb = eepca.neighbor_edges(
             self.x, self.y, config.neighbor_radius, radio, bcast_e)
         self.cost_nb = eepca.cost_per_bit_matrix(d_nb, radio)
+        # squared distances over which a member may pick its head unranged
+        self.ranging_window = eepca.ranging_window(radio, bcast_e)
         # per-bit cost from each member to the head it joined this round
         self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
@@ -253,7 +258,13 @@ class _Sim:
         return elected
 
     def _form_clusters(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advertisements, joins; returns (assignment, surviving head mask)."""
+        """Advertisements, joins; returns (assignment, surviving head mask).
+
+        Each member joins the head whose advertisement it ranges nearest,
+        the lowest head id on ties.  eepca.nearest_heads picks that head by
+        squared distance and ranges only the pair it picked, so a round
+        ranges about one pair per member instead of members x heads.
+        """
         cfg = self.cfg
         assignment = np.full(self.n, -1, dtype=np.int64)
         h_idx = np.flatnonzero(heads)
@@ -273,16 +284,12 @@ class _Sim:
             return assignment, ok_heads
         members = np.flatnonzero(self.alive & ~ok_heads)
         if members.size:
-            # nearest advertisement wins; argmin takes the lowest head id on
-            # ties.  Members range the heads from the same broadcast RSS model.
-            d_mh = eepca.estimated_distance_matrix(
-                self.x[members][:, None] - self.x[ok_heads_idx],
-                self.y[members][:, None] - self.y[ok_heads_idx],
-                cfg.radio, self.bcast_cost)
-            choice = np.argmin(d_mh, axis=1)
+            choice, d_head = eepca.nearest_heads(
+                self.x[members], self.y[members],
+                self.x[ok_heads_idx], self.y[ok_heads_idx],
+                cfg.radio, self.bcast_cost, self.ranging_window)
             assignment[members] = ok_heads_idx[choice]
-            self.cpb_head[members] = eepca.cost_per_bit_matrix(
-                d_mh[np.arange(members.size), choice], cfg.radio)
+            self.cpb_head[members] = eepca.cost_per_bit_matrix(d_head, cfg.radio)
             join_cost = cfg.broadcast_bits * self.cpb_head[members]
             joined = self._debit_messages(members, join_cost, join_cost, 1)
             assignment[members[joined == 0]] = -1
@@ -432,10 +439,10 @@ class _Sim:
         deaths = np.flatnonzero(alive_before & ~self.alive)
         rec = RoundRecord(
             r=r,
-            head_ids=tuple(int(i) for i in np.flatnonzero(elected)),
+            head_ids=tuple(np.flatnonzero(elected).tolist()),
             bs_messages=bs_msgs,
-            deaths=tuple(int(i) for i in deaths),
-            suppressed=tuple(int(i) for i in np.flatnonzero(suppressed)),
+            deaths=tuple(deaths.tolist()),
+            suppressed=tuple(np.flatnonzero(suppressed).tolist()),
             debits=self.debits,
             alive_end=int(self.alive.sum()),
             e_total_end=float(self.e.sum()),

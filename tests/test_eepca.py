@@ -359,3 +359,81 @@ class TestMatrices:
         cpb = eepca.cost_per_bit_matrix(d, RADIO)
         assert cpb[0, 1] == pytest.approx(5e-9 + 1e-11 * 100, rel=1e-12)
         assert cpb[1, 0] == pytest.approx(5e-9 + 1.3e-15 * 80 ** 4, rel=1e-12)
+
+
+# --- head selection ------------------------------------------------------------
+
+def _radio_a(alpha):
+    return RadioParams(alpha_pathloss=alpha)
+
+
+def _pts(*xy):
+    x, y = zip(*xy)
+    return np.array(x, dtype=float), np.array(y, dtype=float)
+
+
+@st.composite
+def _member_head_layouts(draw):
+    """Members and heads on a small integer grid (exact ties), with co-located
+    heads, members on or 1e-300 off a head, and the whole layout scaled by
+    1e-120 to 1e120, so ranging may saturate to 0 or inf."""
+    scale = 10.0 ** draw(st.integers(-120, 120))
+    grid = st.integers(-4, 4).map(float)
+    point = st.tuples(grid, grid) | st.tuples(st.floats(-4, 4), st.floats(-4, 4))
+    heads = draw(st.lists(point, min_size=1, max_size=10))
+    heads += draw(st.lists(st.sampled_from(heads), max_size=3))
+    xh, yh = (np.array(c) * scale for c in zip(*heads))
+    members = draw(st.lists(point | st.sampled_from(heads), min_size=1, max_size=20))
+    xm, ym = (np.array(c) * scale for c in zip(*members))
+    offset = st.sampled_from([0.0, 1e-300, -1e-300])
+    xm = xm + np.array(draw(st.lists(offset, min_size=xm.size, max_size=xm.size)))
+    ym = ym + np.array(draw(st.lists(offset, min_size=ym.size, max_size=ym.size)))
+    radio = RadioParams(alpha_pathloss=draw(st.floats(1.0, 6.0)),
+                        k_rss=draw(st.sampled_from([1e-30, 3.7e-4, 1.0, 1e6, 1e30])))
+    bcast = 10.0 ** draw(st.floats(-200.0, 0.0))
+    return xm, ym, xh, yh, radio, bcast
+
+
+class TestNearestHeads:
+    """Choosing heads by squared distance equals the argmin over every ranged
+    member-head pair, in the index and in the distance's bits."""
+
+    @given(_member_head_layouts())
+    # equidistant from two heads: the lower head id wins
+    @example((*_pts((0, 0)), *_pts((-2, 1), (2, 1)), RADIO, 1e-5))
+    # a near-tie the ranging keeps apart, and one it rounds together (alpha 1.5)
+    @example((*_pts((0, 0)), *_pts((1 + 1e-12, 0), (1, 0)), RADIO, 1e-5))
+    @example((*_pts((0, 0)), *_pts((3.0000000000000004, 0), (3, 0)), _radio_a(1.5), 1e-5))
+    # a head co-located with the member
+    @example((*_pts((2, 3)), *_pts((5, 5), (2, 3)), RADIO, 1e-5))
+    # alpha 6 near 1e-60: both heads estimate 0, so the lower id wins
+    @example((*_pts((0, 0)), *_pts((2e-60, 0), (1e-60, 0)), _radio_a(6.0), 1e-5))
+    # near 1e60 both estimates overflow to inf
+    @example((*_pts((0, 0)), *_pts((2e60, 0), (1e60, 0)), _radio_a(6.0), 1e-5))
+    # k_rss * E underflows to 0, so every estimate is 0/0 and head 0 wins
+    @example((*_pts((0, 0)), *_pts((2, 0), (1, 0)), RadioParams(k_rss=1e-30), 1e-300))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_argmin_over_ranged_pairs(self, layout):
+        xm, ym, xh, yh, radio, bcast = layout
+        with np.errstate(all="ignore"):
+            window = eepca.ranging_window(radio, bcast)
+            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast, window)
+            dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
+                                                    radio, bcast)
+        want = np.argmin(dense, axis=1)
+        assert np.array_equal(choice, want)
+        assert np.array_equal(d_est.view(np.int64),
+                              dense[np.arange(xm.size), want].view(np.int64))
+
+    def test_blocks_cover_every_member(self):
+        rng = np.random.default_rng(5)
+        xm, ym = rng.uniform(0, 400, 3000), rng.uniform(0, 400, 3000)
+        xh, yh = rng.uniform(0, 400, 40), rng.uniform(0, 400, 40)
+        bcast = tx_energy(2500, 12.0, RADIO)
+        choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, RADIO, bcast,
+                                            eepca.ranging_window(RADIO, bcast))
+        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
+                                                RADIO, bcast)
+        assert 3000 * 40 > 2 * eepca._PAIRS_PER_BLOCK
+        assert np.array_equal(choice, np.argmin(dense, axis=1))
+        assert np.array_equal(d_est, dense.min(axis=1))

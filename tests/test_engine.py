@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RunTrace, _Sim, run
 from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
@@ -266,3 +267,37 @@ def test_valid_scenarios_conserve_energy(cfg):
         assert dropped == pytest.approx(trace.total_debits, rel=1e-9)
         alive = [int((trace.e_init > 0).sum())] + [rec.alive_end for rec in trace.records]
         assert all(a >= b for a, b in zip(alive, alive[1:]))
+
+
+@given(cfg=_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_healthy_nodes_belief_is_exact(cfg):
+    # gamma = 0 for every node whose debits the ledger can predict: the belief
+    # neighbours compute equals the node's energy, bit for bit
+    sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+    for r in range(60):
+        if not sim.alive.any():
+            break
+        sim.play_round(r)
+        healthy = sim.alive & ~sim.is_malf
+        assert np.array_equal(sim.belief[healthy], sim.e[healthy]), f"round {r}"
+
+
+def test_cluster_formation_ranges_about_one_pair_per_member(rda_config, monkeypatch):
+    # members pick their head by squared distance and range only that head,
+    # so a round ranges O(n) pairs, not members x heads
+    cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
+    sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+    ranged = [0]
+    real = eepca.estimated_distance_matrix
+
+    def counting(dx, dy, *args):
+        ranged[0] += np.broadcast(dx, dy).size
+        return real(dx, dy, *args)
+
+    monkeypatch.setattr(eepca, "estimated_distance_matrix", counting)
+    for r in range(5):
+        before = ranged[0]
+        rec = sim.play_round(r)
+        assert len(rec.head_ids) > 10
+        assert 0 < ranged[0] - before <= 2 * cfg.n_nodes, f"round {r}"
