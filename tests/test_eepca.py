@@ -363,10 +363,6 @@ class TestMatrices:
 
 # --- head selection ------------------------------------------------------------
 
-def _radio_a(alpha):
-    return RadioParams(alpha_pathloss=alpha)
-
-
 def _pts(*xy):
     x, y = zip(*xy)
     return np.array(x, dtype=float), np.array(y, dtype=float)
@@ -403,13 +399,16 @@ class TestNearestHeads:
     @example((*_pts((0, 0)), *_pts((-2, 1), (2, 1)), RADIO, 1e-5))
     # a near-tie the ranging keeps apart, and one it rounds together (alpha 1.5)
     @example((*_pts((0, 0)), *_pts((1 + 1e-12, 0), (1, 0)), RADIO, 1e-5))
-    @example((*_pts((0, 0)), *_pts((3.0000000000000004, 0), (3, 0)), _radio_a(1.5), 1e-5))
+    @example((*_pts((0, 0)), *_pts((3.0000000000000004, 0), (3, 0)),
+              RadioParams(alpha_pathloss=1.5), 1e-5))
     # a head co-located with the member
     @example((*_pts((2, 3)), *_pts((5, 5), (2, 3)), RADIO, 1e-5))
     # alpha 6 near 1e-60: both heads estimate 0, so the lower id wins
-    @example((*_pts((0, 0)), *_pts((2e-60, 0), (1e-60, 0)), _radio_a(6.0), 1e-5))
+    @example((*_pts((0, 0)), *_pts((2e-60, 0), (1e-60, 0)),
+              RadioParams(alpha_pathloss=6.0), 1e-5))
     # near 1e60 both estimates overflow to inf
-    @example((*_pts((0, 0)), *_pts((2e60, 0), (1e60, 0)), _radio_a(6.0), 1e-5))
+    @example((*_pts((0, 0)), *_pts((2e60, 0), (1e60, 0)),
+              RadioParams(alpha_pathloss=6.0), 1e-5))
     # k_rss * E underflows to 0, so every estimate is 0/0 and head 0 wins
     @example((*_pts((0, 0)), *_pts((2, 0), (1, 0)), RadioParams(k_rss=1e-30), 1e-300))
     @settings(max_examples=300, deadline=None)
