@@ -163,9 +163,11 @@ def estimated_distance_matrix(dx: np.ndarray, dy: np.ndarray,
         return (k_e / rec) ** (1.0 / radio.alpha_pathloss)
 
 
-# Members are matched to heads in blocks of about this many member-head pairs,
-# so that the squared-distance temporaries stay small.
-_PAIRS_PER_BLOCK = 1 << 15
+# Members are matched to heads in blocks of about this many member-head pairs:
+# 8,192 pairs make each float temporary 64 KB, which stays in cache and stops
+# the per-round page-fault churn that larger blocks cause.  A round at n=100
+# (about 85 members x 15 heads) is still one block.
+_PAIRS_PER_BLOCK = 1 << 13
 # Squared distances within this relative gap of a row's minimum count as a
 # near-tie: rounding in the ranging chain could swap their order.
 _TIE_GAP = 1e-9
@@ -260,7 +262,6 @@ def neighbor_edges(x: np.ndarray, y: np.ndarray, radius: float, radio: RadioPara
     the nodes in its own and the 8 surrounding cells, so the cost is
     O(n + candidate pairs) instead of O(n^2).
     """
-    n = x.size
     side = max(radius * _CELL_SLACK, max(np.ptp(x), np.ptp(y)) / _MAX_CELLS)
     cx = np.floor((x - x.min()) / side).astype(np.int64)
     cy = np.floor((y - y.min()) / side).astype(np.int64)
@@ -270,18 +271,15 @@ def neighbor_edges(x: np.ndarray, y: np.ndarray, radius: float, radio: RadioPara
     key = cx * stride + cy + 1
     order = np.argsort(key)
     sorted_key = key[order]
-    src_parts, dst_parts = [], []
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            cell = key + ox * stride + oy
-            lo = np.searchsorted(sorted_key, cell, side="left")
-            cnt = np.searchsorted(sorted_key, cell, side="right") - lo
-            # node i meets sorted positions lo[i] .. lo[i] + cnt[i] - 1
-            pos = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-            src_parts.append(np.repeat(np.arange(n), cnt))
-            dst_parts.append(order[pos])
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
+    # row i holds the keys of node i's own cell and its 8 surrounding cells
+    offsets = (np.array([-1, 0, 1])[:, None] * stride + np.array([-1, 0, 1])).ravel()
+    cells = (key[:, None] + offsets).ravel()
+    lo = np.searchsorted(sorted_key, cells, side="left")
+    cnt = np.searchsorted(sorted_key, cells, side="right") - lo
+    # query q = 9 * i + k meets sorted positions lo[q] .. lo[q] + cnt[q] - 1
+    query = np.repeat(np.arange(cells.size), cnt)
+    pos = np.arange(query.size) + (lo - (np.cumsum(cnt) - cnt))[query]
+    src, dst = query // 9, order[pos]
     d_est = estimated_distance_matrix(x[src] - x[dst], y[src] - y[dst],
                                       radio, broadcast_energy)
     keep = (src != dst) & (d_est <= radius)

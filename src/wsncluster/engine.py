@@ -6,7 +6,9 @@ frames in which members transmit scheduled data to their head, the head
 aggregates and forwards one fused message per data-bearing frame to the base
 station.  All energy movements go through debit helpers that log the applied
 amounts, clamp at zero, and kill nodes whose energy is exhausted; a blocked
-action (message the node cannot afford) is not performed.
+action (message the node cannot afford) is not performed.  A message debit
+settles affordability with one compare for nodes well above the cost of
+their messages and divides only for the rest.
 
 A parallel "believed energy" ledger mirrors every debit, with data
 transmissions charged at their predicted (noise-free) cost.  This is the
@@ -25,6 +27,8 @@ paths read.
 The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
 round spend, and a per-frame granular path that handles mid-round deaths.
+The whole-round path sums reception, aggregation and uplink over the alive
+heads only, so its temporaries are frames x heads, not frames x n.
 """
 
 from __future__ import annotations
@@ -163,17 +167,25 @@ class _Sim:
         A node sends whole messages while it can afford them; the first
         unaffordable message drains it to zero (blocked, not delivered).
         Returns the number of delivered messages per node in idx.
+
+        A node affords floor_divide(e, per_msg) messages, and floor(e / c)
+        >= k exactly when e >= k * c.  A float above the rounded product
+        counts * per_msg lies above the exact product, so a node with
+        e > counts * per_msg * (1 + 1e-12) affords every message and skips
+        the division; only nodes near running short pay for floor_divide.
         """
         e = self.e[idx]
         per_msg = np.asarray(per_msg, dtype=float)
-        if per_msg.ndim == 0:
-            if per_msg == 0.0:
-                return np.broadcast_to(np.asarray(counts), e.shape).copy()
-            afford = np.floor_divide(e, per_msg)
-        else:
-            afford = np.full(e.shape, np.inf)
-            np.floor_divide(e, per_msg, out=afford, where=per_msg > 0)
-        delivered = np.minimum(counts, afford)
+        if per_msg.ndim == 0 and per_msg == 0.0:
+            return np.broadcast_to(np.asarray(counts), e.shape).copy()
+        delivered = np.full(e.shape, counts, dtype=float)
+        rich = e > delivered * per_msg * (1.0 + 1e-12)
+        if not rich.all():
+            short = (~rich).nonzero()[0]
+            unit = per_msg if per_msg.ndim == 0 else per_msg[short]
+            afford = np.full(short.shape, np.inf)
+            np.floor_divide(e[short], unit, out=afford, where=unit > 0)
+            delivered[short] = np.minimum(delivered[short], afford)
         failed = delivered < counts
         cost = delivered * per_msg
         applied = np.where(failed, e, cost)
@@ -214,12 +226,12 @@ class _Sim:
             if cand.any():
                 suppressed[cand] = eepca.broadcast_suppressed(
                     self.belief[cand], self.e[cand], cfg.epsilon_tol, cfg.gamma_rule_literal)
-        idx = np.flatnonzero(self.alive & ~suppressed)
+        idx = (self.alive & ~suppressed).nonzero()[0]
         sent = self._debit_messages(idx, self.bcast_cost, self.bcast_cost, 1)
         ok_senders = np.zeros(self.n, dtype=bool)
         ok_senders[idx[sent > 0]] = True
         # receptions: each alive node hears each successful neighbor broadcast
-        hearers = np.flatnonzero(self.alive)
+        hearers = self.alive.nonzero()[0]
         heard = np.bincount(self.src[ok_senders[self.dst]], minlength=self.n)[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
@@ -267,7 +279,7 @@ class _Sim:
         """
         cfg = self.cfg
         assignment = np.full(self.n, -1, dtype=np.int64)
-        h_idx = np.flatnonzero(heads)
+        h_idx = heads.nonzero()[0]
         sent = self._debit_messages(h_idx, self.ad_cost, self.ad_cost, 1)
         ok_heads_idx = h_idx[sent > 0]
         ok_heads = np.zeros(self.n, dtype=bool)
@@ -275,14 +287,14 @@ class _Sim:
         n_ads = ok_heads_idx.size
         # every alive node hears every successful advertisement but its own
         if n_ads:
-            hearers = np.flatnonzero(self.alive)
+            hearers = self.alive.nonzero()[0]
             counts = n_ads - ok_heads[hearers]
             self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, counts)
         ok_heads &= self.alive
-        ok_heads_idx = np.flatnonzero(ok_heads)
+        ok_heads_idx = ok_heads.nonzero()[0]
         if ok_heads_idx.size == 0:
             return assignment, ok_heads
-        members = np.flatnonzero(self.alive & ~ok_heads)
+        members = (self.alive & ~ok_heads).nonzero()[0]
         if members.size:
             choice, d_head = eepca.nearest_heads(
                 self.x[members], self.y[members],
@@ -328,8 +340,12 @@ class _Sim:
         return self._steady_slow(assignment, heads, noise, counts, lengths)
 
     def _steady_fast(self, assignment, heads, noise, counts, lengths):
-        """Whole-round evaluation, valid when no node exhausts mid-round."""
-        cfg = self.cfg
+        """Whole-round evaluation, valid when no node exhausts mid-round.
+
+        Members spend only their data cost, so reception, aggregation and the
+        BS uplink are summed over the alive heads' columns alone and added
+        onto those heads' entries, in the order the per-frame path charges.
+        """
         head_alive = heads & self.alive
         safe_assign = np.maximum(assignment, 0)
         member = (assignment >= 0) & self.alive & head_alive[safe_assign]
@@ -339,28 +355,32 @@ class _Sim:
         data_act = data_nf * noise
 
         bits = counts * lengths                            # (frames, n)
-        # bits each head receives per frame; whole numbers, so exact in any order
-        frames = counts.shape[0]
-        member_idx = np.flatnonzero(member)
-        slot = np.arange(frames)[:, None] * self.n + assignment[member_idx]
+        # bits each alive head receives per frame, as (frames, heads); whole
+        # numbers, so exact in any order
+        h_idx = head_alive.nonzero()[0]
+        frames, n_h = counts.shape[0], h_idx.size
+        member_idx = member.nonzero()[0]
+        slot = np.arange(frames)[:, None] * n_h + h_idx.searchsorted(assignment[member_idx])
         bits_rx = np.bincount(slot.ravel(), weights=bits[:, member_idx].ravel(),
-                              minlength=frames * self.n).reshape(frames, self.n)
-        total_bits = bits_rx + bits * head_alive[None, :]  # heads sense their own
-        rx_spend = bits_rx.sum(axis=0) * self.e_elec * head_alive
-        agg_spend = total_bits.sum(axis=0) * self.e_da * head_alive
-        bs_frames = ((total_bits > 0) & head_alive[None, :]).sum(axis=0)
-        bs_spend = bs_frames * self.bs_cost * head_alive
+                              minlength=frames * n_h).reshape(frames, n_h)
+        total_bits = bits_rx + bits[:, h_idx]              # heads sense their own
+        rx_spend = bits_rx.sum(axis=0) * self.e_elec
+        agg_spend = total_bits.sum(axis=0) * self.e_da
+        bs_frames = (total_bits > 0).sum(axis=0)
+        bs_spend = bs_frames * self.bs_cost[h_idx]
 
-        spend = data_act + rx_spend + agg_spend + bs_spend
+        spend = data_act.copy()
+        spend[h_idx] = data_act[h_idx] + rx_spend + agg_spend + bs_spend
         if not (self.e >= spend).all():
             return None
         self.e -= spend
         self.debits += float(spend.sum())
         if self.track_belief:
-            spend_belief = data_nf + rx_spend + agg_spend + bs_spend
+            spend_belief = data_nf.copy()
+            spend_belief[h_idx] = data_nf[h_idx] + rx_spend + agg_spend + bs_spend
             self.belief = np.maximum(self.belief - spend_belief, 0.0)
         self.alive = self.e > 0.0
-        return int(bs_frames[head_alive].sum()), data_act, data_nf
+        return int(bs_frames.sum()), data_act, data_nf
 
     def _steady_slow(self, assignment, heads, noise, counts, lengths):
         """Per-frame granular evaluation handling mid-round deaths."""
@@ -373,7 +393,7 @@ class _Sim:
             safe_assign = np.maximum(assignment, 0)
             bad = (assignment >= 0) & ~head_alive[safe_assign]
             assignment[bad] = -1
-            tx_idx = np.flatnonzero((assignment >= 0) & self.alive & (counts[f] > 0))
+            tx_idx = ((assignment >= 0) & self.alive & (counts[f] > 0)).nonzero()[0]
             bits_rx = np.zeros(self.n)
             if tx_idx.size:
                 per_msg_nf = lengths[f, tx_idx] * self.cpb_head[tx_idx]
@@ -385,7 +405,7 @@ class _Sim:
                 bits_rx = np.bincount(assignment[tx_idx],
                                       weights=delivered * lengths[f, tx_idx],
                                       minlength=self.n)
-            h_idx = np.flatnonzero(head_alive & self.alive)
+            h_idx = (head_alive & self.alive).nonzero()[0]
             if h_idx.size == 0:
                 continue
             ok = self._debit_bulk(h_idx, bits_rx[h_idx] * self.e_elec)
@@ -436,13 +456,13 @@ class _Sim:
             data_spent = np.zeros(self.n)
             data_pred = np.zeros(self.n)
 
-        deaths = np.flatnonzero(alive_before & ~self.alive)
+        deaths = (alive_before & ~self.alive).nonzero()[0]
         rec = RoundRecord(
             r=r,
-            head_ids=tuple(np.flatnonzero(elected).tolist()),
+            head_ids=tuple(elected.nonzero()[0].tolist()),
             bs_messages=bs_msgs,
             deaths=tuple(deaths.tolist()),
-            suppressed=tuple(np.flatnonzero(suppressed).tolist()),
+            suppressed=tuple(suppressed.nonzero()[0].tolist()),
             debits=self.debits,
             alive_end=int(self.alive.sum()),
             e_total_end=float(self.e.sum()),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wsncluster import eepca
@@ -411,7 +411,10 @@ class TestNearestHeads:
               RadioParams(alpha_pathloss=6.0), 1e-5))
     # k_rss * E underflows to 0, so every estimate is 0/0 and head 0 wins
     @example((*_pts((0, 0)), *_pts((2, 0), (1, 0)), RadioParams(k_rss=1e-30), 1e-300))
-    @settings(max_examples=300, deadline=None)
+    # test_small_blocks_equal_argmin reruns this from other instances; the
+    # test reads no instance state
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_equals_argmin_over_ranged_pairs(self, layout):
         xm, ym, xh, yh, radio, bcast = layout
         with np.errstate(all="ignore"):
@@ -423,6 +426,12 @@ class TestNearestHeads:
         assert np.array_equal(choice, want)
         assert np.array_equal(d_est.view(np.int64),
                               dense[np.arange(xm.size), want].view(np.int64))
+
+    @pytest.mark.parametrize("pairs", [1, 7, 13])
+    def test_small_blocks_equal_argmin(self, pairs, monkeypatch):
+        # blocks this small split the member rows at odd boundaries
+        monkeypatch.setattr(eepca, "_PAIRS_PER_BLOCK", pairs)
+        self.test_equals_argmin_over_ranged_pairs()
 
     def test_blocks_cover_every_member(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wsncluster import eepca
@@ -174,6 +174,82 @@ class TestScalarDebit:
         assert not sim.alive[0] and sim.e[0] == 0.0
 
 
+def _floor_divide_debit(e, belief, per_msg, per_msg_belief, counts):
+    """_Sim._debit_messages as one floor_divide over every node: delivered,
+    new e, new belief and the debited sum."""
+    per_msg = np.asarray(per_msg, dtype=float)
+    if per_msg.ndim == 0:
+        if per_msg == 0.0:
+            return np.broadcast_to(np.asarray(counts), e.shape).copy(), e, belief, 0.0
+        afford = np.floor_divide(e, per_msg)
+    else:
+        afford = np.full(e.shape, np.inf)
+        np.floor_divide(e, per_msg, out=afford, where=per_msg > 0)
+    delivered = np.minimum(counts, afford)
+    failed = delivered < counts
+    applied = np.where(failed, e, delivered * per_msg)
+    b_new = np.maximum(belief - delivered * per_msg_belief, 0.0)
+    b_new[failed] = 0.0
+    return delivered.astype(np.int64), e - applied, b_new, float(applied.sum())
+
+
+_COSTS = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(1e-300, 1e10)
+
+
+@st.composite
+def _debit_cases(draw):
+    """Nodes with energy at, one ulp either side of, or anywhere around the
+    cost of their messages; costs of 0, subnormal or 1e-300 to 1e10 J."""
+    n = draw(st.integers(1, 6))
+    scalar = draw(st.booleans())
+    per_msg = np.array(draw(_COSTS) if scalar else
+                       draw(st.lists(_COSTS, min_size=n, max_size=n)))
+    counts = np.array(draw(st.integers(0, 7)) if draw(st.booleans()) else
+                      draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+    exact = np.broadcast_to(counts * per_msg, (n,))
+    e = np.array([draw(st.sampled_from([
+        x, np.nextafter(x, np.inf), np.nextafter(x, 0.0), 0.0,
+        draw(st.floats(0.0, 1e12)), x * draw(st.floats(0.5, 2.0))])) for x in exact])
+    belief = e * draw(st.floats(0.0, 2.0))
+    per_msg_belief = per_msg * draw(st.floats(0.0, 2.0))
+    return (e, belief, per_msg if not scalar else float(per_msg), per_msg_belief,
+            int(counts) if counts.ndim == 0 else counts)
+
+
+class TestDebitMessages:
+    """The compare-first debit equals a floor_divide over every node, bit
+    for bit, at and around the affordability boundary."""
+
+    @given(_debit_cases())
+    # energy exactly the cost of its messages, and one ulp either side; 5 * 0.1
+    # rounds down to 0.5, so 0.5 J affords only 4 messages of 0.1 J
+    @example((np.array([0.3, np.nextafter(0.3, 1), np.nextafter(0.3, 0)]),
+              np.array([0.3, 0.3, 0.3]), 0.1, 0.1, 3))
+    @example((np.array([0.5, np.nextafter(0.5, 1), np.nextafter(0.5, 0)]),
+              np.array([0.5, 0.5, 0.5]), 0.1, 0.1, 5))
+    @example((np.array([0.75, np.nextafter(0.75, 1), np.nextafter(0.75, 0)]),
+              np.array([1.0, 1.0, 1.0]), 0.25, 0.25, 3))
+    # zero-cost entries, zero counts and a subnormal cost
+    @example((np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]),
+              np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, 0.5]), np.array([3, 2, 0])))
+    @example((np.array([1e-323, 5e-324, 0.0]), np.array([1.0, 1.0, 1.0]),
+              5e-324, 5e-324, np.array([2, 1, 1])))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_floor_divide(self, case):
+        e, belief, per_msg, per_msg_belief, counts = case
+        sim = _Sim(dataclasses.replace(ScenarioConfig(), n_nodes=e.size),
+                   PolicyKind.EEPCA, detail=False)
+        sim.e, sim.belief = e.copy(), belief.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sim._debit_messages(np.arange(e.size), per_msg, per_msg_belief, counts)
+            delivered, e_new, b_new, debited = _floor_divide_debit(
+                e, belief, per_msg, per_msg_belief, counts)
+        assert got.tolist() == delivered.tolist()
+        assert sim.e.tobytes() == e_new.tobytes()
+        assert sim.belief.tobytes() == b_new.tobytes()
+        assert np.float64(sim.debits).tobytes() == np.float64(debited).tobytes()
+
+
 class TestSteadyPaths:
     """The whole-round steady path is a shortcut for the per-frame one."""
 
@@ -211,6 +287,94 @@ class TestSteadyPaths:
                      (act_f, act_s), (pred_f, pred_s)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
+    @given(seed=st.integers(0, 10_000), frames=st.integers(1, 5),
+           r=st.integers(0, 30), kill=st.floats(0.0, 1.0), extra=st.floats(0.0, 1.0),
+           drain=st.floats(0.0, 0.2), tight=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_head_only_sums_equal_dense_formula(self, seed, frames, r, kill, extra,
+                                                drain, tight):
+        # real rounds, then some heads killed, memberless heads added and some
+        # nodes drained near empty, so both the fast path and its refusal run
+        cfg = dataclasses.replace(ScenarioConfig(), n_nodes=40, frames_per_round=frames,
+                                  frac_rda=0.5, frac_malfunction=0.2, rng_seed=seed)
+        sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+        for k in range(r):
+            sim.play_round(k)
+        seen = []
+        real = sim._steady_fast
+
+        def capture(*args):
+            seen.append((copy.deepcopy(sim), [a.copy() for a in args]))
+            return real(*args)
+
+        sim._steady_fast = capture
+        sim.play_round(r)
+        assume(seen)
+        state, (assignment, heads, noise, counts, lengths) = seen[0]
+        rng = np.random.default_rng(seed)
+        dead = heads & (rng.random(cfg.n_nodes) < kill)
+        state.e[dead], state.alive[dead] = 0.0, False
+        new_heads = ~heads & (rng.random(cfg.n_nodes) < extra)
+        heads |= new_heads
+        assignment[new_heads] = -1
+        low = rng.random(cfg.n_nodes) < drain
+        state.e[low] *= 1e-4
+        args = (assignment, heads, noise, counts, lengths)
+        if tight:
+            # energies between 1 and 2 times each node's spend: then e - spend
+            # is exact (Sterbenz), so the new e and belief show every bit of
+            # the spends
+            *_, spend, spend_belief = _dense_steady_spends(state, *args)
+            paying = spend > 0
+            state.e[paying] = spend[paying] * (1.0 + rng.random(paying.sum()))
+            state.belief[paying] = spend_belief[paying] * (1.0 + rng.random(paying.sum()))
+        a, b = copy.deepcopy(state), copy.deepcopy(state)
+        got = _Sim._steady_fast(a, *(x.copy() for x in args))
+        want = _dense_steady_fast(b, *(x.copy() for x in args))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+        assert a.e.tobytes() == b.e.tobytes()
+        assert a.belief.tobytes() == b.belief.tobytes()
+        assert np.float64(a.debits).tobytes() == np.float64(b.debits).tobytes()
+        assert np.array_equal(a.alive, b.alive)
+
+
+def _dense_steady_spends(sim, assignment, heads, noise, counts, lengths):
+    """_Sim._steady_fast's sums with the head-side terms over every node's
+    column: (bs count, data_act, data_nf, spend, belief spend)."""
+    head_alive = heads & sim.alive
+    member = (assignment >= 0) & sim.alive & head_alive[np.maximum(assignment, 0)]
+    data_nf = (counts * (lengths * sim.cpb_head[None, :])).sum(axis=0) * member
+    data_act = data_nf * noise
+    bits = counts * lengths
+    frames = counts.shape[0]
+    member_idx = np.flatnonzero(member)
+    slot = np.arange(frames)[:, None] * sim.n + assignment[member_idx]
+    bits_rx = np.bincount(slot.ravel(), weights=bits[:, member_idx].ravel(),
+                          minlength=frames * sim.n).reshape(frames, sim.n)
+    total_bits = bits_rx + bits * head_alive[None, :]
+    rx_spend = bits_rx.sum(axis=0) * sim.e_elec * head_alive
+    agg_spend = total_bits.sum(axis=0) * sim.e_da * head_alive
+    bs_frames = ((total_bits > 0) & head_alive[None, :]).sum(axis=0)
+    bs_spend = bs_frames * sim.bs_cost * head_alive
+    return (int(bs_frames[head_alive].sum()), data_act, data_nf,
+            data_act + rx_spend + agg_spend + bs_spend,
+            data_nf + rx_spend + agg_spend + bs_spend)
+
+
+def _dense_steady_fast(sim, *args):
+    bs, data_act, data_nf, spend, spend_belief = _dense_steady_spends(sim, *args)
+    if not (sim.e >= spend).all():
+        return None
+    sim.e -= spend
+    sim.debits += float(spend.sum())
+    if sim.track_belief:
+        sim.belief = np.maximum(sim.belief - spend_belief, 0.0)
+    sim.alive = sim.e > 0.0
+    return bs, data_act, data_nf
 
 def test_large_field_memory_stays_linear():
     # 4000 nodes at table1 density: one dense n x n float matrix alone is 128 MB
@@ -224,6 +388,24 @@ def test_large_field_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_large_field_round_allocates_under_a_mebibyte(rda_config):
+    # head selection in 64 KB blocks and head-only steady sums keep every
+    # round's temporaries small at n=1600 (rda_config is scenarios/rda50.json)
+    cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
+    tracemalloc.start()
+    try:
+        sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+        sim.play_round(0)
+        for r in range(1, 6):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sim.play_round(r)
+            grown = tracemalloc.get_traced_memory()[1] - start
+            assert grown < 1 << 20, f"round {r}: peak {grown} B above its start"
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
