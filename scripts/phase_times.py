@@ -5,7 +5,10 @@
 
 Runs scenarios/rda50.json roles at the table1 density (100 nodes per
 100 m x 100 m) for n = 100, 400, 1600 and 3200 under leach and eepca,
-scenario seed 0, 40 rounds each, and prints one markdown table row per cell:
+scenario seed 0, 40 rounds each; then scenarios/rda50.json itself (n = 100)
+under leach, sep and eepca, scenario seed 0, run to exhaustion, the shape of
+the lifetime experiments, whose late rounds have deaths, sparse grids and the
+per-frame steady path.  It prints one markdown table row per cell:
 heads per round, then microseconds per round for the whole round, each
 engine phase (setup broadcasts, election, cluster formation, steady phase)
 and eepca.nearest_heads inside cluster formation, then minor page faults and
@@ -30,6 +33,7 @@ from wsncluster.model import load_scenario
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 400, 1600, 3200)
 ROUNDS = 40
+EXHAUSTION = 10000  # run()'s default round limit
 PHASES = ("_setup_broadcasts", "_election", "_form_clusters", "_steady")
 # table columns in order; nearest_heads runs inside _form_clusters
 COLUMNS = ("round", "_setup_broadcasts", "_election", "_form_clusters",
@@ -77,6 +81,13 @@ def time_cell(config, policy, rounds):
     return totals, played, heads, faults, kernel
 
 
+def _row(label, policy, cell):
+    totals, played, heads, faults, kernel = cell
+    us = [f"{totals[k] / played * 1e6:,.0f}" for k in COLUMNS]
+    print(f"| {label} | {policy} | {heads / played:.1f} | " + " | ".join(us)
+          + f" | {faults / played:.1f} | {kernel / played * 1e6:,.0f} |")
+
+
 def main() -> None:
     rda50 = load_scenario(ROOT / "scenarios" / "rda50.json")
     time_cell(rda50, "eepca", 2)  # warm-up, so the first row pays no first-call costs
@@ -87,11 +98,9 @@ def main() -> None:
         side = 100.0 * math.sqrt(n / 100.0)
         config = dataclasses.replace(rda50, n_nodes=n, m_field=side)
         for policy in ("leach", "eepca"):
-            totals, played, heads, faults, kernel = time_cell(config, policy, ROUNDS)
-            us = [f"{totals[k] / played * 1e6:,.0f}" for k in COLUMNS]
-            print(f"| {n} ({side:.0f} m) | {policy} | {heads / played:.1f} | "
-                  + " | ".join(us)
-                  + f" | {faults / played:.1f} | {kernel / played * 1e6:,.0f} |")
+            _row(f"{n} ({side:.0f} m)", policy, time_cell(config, policy, ROUNDS))
+    for policy in ("leach", "sep", "eepca"):
+        _row("100 (100 m), to exhaustion", policy, time_cell(rda50, policy, EXHAUSTION))
 
 
 if __name__ == "__main__":

@@ -50,10 +50,8 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
     w = live[dst]
     counts = np.bincount(src, weights=w, minlength=e.size)
     sums = np.bincount(src, weights=w * belief[dst], minlength=e.size)
-    out = np.ones_like(e)
     ok = (counts > 0) & (sums / np.maximum(counts, 1) > 0)
-    out[ok] = e[ok] * counts[ok] / sums[ok]
-    return out
+    return np.divide(e * counts, sums, out=np.ones(e.shape), where=ok)
 
 
 # --- communication-cost factor ----------------------------------------------
@@ -75,9 +73,7 @@ def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
     sums = np.bincount(src, weights=cost_per_bit * l_sched[dst] * w,
                        minlength=l_sched.size)
     out = np.full(l_sched.shape, ideal_fallback, dtype=float)
-    ok = counts > 0
-    out[ok] = sums[ok] / counts[ok]
-    return out
+    return np.divide(sums, counts, out=out, where=counts > 0)
 
 
 def cost_factors_all(e_ideal: float, e_round: np.ndarray, cap: float) -> np.ndarray:
@@ -96,7 +92,8 @@ _P_EPS = 1e-12
 
 def election_probabilities_all(p_opt: float, w: np.ndarray) -> np.ndarray:
     """p_i = p_opt * w_i, clamped into the open interval (0, 1)."""
-    return np.clip(p_opt * w, _P_EPS, 1.0 - _P_EPS)
+    # np.clip's result, at a fraction of its per-call cost
+    return np.minimum(np.maximum(p_opt * w, _P_EPS), 1.0 - _P_EPS)
 
 
 def rotation_epochs(p: np.ndarray) -> np.ndarray:
@@ -105,7 +102,7 @@ def rotation_epochs(p: np.ndarray) -> np.ndarray:
 
 
 def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray,
-                         in_g: np.ndarray) -> np.ndarray:
+                         in_g: np.ndarray, epoch: np.ndarray | None = None) -> np.ndarray:
     """Election threshold of every node in round r.
 
     The classic rotation threshold p/(1 - p*(r mod epoch)), or 1 where the
@@ -115,13 +112,14 @@ def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray,
     keeps w however long it waits, and a node with w < 1 reaches 1 after one
     epoch and passes it after more.  With w == 1 this is the classic
     threshold.  Clamped into [0, 1], and 0 for nodes outside the eligible
-    set in_g.
+    set in_g.  epoch is rotation_epochs(p), for a caller that has it already.
     """
-    epoch = rotation_epochs(p)
+    if epoch is None:
+        epoch = rotation_epochs(p)
     denom = 1.0 - p * (r % epoch)
-    base = np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), 1.0)
+    base = np.divide(p, denom, out=np.ones(p.shape), where=denom > 0)
     t = base * (w + (r_s // epoch) * np.maximum(1.0 - w, 0.0))
-    return np.clip(t, 0.0, 1.0) * in_g
+    return np.minimum(np.maximum(t, 0.0), 1.0) * in_g
 
 
 # --- prediction-based broadcast suppression ---------------------------------
@@ -137,7 +135,7 @@ def broadcast_suppressed(belief: np.ndarray, e: np.ndarray, epsilon_tol: float,
     lower values tolerate larger errors.  literal_rule uses gamma < epsilon_tol
     instead.
     """
-    if (e <= 0).any():
+    if np.count_nonzero(e <= 0):
         raise ContractViolation("prediction error is undefined for a dead node (e <= 0)")
     gamma = np.abs(1.0 - belief / e)
     if literal_rule:

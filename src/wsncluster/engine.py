@@ -8,7 +8,9 @@ station.  All energy movements go through debit helpers that log the applied
 amounts, clamp at zero, and kill nodes whose energy is exhausted; a blocked
 action (message the node cannot afford) is not performed.  A message debit
 settles affordability with one compare for nodes well above the cost of
-their messages and divides only for the rest.
+their messages and divides only for the rest.  Every debit leaves alive
+equal to e > 0, so a debit every node affords, which kills no one, skips the
+alive write.
 
 A parallel "believed energy" ledger mirrors every debit, with data
 transmissions charged at their predicted (noise-free) cost.  This is the
@@ -120,6 +122,14 @@ class _Sim:
         self.in_g = np.ones(n, dtype=bool)
         self.msg_count = np.zeros(n, dtype=np.int64)
         self.msg_len = np.zeros(n, dtype=np.int64)
+        # message counts of one-message debits, viewed read-only
+        self.ones = np.ones(n, dtype=np.int64)
+        self.ones.flags.writeable = False
+        frames = config.frames_per_round
+        self.frame_col = np.arange(frames)[:, None]
+        # an RDA node with c >= 0 messages sends ceil((c - f) / frames) >= 0
+        # of them in frame f, which is (c + frames - 1 - f) // frames
+        self.frame_shift = frames - 1 - self.frame_col
 
         self.rng = np.random.default_rng([config.rng_seed, 1])
 
@@ -153,6 +163,12 @@ class _Sim:
             self.static_p = sep_probabilities(self.e_init, self.p_opt)
         else:
             self.static_p = eepca.election_probabilities_all(self.p_opt, self.unit_w)
+        self.static_epoch = eepca.rotation_epochs(self.static_p)
+        # EEPCA's factors make p, and so the rotation epochs, change by round
+        self.dynamic_p = policy is PolicyKind.EEPCA and not config.force_unit_factors
+        self.suppresses = policy is PolicyKind.EEPCA and not config.disable_suppression
+        self.nobody = np.zeros(n, dtype=bool)
+        self.nobody.flags.writeable = False
         # the belief ledger only matters where suppression/factors consume it
         self.track_belief = policy is PolicyKind.EEPCA
 
@@ -166,26 +182,39 @@ class _Sim:
 
         A node sends whole messages while it can afford them; the first
         unaffordable message drains it to zero (blocked, not delivered).
-        Returns the number of delivered messages per node in idx.
+        counts is one int for every node or an int array over idx.  Returns
+        the number of delivered messages per node in idx; callers only read
+        it.
 
         A node affords floor_divide(e, per_msg) messages, and floor(e / c)
         >= k exactly when e >= k * c.  A float above the rounded product
         counts * per_msg lies above the exact product, so a node with
         e > counts * per_msg * (1 + 1e-12) affords every message and skips
         the division; only nodes near running short pay for floor_divide.
+        When every node is rich, e - cost stays positive, so no node dies,
+        and the counts themselves are returned as the delivered messages.
         """
         e = self.e[idx]
-        per_msg = np.asarray(per_msg, dtype=float)
-        if per_msg.ndim == 0 and per_msg == 0.0:
+        scalar = not isinstance(per_msg, np.ndarray)
+        if scalar and per_msg == 0.0:
             return np.broadcast_to(np.asarray(counts), e.shape).copy()
-        delivered = np.full(e.shape, counts, dtype=float)
-        rich = e > delivered * per_msg * (1.0 + 1e-12)
-        if not rich.all():
-            short = (~rich).nonzero()[0]
-            unit = per_msg if per_msg.ndim == 0 else per_msg[short]
-            afford = np.full(short.shape, np.inf)
-            np.floor_divide(e[short], unit, out=afford, where=unit > 0)
-            delivered[short] = np.minimum(delivered[short], afford)
+        if not isinstance(counts, np.ndarray):
+            counts = self.ones[:e.size] if counts == 1 else np.full(e.shape, counts)
+        cost = counts * per_msg
+        rich = e > cost * (1.0 + 1e-12)
+        if np.count_nonzero(rich) == rich.size:
+            self.e[idx] = e - cost
+            self.debits += float(np.add.reduce(cost))
+            if self.track_belief:
+                spent = cost if per_msg_belief is per_msg else counts * per_msg_belief
+                self.belief[idx] = np.maximum(self.belief[idx] - spent, 0.0)
+            return counts
+        delivered = counts.astype(float)
+        short = (~rich).nonzero()[0]
+        unit = per_msg if scalar else per_msg[short]
+        afford = np.full(short.shape, np.inf)
+        np.floor_divide(e[short], unit, out=afford, where=unit > 0)
+        delivered[short] = np.minimum(delivered[short], afford)
         failed = delivered < counts
         cost = delivered * per_msg
         applied = np.where(failed, e, cost)
@@ -220,30 +249,31 @@ class _Sim:
     def _setup_broadcasts(self, r: int) -> np.ndarray:
         """Info broadcasts with prediction suppression; returns suppressed mask."""
         cfg = self.cfg
-        suppressed = np.zeros(self.n, dtype=bool)
-        if (self.policy is PolicyKind.EEPCA and not cfg.disable_suppression and r > 0):
-            cand = self.alive & self.is_rda
-            if cand.any():
+        suppressed = self.nobody
+        senders = self.alive.copy()
+        if self.suppresses and r > 0:
+            cand = senders & self.is_rda
+            if np.count_nonzero(cand):
+                suppressed = np.zeros(self.n, dtype=bool)
                 suppressed[cand] = eepca.broadcast_suppressed(
                     self.belief[cand], self.e[cand], cfg.epsilon_tol, cfg.gamma_rule_literal)
-        idx = (self.alive & ~suppressed).nonzero()[0]
+                senders ^= suppressed
+        idx = senders.nonzero()[0]
         sent = self._debit_messages(idx, self.bcast_cost, self.bcast_cost, 1)
-        ok_senders = np.zeros(self.n, dtype=bool)
-        ok_senders[idx[sent > 0]] = True
+        senders[idx] = sent > 0
         # receptions: each alive node hears each successful neighbor broadcast
         hearers = self.alive.nonzero()[0]
-        heard = np.bincount(self.src[ok_senders[self.dst]], minlength=self.n)[hearers]
+        heard = np.bincount(self.src[senders[self.dst]], minlength=self.n)[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
         if self.track_belief:
-            bsent = ok_senders & self.alive
-            self.belief[bsent] = self.e[bsent]
+            np.copyto(self.belief, self.e, where=senders & self.alive)
         return suppressed
 
     def _election(self, r: int) -> np.ndarray:
         cfg = self.cfg
         alive = self.alive
-        if self.policy is PolicyKind.EEPCA and not cfg.force_unit_factors:
+        if self.dynamic_p:
             live = alive.astype(float)
             w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst, live)
             l_sched = np.where(self.is_rda, self.msg_len, self.nonrda_mean_len)
@@ -252,19 +282,19 @@ class _Sim:
             w_c = eepca.cost_factors_all(self.e_ideal, e_round, cfg.cost_factor_cap)
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
+            epoch = eepca.rotation_epochs(p)
         else:  # LEACH, SEP, or EEPCA with factors forced to 1
-            p = self.static_p
-            w = self.unit_w
+            p, w, epoch = self.static_p, self.unit_w, self.static_epoch
 
-        self.in_g |= (r % eepca.rotation_epochs(p)) == 0
-        t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g)
+        self.in_g |= (r % epoch) == 0
+        t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g, epoch)
         u = self.rng.random(self.n)
         elected = alive & (u < t)
-        if not elected.any() and alive.any():
+        if not np.count_nonzero(elected) and np.count_nonzero(alive):
             # zero-head repair: draft the alive node with the largest p
             p_masked = np.where(alive, p, -np.inf)
             elected[int(np.argmax(p_masked))] = True
-        self.r_s[alive & ~elected] += 1
+        self.r_s += alive ^ elected  # elected nodes are alive
         self.r_s[elected] = 0
         self.in_g[elected] = False
         return elected
@@ -281,10 +311,9 @@ class _Sim:
         assignment = np.full(self.n, -1, dtype=np.int64)
         h_idx = heads.nonzero()[0]
         sent = self._debit_messages(h_idx, self.ad_cost, self.ad_cost, 1)
-        ok_heads_idx = h_idx[sent > 0]
-        ok_heads = np.zeros(self.n, dtype=bool)
-        ok_heads[ok_heads_idx] = True
-        n_ads = ok_heads_idx.size
+        ok_heads = heads.copy()
+        ok_heads[h_idx] = sent > 0
+        n_ads = np.count_nonzero(ok_heads)
         # every alive node hears every successful advertisement but its own
         if n_ads:
             hearers = self.alive.nonzero()[0]
@@ -294,22 +323,24 @@ class _Sim:
         ok_heads_idx = ok_heads.nonzero()[0]
         if ok_heads_idx.size == 0:
             return assignment, ok_heads
-        members = (self.alive & ~ok_heads).nonzero()[0]
+        members = (self.alive ^ ok_heads).nonzero()[0]
         if members.size:
             choice, d_head = eepca.nearest_heads(
                 self.x[members], self.y[members],
                 self.x[ok_heads_idx], self.y[ok_heads_idx],
                 cfg.radio, self.bcast_cost, self.ranging_window)
-            assignment[members] = ok_heads_idx[choice]
-            self.cpb_head[members] = eepca.cost_per_bit_matrix(d_head, cfg.radio)
-            join_cost = cfg.broadcast_bits * self.cpb_head[members]
+            cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
+            self.cpb_head[members] = cpb
+            join_cost = cfg.broadcast_bits * cpb
             joined = self._debit_messages(members, join_cost, join_cost, 1)
-            assignment[members[joined == 0]] = -1
-            members = members[joined > 0]
+            if np.count_nonzero(joined) < members.size:
+                members, choice = members[joined > 0], choice[joined > 0]
+            assignment[members] = ok_heads_idx[choice]
             if members.size:
-                n_join = np.bincount(assignment[members], minlength=self.n)[ok_heads_idx]
+                # choice indexes ok_heads_idx, so this counts joins per head
+                n_join = np.bincount(choice, minlength=ok_heads_idx.size)
                 self._debit_messages(ok_heads_idx, self.rx_bcast, self.rx_bcast, n_join)
-                if not self.alive[ok_heads_idx].all():
+                if np.count_nonzero(self.alive[ok_heads_idx]) < ok_heads_idx.size:
                     ok_heads &= self.alive
                     dead = ~self.alive[assignment[members]]
                     assignment[members[dead]] = -1
@@ -325,14 +356,11 @@ class _Sim:
         frames = cfg.frames_per_round
         lo_n, hi_n = cfg.nonrda_len_range_bits
         draws = self.rng.random((frames, self.n))
-        l_nr = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
+        lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
 
-        f_axis = np.arange(frames)[:, None]
-        counts = np.where(self.is_rda[None, :],
-                          np.maximum((self.msg_count[None, :] - f_axis + frames - 1)
-                                     // frames, 0),
-                          (draws < cfg.nonrda_tx_prob_per_frame).astype(np.int64))
-        lengths = np.where(self.is_rda[None, :], self.msg_len[None, :], l_nr)
+        counts = np.where(self.is_rda, (self.msg_count + self.frame_shift) // frames,
+                          draws < cfg.nonrda_tx_prob_per_frame)
+        np.copyto(lengths, self.msg_len, where=self.is_rda)
 
         fast = self._steady_fast(assignment, heads, noise, counts, lengths)
         if fast is not None:
@@ -347,11 +375,11 @@ class _Sim:
         onto those heads' entries, in the order the per-frame path charges.
         """
         head_alive = heads & self.alive
-        safe_assign = np.maximum(assignment, 0)
-        member = (assignment >= 0) & self.alive & head_alive[safe_assign]
+        # an unassigned node's -1 reads the last node, masked by assignment >= 0
+        member = (assignment >= 0) & self.alive & head_alive[assignment]
 
-        msg_cost_nf = lengths * self.cpb_head[None, :]     # per message, per frame
-        data_nf = (counts * msg_cost_nf).sum(axis=0) * member
+        msg_cost_nf = lengths * self.cpb_head              # per message, per frame
+        data_nf = np.add.reduce(counts * msg_cost_nf) * member
         data_act = data_nf * noise
 
         bits = counts * lengths                            # (frames, n)
@@ -360,27 +388,27 @@ class _Sim:
         h_idx = head_alive.nonzero()[0]
         frames, n_h = counts.shape[0], h_idx.size
         member_idx = member.nonzero()[0]
-        slot = np.arange(frames)[:, None] * n_h + h_idx.searchsorted(assignment[member_idx])
+        slot = self.frame_col * n_h + h_idx.searchsorted(assignment[member_idx])
         bits_rx = np.bincount(slot.ravel(), weights=bits[:, member_idx].ravel(),
                               minlength=frames * n_h).reshape(frames, n_h)
         total_bits = bits_rx + bits[:, h_idx]              # heads sense their own
-        rx_spend = bits_rx.sum(axis=0) * self.e_elec
-        agg_spend = total_bits.sum(axis=0) * self.e_da
-        bs_frames = (total_bits > 0).sum(axis=0)
+        rx_spend = np.add.reduce(bits_rx) * self.e_elec
+        agg_spend = np.add.reduce(total_bits) * self.e_da
+        bs_frames = np.add.reduce(total_bits > 0)
         bs_spend = bs_frames * self.bs_cost[h_idx]
 
         spend = data_act.copy()
         spend[h_idx] = data_act[h_idx] + rx_spend + agg_spend + bs_spend
-        if not (self.e >= spend).all():
+        if np.count_nonzero(self.e >= spend) < spend.size:
             return None
         self.e -= spend
-        self.debits += float(spend.sum())
+        self.debits += float(np.add.reduce(spend))
         if self.track_belief:
             spend_belief = data_nf.copy()
             spend_belief[h_idx] = data_nf[h_idx] + rx_spend + agg_spend + bs_spend
             self.belief = np.maximum(self.belief - spend_belief, 0.0)
         self.alive = self.e > 0.0
-        return int(bs_frames.sum()), data_act, data_nf
+        return int(np.add.reduce(bs_frames)), data_act, data_nf
 
     def _steady_slow(self, assignment, heads, noise, counts, lengths):
         """Per-frame granular evaluation handling mid-round deaths."""
@@ -390,8 +418,7 @@ class _Sim:
         data_pred = np.zeros(self.n)
         for f in range(counts.shape[0]):
             head_alive = heads & self.alive
-            safe_assign = np.maximum(assignment, 0)
-            bad = (assignment >= 0) & ~head_alive[safe_assign]
+            bad = (assignment >= 0) & ~head_alive[assignment]
             assignment[bad] = -1
             tx_idx = ((assignment >= 0) & self.alive & (counts[f] > 0)).nonzero()[0]
             bits_rx = np.zeros(self.n)
@@ -438,8 +465,8 @@ class _Sim:
         l1, l2 = cfg.msg_len_range_bits
         nc = self.rng.integers(n1, n2 + 1, self.n)
         lc = self.rng.integers(l1, l2 + 1, self.n)
-        self.msg_count[self.is_rda] = nc[self.is_rda]
-        self.msg_len[self.is_rda] = lc[self.is_rda]
+        np.copyto(self.msg_count, nc, where=self.is_rda)
+        np.copyto(self.msg_len, lc, where=self.is_rda)
 
         suppressed = self._setup_broadcasts(r)
         elected = self._election(r)
@@ -449,14 +476,14 @@ class _Sim:
         noise_draw = self.rng.uniform(lo, hi, self.n)
         noise = np.where(self.is_malf, noise_draw, 1.0)
 
-        if heads.any():
+        if np.count_nonzero(heads):
             bs_msgs, data_spent, data_pred = self._steady(assignment, heads, noise)
         else:
             bs_msgs = 0
             data_spent = np.zeros(self.n)
             data_pred = np.zeros(self.n)
 
-        deaths = (alive_before & ~self.alive).nonzero()[0]
+        deaths = (alive_before ^ self.alive).nonzero()[0]  # no node revives
         rec = RoundRecord(
             r=r,
             head_ids=tuple(elected.nonzero()[0].tolist()),
@@ -464,8 +491,8 @@ class _Sim:
             deaths=tuple(deaths.tolist()),
             suppressed=tuple(suppressed.nonzero()[0].tolist()),
             debits=self.debits,
-            alive_end=int(self.alive.sum()),
-            e_total_end=float(self.e.sum()),
+            alive_end=int(np.count_nonzero(self.alive)),
+            e_total_end=float(np.add.reduce(self.e)),
         )
         if self.detail:
             rec.e_start = e_start
@@ -486,7 +513,7 @@ def run(config: ScenarioConfig, policy: PolicyKind | str,
                      config_hash=config.config_hash(), e_init=sim.e_init.copy())
     total = 0.0
     for r in range(max_rounds):
-        if not sim.alive.any():
+        if not np.count_nonzero(sim.alive):
             break
         rec = sim.play_round(r)
         total += rec.debits

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
@@ -142,6 +143,28 @@ class ScenarioConfig:
             raise ConfigError("e_da_per_bit", "must be non-negative")
         if self.cost_factor_cap <= 0:
             raise ConfigError("cost_factor_cap", "must be positive")
+        self._check_plan()
+
+    def _check_plan(self) -> None:
+        """Reject a scenario whose analytic plan leaves the float range.
+
+        The amplifier ratio eps_fs / eps_mp sets the ideal head count, and
+        with it the ideal cluster radius that planner.make_plan raises to
+        the 4th power; extreme ratios (or fields) overflow there, or divide
+        by a head count that rounds to 0 or inf, and run() would fail in
+        set-up instead.
+        """
+        from .planner import make_plan  # planner imports this module
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # make_plan warns again in run()
+            try:
+                plan = make_plan(self)
+            except (OverflowError, ZeroDivisionError):
+                plan = None
+        if plan is None or not all(math.isfinite(v) for v in (
+                plan.k_opt, plan.d_cluster, plan.e_consume_avg)):
+            raise ConfigError("eps_mp", "eps_fs / eps_mp with this field gives an ideal "
+                              "cluster plan outside the float range")
 
     @property
     def bs_xy(self) -> tuple[float, float]:

@@ -4,8 +4,8 @@ The multi-seed experiments are expensive (a full 100-node run takes a few
 seconds), so their per-seed results are cached as JSON under tests/_cache,
 keyed by the scenario hash, the sweep parameters and a hash of the simulator
 source (src/wsncluster/*.py).  Any change to the source therefore recomputes
-every experiment: a cold run is about 1,650 simulations, roughly 50 minutes
-on one core.  With a warm cache the whole module runs in seconds.
+every experiment: a cold run is about 1,650 simulations, about 35
+CPU-minutes.  With a warm cache the whole module runs in seconds.
 """
 
 import dataclasses

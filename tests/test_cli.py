@@ -74,6 +74,15 @@ class TestMain:
         assert "neighbor_radius: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_plan_overflow_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"bs_pos": [150.0, 50.0], "eps_mp": 1e300,
+                                    "d0": 150.0}))
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "eps_mp:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sweep_var_is_config_error(self, tmp_path, scenario_file):
         rc = main(["--scenario", str(scenario_file), "--sweep", "d0=1,2",
                    "--out", str(tmp_path / "o")])

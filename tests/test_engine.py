@@ -194,25 +194,34 @@ def _floor_divide_debit(e, belief, per_msg, per_msg_belief, counts):
 
 
 _COSTS = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(1e-300, 1e10)
+# one cost object passed as both per_msg and per_msg_belief, as the engine's
+# broadcasts, advertisements and joins do
+_SHARED_SCALAR = 0.1
+_SHARED_ARRAY = np.array([0.2, 0.3, 0.1, 0.25])
 
 
 @st.composite
 def _debit_cases(draw):
     """Nodes with energy at, one ulp either side of, or anywhere around the
-    cost of their messages; costs of 0, subnormal or 1e-300 to 1e10 J."""
+    cost of their messages; costs of 0, subnormal or 1e-300 to 1e10 J; one
+    message each or up to 7; the belief charged at its own cost or at the
+    very cost object of the message."""
     n = draw(st.integers(1, 6))
     scalar = draw(st.booleans())
     per_msg = np.array(draw(_COSTS) if scalar else
                        draw(st.lists(_COSTS, min_size=n, max_size=n)))
-    counts = np.array(draw(st.integers(0, 7)) if draw(st.booleans()) else
-                      draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+    counts = np.array(draw(st.just(1) | st.integers(0, 7) |
+                           st.lists(st.integers(0, 7), min_size=n, max_size=n)))
     exact = np.broadcast_to(counts * per_msg, (n,))
     e = np.array([draw(st.sampled_from([
         x, np.nextafter(x, np.inf), np.nextafter(x, 0.0), 0.0,
         draw(st.floats(0.0, 1e12)), x * draw(st.floats(0.5, 2.0))])) for x in exact])
     belief = e * draw(st.floats(0.0, 2.0))
-    per_msg_belief = per_msg * draw(st.floats(0.0, 2.0))
-    return (e, belief, per_msg if not scalar else float(per_msg), per_msg_belief,
+    if scalar:
+        per_msg = float(per_msg)
+    per_msg_belief = (per_msg if draw(st.booleans()) else
+                      per_msg * draw(st.floats(0.0, 2.0)))
+    return (e, belief, per_msg, per_msg_belief,
             int(counts) if counts.ndim == 0 else counts)
 
 
@@ -234,12 +243,23 @@ class TestDebitMessages:
               np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, 0.5]), np.array([3, 2, 0])))
     @example((np.array([1e-323, 5e-324, 0.0]), np.array([1.0, 1.0, 1.0]),
               5e-324, 5e-324, np.array([2, 1, 1])))
+    # one shared cost object and one message each: every node rich, then rich
+    # nodes beside one at its cost, one an ulp short and one far short
+    @example((np.array([1.0, 0.7, 2.0]), np.array([1.0, 0.5, 2.0]),
+              _SHARED_SCALAR, _SHARED_SCALAR, 1))
+    @example((np.array([1.0, 0.1, np.nextafter(0.1, 0), 0.05]),
+              np.array([1.0, 0.1, 0.1, 0.05]), _SHARED_SCALAR, _SHARED_SCALAR, 1))
+    @example((np.array([1.0, 0.3, np.nextafter(0.1, 0), 0.3]),
+              np.array([0.9, 0.3, 0.2, 0.3]), _SHARED_ARRAY, _SHARED_ARRAY, 1))
+    # every node rich, the belief charged at its own cost
+    @example((np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]),
+              np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.4, 0.3]), np.array([2, 1, 3])))
     @settings(max_examples=300, deadline=None)
     def test_equals_floor_divide(self, case):
         e, belief, per_msg, per_msg_belief, counts = case
         sim = _Sim(dataclasses.replace(ScenarioConfig(), n_nodes=e.size),
                    PolicyKind.EEPCA, detail=False)
-        sim.e, sim.belief = e.copy(), belief.copy()
+        sim.e, sim.belief, sim.alive = e.copy(), belief.copy(), e > 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             got = sim._debit_messages(np.arange(e.size), per_msg, per_msg_belief, counts)
             delivered, e_new, b_new, debited = _floor_divide_debit(
@@ -248,6 +268,7 @@ class TestDebitMessages:
         assert sim.e.tobytes() == e_new.tobytes()
         assert sim.belief.tobytes() == b_new.tobytes()
         assert np.float64(sim.debits).tobytes() == np.float64(debited).tobytes()
+        assert np.array_equal(sim.alive, sim.e > 0.0)
 
 
 class TestSteadyPaths:
@@ -449,6 +470,36 @@ def test_valid_scenarios_conserve_energy(cfg):
         assert dropped == pytest.approx(trace.total_debits, rel=1e-9)
         alive = [int((trace.e_init > 0).sum())] + [rec.alive_end for rec in trace.records]
         assert all(a >= b for a, b in zip(alive, alive[1:]))
+
+
+PHASES = ("_setup_broadcasts", "_election", "_form_clusters", "_steady")
+
+
+@given(cfg=_scenarios())
+# batteries of 10-50 mJ run out within 60 rounds, many of them mid-round in
+# the per-frame steady path
+@example(cfg=ScenarioConfig(n_nodes=30, e_min=0.01, e_max=0.05, homogeneous_energy=0.03,
+                            frac_rda=0.5, frac_malfunction=0.2))
+@settings(max_examples=25, deadline=None)
+def test_alive_is_positive_energy_after_every_phase(cfg):
+    # a debit every node affords skips its alive write on the strength of
+    # this invariant
+    for policy in POLICIES:
+        sim = _Sim(cfg, policy, detail=False)
+        for name in PHASES:
+            setattr(sim, name, _checked_phase(sim, name, getattr(sim, name)))
+        for r in range(60):
+            if not sim.alive.any():
+                break
+            sim.play_round(r)
+
+
+def _checked_phase(sim, name, phase):
+    def checked(*args):
+        out = phase(*args)
+        assert np.array_equal(sim.alive, sim.e > 0.0), f"after {name}"
+        return out
+    return checked
 
 
 @given(cfg=_scenarios())

@@ -52,6 +52,12 @@ class TestValidation:
         ({"epsilon_tol": math.nan}, "epsilon_tol"),
         ({"cost_factor_cap": math.inf}, "cost_factor_cap"),
         ({"n_nodes": math.nan}, "n_nodes"),
+        # amplifier ratios whose ideal cluster plan leaves the float range:
+        # a radius past 1e77 m overflows d**4, an infinite head count divides
+        # by a zero cluster size
+        ({"bs_pos": (150.0, 50.0), "radio": RadioParams(eps_mp=1e300, d0=150.0)},
+         "eps_mp"),
+        ({"radio": RadioParams(eps_fs=1e300, eps_mp=1e-300)}, "eps_mp"),
     ])
     def test_invalid_field_raises_with_field_name(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
