@@ -17,7 +17,12 @@ are the ones nodes estimate from the received strength of those broadcasts,
 by estimated_distance_matrix, the one ranging formula.  A cluster member
 joins the head it ranges nearest; nearest_heads picks that head by squared
 distance and ranges only the pair it picked, which gives the same head and
-the same distance bits as ranging every head.
+the same distance bits as ranging every head.  It screens squared
+distances with one matrix product per block of members: heads
+[1, -2x, -2y, |h|^2] times members [|m|^2, x, y, 1] gives
+|h|^2 - 2 h.m + |m|^2, within 32 eps (max |h|^2 + |m|^2) of the exact
+value whatever the product's summation order, and a member settles only when
+that bound leaves a single head near.
 
 Per-node arrays are indexed by node id.  Neighborhoods are directed edge
 lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
@@ -37,18 +42,30 @@ from .radio import tx_energy_per_bit
 
 # --- energy factor -----------------------------------------------------------
 
+def live_neighbors(src: np.ndarray, dst: np.ndarray,
+                   live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(live[dst], live neighbor count per node) over the edges src, dst.
+
+    live is as in energy_factors_all; a bool mask reads as 1 and 0.  The
+    election reads both twice a round; they change only when a node dies.
+    """
+    w = live[dst]
+    return w, np.bincount(src, weights=w, minlength=live.size)
+
+
 def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
-                       dst: np.ndarray, live: np.ndarray) -> np.ndarray:
+                       dst: np.ndarray, live: np.ndarray,
+                       neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Node energy over the mean believed energy of its live neighbors.
 
     Edge k makes dst[k] a neighbor of src[k]; live[j] is 1 for a neighbor
     that counts (alive) and 0 for one that does not.  A node with no live
     neighbors, or whose neighbors' mean belief is 0, gets 1.  The fallback
     tests the mean, not the sum: a positive sum of subnormal beliefs can
-    still have a mean that rounds to 0.
+    still have a mean that rounds to 0.  neighbors is live_neighbors(src,
+    dst, live), for a caller that has it already.
     """
-    w = live[dst]
-    counts = np.bincount(src, weights=w, minlength=e.size)
+    w, counts = live_neighbors(src, dst, live) if neighbors is None else neighbors
     sums = np.bincount(src, weights=w * belief[dst], minlength=e.size)
     ok = (counts > 0) & (sums / np.maximum(counts, 1) > 0)
     return np.divide(e * counts, sums, out=np.ones(e.shape), where=ok)
@@ -58,18 +75,18 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
 
 def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
                            src: np.ndarray, dst: np.ndarray, live: np.ndarray,
-                           ideal_fallback: float) -> np.ndarray:
+                           ideal_fallback: float,
+                           neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per node, the mean energy of one transmission from each live neighbor
     to it.
 
     cost_per_bit[k] is the static per-bit cost e_elec + amplifier(d) over
     edge k, from neighbor dst[k] to node src[k]; l_sched holds each node's
-    scheduled message length for this round and live is as in
-    energy_factors_all.  A node with no live neighbors gets ideal_fallback,
-    so its cost factor degenerates to 1.
+    scheduled message length for this round, and live and neighbors are as
+    in energy_factors_all.  A node with no live neighbors gets
+    ideal_fallback, so its cost factor degenerates to 1.
     """
-    w = live[dst]
-    counts = np.bincount(src, weights=w, minlength=l_sched.size)
+    w, counts = live_neighbors(src, dst, live) if neighbors is None else neighbors
     sums = np.bincount(src, weights=cost_per_bit * l_sched[dst] * w,
                        minlength=l_sched.size)
     out = np.full(l_sched.shape, ideal_fallback, dtype=float)
@@ -101,7 +118,7 @@ def rotation_epochs(p: np.ndarray) -> np.ndarray:
     return np.ceil(1.0 / p).astype(np.int64)
 
 
-def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray,
+def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray | None,
                          in_g: np.ndarray, epoch: np.ndarray | None = None) -> np.ndarray:
     """Election threshold of every node in round r.
 
@@ -111,14 +128,17 @@ def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray,
     unelected.  The starvation bonus is never negative: a node with w >= 1
     keeps w however long it waits, and a node with w < 1 reaches 1 after one
     epoch and passes it after more.  With w == 1 this is the classic
-    threshold.  Clamped into [0, 1], and 0 for nodes outside the eligible
-    set in_g.  epoch is rotation_epochs(p), for a caller that has it already.
+    threshold, and w=None stands for unit weights: the bracket is then 1.0
+    exactly and is skipped.  Clamped into [0, 1], and 0 for nodes outside the
+    eligible set in_g.  epoch is rotation_epochs(p), for a caller that has it
+    already.
     """
     if epoch is None:
         epoch = rotation_epochs(p)
     denom = 1.0 - p * (r % epoch)
-    base = np.divide(p, denom, out=np.ones(p.shape), where=denom > 0)
-    t = base * (w + (r_s // epoch) * np.maximum(1.0 - w, 0.0))
+    t = np.divide(p, denom, out=np.ones(p.shape), where=denom > 0)
+    if w is not None:
+        t *= w + (r_s // epoch) * np.maximum(1.0 - w, 0.0)
     return np.minimum(np.maximum(t, 0.0), 1.0) * in_g
 
 
@@ -169,8 +189,50 @@ _PAIRS_PER_BLOCK = 1 << 13
 # Squared distances within this relative gap of a row's minimum count as a
 # near-tie: rounding in the ranging chain could swap their order.
 _TIE_GAP = 1e-9
+# The screen's |h|^2 - 2 h.m + |m|^2 is within _SCREEN_ERR * (|h|^2 + |m|^2) of
+# the exact squared distance: about 10 u = 5 eps of rounding in the worst
+# summation order, with or without fused multiply-adds, so 32 eps leaves a
+# wide margin whatever BLAS computes the product.
+_SCREEN_ERR = 32 * np.finfo(float).eps
+# Squared norms above this are taken as inf, so a finite screen bound keeps
+# every partial sum of the product below overflow.
+_SCREEN_MAX = 2.0 ** 1020
 # Binary orders of magnitude kept clear of each end of the normal range.
 _RANGE_MARGIN = 64
+
+
+def screen_operand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-node operand of nearest_heads' screen, 9 x n, with the rows
+
+        0 err   _SCREEN_ERR * (|p|^2 + max |p|^2), max over every node
+        1-4     [|p|^2, x, y, 1], the node's column as a member
+        4-7     [1, -2x, -2y, |p|^2], the node's row as a head
+        8       0, 1, ..., n - 1
+
+    where |p|^2 = x*x + y*y, read as inf above _SCREEN_MAX.  Rows 4 and 8 of
+    the first h columns are the tally [1; head index] of h heads.  The
+    member and head rows share the row of ones, so each is one contiguous
+    block that a single take gathers.  A caller running many rounds over the
+    same nodes builds this once and hands nearest_heads its screen_operands.
+    """
+    op = np.empty((9, x.size))
+    q = np.add(x * x, y * y, out=op[1])
+    q[q > _SCREEN_MAX] = np.inf
+    np.multiply(np.add(q, np.maximum.reduce(q)), _SCREEN_ERR, out=op[0])
+    op[2], op[3], op[4], op[7] = x, y, 1.0, q
+    np.multiply(x, -2.0, out=op[5])
+    np.multiply(y, -2.0, out=op[6])
+    op[8] = np.arange(x.size)
+    return op
+
+
+def screen_operands(op: np.ndarray, members: np.ndarray, heads: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(err per member, member operand 4 x members, head operand heads x 4,
+    tally 2 x heads) of the nodes members and heads, from their
+    screen_operand op."""
+    m_op = op[:5].take(members, axis=1)
+    return m_op[0], m_op[1:], op[4:8].take(heads, axis=1).T, op[4::4, :heads.size]
 
 
 def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, float]:
@@ -198,44 +260,63 @@ def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, 
 
 def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray,
                   radio: RadioParams, broadcast_energy: float,
-                  window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+                  window: tuple[float, float],
+                  operands: tuple[np.ndarray, ...] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Each member's nearest head by estimated distance: (head index, distance).
 
     Equal, bit for bit, to argmin over estimated_distance_matrix of every
     member-head pair (lowest head index on ties) and that argmin's distance.
-    A member's head is picked by squared distance dx*dx + dy*dy, and only
-    the pair picked is ranged.  That is exact when one head alone lies
-    within _TIE_GAP of the member's smallest squared distance and that
-    distance lies in window, the ranging_window of radio and
-    broadcast_energy: there the chain's rounding is far below the gap.  Any
+
+    Each block of members is screened with one matrix product, heads
+    [1, -2x, -2y, |h|^2] times members [|m|^2, x, y, 1], which gives every
+    squared distance within err = _SCREEN_ERR * (max |h|^2 + |m|^2) of its
+    exact value; the max runs over every node of the screen_operand, a
+    superset of the heads.  A head is near when its screened value is at
+    most (min + err) * (1 + _TIE_GAP) + err, the row's smallest value with
+    the bound on both sides; a second product of [1; head index] with the
+    near mask counts each member's near heads and gives the index of a lone
+    one.  A member settles when exactly one head is near and that pair's
+    exact dx*dx + dy*dy lies in window, the ranging_window of radio and
+    broadcast_energy: every other head is then more than _TIE_GAP farther,
+    exactly, and the ranging chain's rounding is far below that gap.  Any
     other member (near-ties, co-located heads, estimates that saturate to 0
-    or inf) ranges every head and takes the argmin.
+    or inf, norms too large for the bound) ranges every head and takes the
+    argmin.  Only the pair chosen is ranged for a settled member.
+
+    operands is screen_operands(screen_operand(x, y), members, heads) for
+    the nodes whose coordinates xm, ym, xh, yh are; it is built here when
+    None.
     """
-    choice = np.empty(xm.size, dtype=np.int64)
-    n_near = np.empty(xm.size, dtype=np.int64)
-    sq_min = np.empty(xm.size)
+    if operands is None:
+        op = screen_operand(np.concatenate((xm, xh)), np.concatenate((ym, yh)))
+        operands = screen_operands(op, np.arange(xm.size), np.arange(xm.size, op.shape[1]))
+    err, m_op, h_op, tally = operands
+    found = np.empty((2, xm.size))  # near heads and their index sum, per member
     step = max(1, _PAIRS_PER_BLOCK // xh.size)
     for start in range(0, xm.size, step):
         blk = slice(start, start + step)
         # heads x members, so the reductions run over contiguous rows
-        dx = xh[:, None] - xm[blk]
-        dy = yh[:, None] - ym[blk]
-        sq = np.multiply(dx, dx, out=dx)
-        sq += np.multiply(dy, dy, out=dy)
-        sq_min[blk] = np.minimum.reduce(sq, axis=0)
-        near = sq <= sq_min[blk] * (1.0 + _TIE_GAP)
-        choice[blk] = near.argmax(axis=0)
-        n_near[blk] = np.add.reduce(near, axis=0)
+        sq = h_op @ m_op[:, blk]
+        e = err[blk]
+        cut = (np.minimum.reduce(sq, axis=0) + e) * (1.0 + _TIE_GAP) + e
+        found[:, blk] = tally @ np.less_equal(sq, cut, out=sq)
+    n_near, choice = found
+    choice = choice.astype(np.int64)  # the lone near head where n_near == 1
+    # a member with several near heads may hold an index sum past the last
+    # head; it is ranged below whatever head this reads
+    dx = xm - xh.take(choice, mode="clip")
+    dy = ym - yh.take(choice, mode="clip")
+    sq = dx * dx + dy * dy
     lo, hi = window
-    unclear = (n_near != 1) | (sq_min < lo) | (sq_min > hi)
-    rows = unclear.nonzero()[0]
+    rows = ((n_near != 1) | (sq < lo) | (sq > hi)).nonzero()[0]
     if rows.size:
         d = estimated_distance_matrix(xm[rows][:, None] - xh, ym[rows][:, None] - yh,
                                       radio, broadcast_energy)
-        choice[rows] = np.argmin(d, axis=1)
-    d_est = estimated_distance_matrix(xm - xh[choice], ym - yh[choice],
-                                      radio, broadcast_energy)
-    return choice, d_est
+        choice[rows] = picked = np.argmin(d, axis=1)
+        dx[rows] = xm[rows] - xh[picked]
+        dy[rows] = ym[rows] - yh[picked]
+    return choice, estimated_distance_matrix(dx, dy, radio, broadcast_energy)
 
 
 def cost_per_bit_matrix(d_est: np.ndarray, radio: RadioParams) -> np.ndarray:

@@ -22,9 +22,11 @@ each edge, built once per run; nothing in a run is n x n.  In cluster
 formation each member picks this round's nearest head by squared distance
 and ranges only that head, unless a near-tie or a distance at the edge of
 the float range needs every head ranged (eepca.nearest_heads); the choice is
-the one ranging every head would give.  Each member's per-bit cost to its
-chosen head is kept in one per-node vector, which the join and both steady
-paths read.
+the one ranging every head would give.  The squared distances come from one
+matrix product per block of members, whose per-node operand
+(eepca.screen_operand) is built once per run and holds the node coordinates
+themselves.  Each member's per-bit cost to its chosen head is kept in one
+per-node vector, which the join and both steady paths read.
 
 The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
@@ -127,9 +129,6 @@ class _Sim:
         self.ones.flags.writeable = False
         frames = config.frames_per_round
         self.frame_col = np.arange(frames)[:, None]
-        # an RDA node with c >= 0 messages sends ceil((c - f) / frames) >= 0
-        # of them in frame f, which is (c + frames - 1 - f) // frames
-        self.frame_shift = frames - 1 - self.frame_col
 
         self.rng = np.random.default_rng([config.rng_seed, 1])
 
@@ -154,18 +153,24 @@ class _Sim:
         self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
         self.d_bs = np.hypot(self.x - bx, self.y - by)
-        self.bs_cost = np.array([tx_energy(config.fused_len_bits, d, radio) for d in self.d_bs])
+        self.bs_cost = tx_energy(config.fused_len_bits, self.d_bs, radio)
+        # operand of the head-selection screen, built after the set-up peak;
+        # its rows 2 and 3 replace x and y
+        self.screen = eepca.screen_operand(self.x, self.y)
+        self.x, self.y = self.screen[2], self.screen[3]
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
 
-        self.unit_w = np.ones(n)
         if policy is PolicyKind.SEP:
             self.static_p = sep_probabilities(self.e_init, self.p_opt)
         else:
-            self.static_p = eepca.election_probabilities_all(self.p_opt, self.unit_w)
+            self.static_p = eepca.election_probabilities_all(self.p_opt, np.ones(n))
         self.static_epoch = eepca.rotation_epochs(self.static_p)
         # EEPCA's factors make p, and so the rotation epochs, change by round
         self.dynamic_p = policy is PolicyKind.EEPCA and not config.force_unit_factors
+        # live neighbours of the factors, as of the alive count they were
+        # taken at; no node revives, so an equal count is an equal set
+        self.live_count, self.neighbors = -1, None
         self.suppresses = policy is PolicyKind.EEPCA and not config.disable_suppression
         self.nobody = np.zeros(n, dtype=bool)
         self.nobody.flags.writeable = False
@@ -274,17 +279,22 @@ class _Sim:
         cfg = self.cfg
         alive = self.alive
         if self.dynamic_p:
-            live = alive.astype(float)
-            w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst, live)
+            n_alive = np.count_nonzero(alive)
+            if n_alive != self.live_count:
+                self.live_count = n_alive
+                self.neighbors = eepca.live_neighbors(self.src, self.dst, alive)
+            w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst,
+                                           alive, self.neighbors)
             l_sched = np.where(self.is_rda, self.msg_len, self.nonrda_mean_len)
             e_round = eepca.avg_round_energies_all(l_sched, self.cost_nb, self.src,
-                                                   self.dst, live, self.e_ideal)
+                                                   self.dst, alive, self.e_ideal,
+                                                   self.neighbors)
             w_c = eepca.cost_factors_all(self.e_ideal, e_round, cfg.cost_factor_cap)
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
             epoch = eepca.rotation_epochs(p)
         else:  # LEACH, SEP, or EEPCA with factors forced to 1
-            p, w, epoch = self.static_p, self.unit_w, self.static_epoch
+            p, w, epoch = self.static_p, None, self.static_epoch
 
         self.in_g |= (r % epoch) == 0
         t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g, epoch)
@@ -325,10 +335,11 @@ class _Sim:
             return assignment, ok_heads
         members = (self.alive ^ ok_heads).nonzero()[0]
         if members.size:
+            ops = eepca.screen_operands(self.screen, members, ok_heads_idx)
+            m_op = ops[1]  # its rows 1 and 2 are the members' x and y
             choice, d_head = eepca.nearest_heads(
-                self.x[members], self.y[members],
-                self.x[ok_heads_idx], self.y[ok_heads_idx],
-                cfg.radio, self.bcast_cost, self.ranging_window)
+                m_op[1], m_op[2], self.x[ok_heads_idx], self.y[ok_heads_idx],
+                cfg.radio, self.bcast_cost, self.ranging_window, ops)
             cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
             self.cpb_head[members] = cpb
             join_cost = cfg.broadcast_bits * cpb
@@ -355,11 +366,17 @@ class _Sim:
         cfg = self.cfg
         frames = cfg.frames_per_round
         lo_n, hi_n = cfg.nonrda_len_range_bits
-        draws = self.rng.random((frames, self.n))
-        lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
+        sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
+        if lo_n == hi_n:
+            # integers() draws no bits for a one-value range: the same stream
+            lengths = np.full((frames, self.n), lo_n, dtype=np.int64)
+        else:
+            lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
 
-        counts = np.where(self.is_rda, (self.msg_count + self.frame_shift) // frames,
-                          draws < cfg.nonrda_tx_prob_per_frame)
+        # an RDA node with c = q * frames + rem >= 0 messages sends
+        # ceil((c - f) / frames) of them in frame f, which is q + (f < rem)
+        q, rem = np.divmod(self.msg_count, frames)
+        counts = np.where(self.is_rda, q + (self.frame_col < rem), sends)
         np.copyto(lengths, self.msg_len, where=self.is_rda)
 
         fast = self._steady_fast(assignment, heads, noise, counts, lengths)
@@ -388,7 +405,9 @@ class _Sim:
         h_idx = head_alive.nonzero()[0]
         frames, n_h = counts.shape[0], h_idx.size
         member_idx = member.nonzero()[0]
-        slot = self.frame_col * n_h + h_idx.searchsorted(assignment[member_idx])
+        rank = np.empty(self.n, dtype=np.int64)  # each alive head's column
+        rank[h_idx] = np.arange(n_h)
+        slot = self.frame_col * n_h + rank[assignment[member_idx]]
         bits_rx = np.bincount(slot.ravel(), weights=bits[:, member_idx].ravel(),
                               minlength=frames * n_h).reshape(frames, n_h)
         total_bits = bits_rx + bits[:, h_idx]              # heads sense their own

@@ -11,16 +11,22 @@ import numpy as np
 from .model import ContractViolation, RadioParams
 
 
-def tx_energy(l_bits: float, d: float, radio: RadioParams) -> float:
-    """Energy in joules to transmit l_bits over distance d.
+def tx_energy(l_bits: float, d, radio: RadioParams):
+    """Energy in joules to transmit l_bits over distance d, a float or an
+    array of distances.
 
-    Takes the multipath branch at exactly d == d0.
+    Takes the multipath branch at exactly d == d0.  Each element costs
+    l*e_elec + l*eps_fs*d*d or l*e_elec + l*eps_mp*d**4, to the bit, with
+    d**4 from the scalar power one element at a time: numpy's array power
+    rounds differently in the last bit.
     """
-    if l_bits < 0 or d < 0:
+    d = np.asarray(d, dtype=float)
+    if l_bits < 0 or np.count_nonzero(d < 0):
         raise ContractViolation(f"tx_energy requires l >= 0 and d >= 0, got l={l_bits}, d={d}")
-    if d < radio.d0:
-        return l_bits * radio.e_elec + l_bits * radio.eps_fs * d * d
-    return l_bits * radio.e_elec + l_bits * radio.eps_mp * d ** 4
+    with np.errstate(over="ignore"):
+        d4 = np.array([v ** 4 for v in d.flat]).reshape(d.shape)
+        amp = np.where(d < radio.d0, l_bits * radio.eps_fs * d * d, l_bits * radio.eps_mp * d4)
+    return l_bits * radio.e_elec + amp
 
 
 def rx_energy(l_bits: float, radio: RadioParams) -> float:

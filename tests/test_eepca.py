@@ -205,6 +205,17 @@ class TestElection:
         t = eepca_threshold(0.2, r=0, r_s=15, w=1.5, in_g=True)
         assert t == pytest.approx(0.2 * 1.5, rel=1e-12)
 
+    @given(st.integers(1, 40), st.integers(0, 200), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unit_weights_skip_equals_ones(self, n, r, data):
+        # w=None skips the bracket, which is exactly 1.0 for unit weights
+        p = np.array(data.draw(st.lists(st.floats(1e-12, 1 - 1e-12), min_size=n, max_size=n)))
+        r_s = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
+        in_g = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        got = eepca.eepca_thresholds_all(p, r, r_s, None, in_g)
+        want = eepca.eepca_thresholds_all(p, r, r_s, np.ones(n), in_g)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_threshold_clamped_to_one(self):
         assert eepca_threshold(0.2, r=0, r_s=100, w=0.1, in_g=True) == 1.0
 
@@ -445,3 +456,76 @@ class TestNearestHeads:
         assert 3000 * 40 > 2 * eepca._PAIRS_PER_BLOCK
         assert np.array_equal(choice, np.argmin(dense, axis=1))
         assert np.array_equal(d_est, dense.min(axis=1))
+
+
+@st.composite
+def _offset_near_ties(draw):
+    """Heads around a common offset of 1e3 to 1e9 m, with members on or a hair
+    off the bisector of two of them.  |h|^2 - 2 h.m + |m|^2 then cancels
+    terms of up to 1e18 m^2 down to a few m^2, so the screen's rounding is far
+    larger than the gap between the two heads."""
+    offset = draw(st.floats(1e3, 1e9))
+    coord = st.floats(-50, 50)
+    heads = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8))
+    (ax, ay), (bx, by) = heads[0], heads[1]
+    along = st.floats(-30, 30)
+    hair = st.sampled_from([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-4, -1e-4])
+    members = [((ax + bx) / 2 - t * (by - ay) + h, (ay + by) / 2 + t * (bx - ax))
+               for t, h in draw(st.lists(st.tuples(along, hair), min_size=1, max_size=12))]
+    xh, yh = (np.array(c) + offset for c in zip(*heads))
+    xm, ym = (np.array(c) + offset for c in zip(*members))
+    return xm, ym, xh, yh
+
+
+class TestHeadScreen:
+    """The matrix-product screen of nearest_heads against the dense oracle
+    where its expansion |h|^2 - 2 h.m + |m|^2 loses most of its digits."""
+
+    BCAST = tx_energy(2500, 12.0, RADIO)
+
+    @classmethod
+    def _check(cls, xm, ym, xh, yh, radio=RADIO, bcast=None):
+        bcast = cls.BCAST if bcast is None else bcast
+        with np.errstate(all="ignore"):
+            window = eepca.ranging_window(radio, bcast)
+            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast, window)
+            dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
+                                                    radio, bcast)
+        want = np.argmin(dense, axis=1)
+        assert np.array_equal(choice, want)
+        assert np.array_equal(d_est.view(np.int64),
+                              dense[np.arange(xm.size), want].view(np.int64))
+
+    @given(_offset_near_ties())
+    # head 1 is one ulp (2**-23 m) nearer than head 0, 1e9 m from the origin:
+    # with no rounding bound the screen sees head 0 alone as near
+    @example((np.array([1e9]), np.array([1e9 - 29.0]),
+              np.array([1e9 - 12.0, 1e9 + 12.0 - 2.0 ** -23]), np.array([1e9, 1e9])))
+    @settings(max_examples=300, deadline=None)
+    def test_offset_near_ties_equal_argmin(self, layout):
+        self._check(*layout)
+
+    def test_single_head(self):
+        # one head is every member's nearest, also co-located or far away
+        xm, ym = _pts((0, 0), (3, 4), (1e-200, 0), (1e150, 1e150), (7, 7))
+        self._check(xm, ym, *_pts((3, 4)))
+        self._check(xm, ym, *_pts((1e200, 0)))
+
+    def test_infinite_head_norm(self):
+        # |h|^2 overflows to inf for the far heads, or passes _SCREEN_MAX
+        # (2**1020) and is read as inf: members with a near head and members
+        # beside a far one both fall back to the argmin
+        xm, ym = _pts((0, 0), (2, 1), (1e200, 1), (-1e200, 0), (2.0 ** 511, 1))
+        xh, yh = _pts((1e200, 0), (1, 1), (3, 0), (-1e200, 5), (2.0 ** 511, 0))
+        self._check(xm, ym, xh, yh)
+
+    def test_caller_operands_equal_built_ones(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(0, 400, 500), rng.uniform(0, 400, 500)
+        heads = np.sort(rng.choice(500, 30, replace=False))
+        members = np.setdiff1d(np.arange(500), heads)
+        window = eepca.ranging_window(RADIO, self.BCAST)
+        ops = eepca.screen_operands(eepca.screen_operand(x, y), members, heads)
+        args = (x[members], y[members], x[heads], y[heads], RADIO, self.BCAST, window)
+        for got, want in zip(eepca.nearest_heads(*args, ops), eepca.nearest_heads(*args)):
+            assert np.array_equal(got, want)

@@ -534,3 +534,49 @@ def test_cluster_formation_ranges_about_one_pair_per_member(rda_config, monkeypa
         rec = sim.play_round(r)
         assert len(rec.head_ids) > 10
         assert 0 < ranged[0] - before <= 2 * cfg.n_nodes, f"round {r}"
+
+
+@pytest.mark.parametrize("lo,shape", [(0, 7), (4000, (5, 100)), (2**40, (3, 2))])
+def test_one_value_length_range_draws_no_bits(lo, shape):
+    # _steady fills a one-value non-RDA length range with np.full instead of
+    # calling Generator.integers; the stream stays the same only while
+    # integers() draws no bits for such a range
+    rng = np.random.default_rng([3, 1])
+    state = rng.bit_generator.state
+    assert np.array_equal(rng.integers(lo, lo + 1, shape), np.full(shape, lo))
+    assert rng.bit_generator.state == state
+
+
+@given(c=st.integers(0, 10**6), frames=st.integers(1, 9))
+def test_frame_counts_from_divmod(c, frames):
+    # an RDA node's messages in frame f: q + (f < rem) with q, rem = divmod(c,
+    # frames) equals ceil((c - f) / frames) = (c + frames - 1 - f) // frames
+    q, rem = divmod(c, frames)
+    assert [q + (f < rem) for f in range(frames)] == \
+        [(c + frames - 1 - f) // frames for f in range(frames)]
+
+
+def test_live_neighbors_follow_deaths():
+    # the election reuses its live-neighbour counts while the alive count
+    # holds; a count that holds means the same set, since no node revives
+    cfg = dataclasses.replace(ScenarioConfig(), n_nodes=30, e_min=0.01, e_max=0.05,
+                              homogeneous_energy=0.03)
+    sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+    election = sim._election
+    refreshed = []
+
+    def checked(r):
+        alive = sim.alive.copy()
+        before = sim.live_count
+        out = election(r)
+        refreshed.append(sim.live_count != before)
+        w, counts = eepca.live_neighbors(sim.src, sim.dst, alive.astype(float))
+        assert np.array_equal(sim.neighbors[0], w) and np.array_equal(sim.neighbors[1], counts)
+        return out
+
+    sim._election = checked
+    for r in range(60):
+        if not sim.alive.any():
+            break
+        sim.play_round(r)
+    assert 1 < sum(refreshed) < len(refreshed)

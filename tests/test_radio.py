@@ -49,6 +49,19 @@ class TestTxEnergy:
         lo, hi = sorted((d1, d2))
         assert tx_energy(1000, lo, RADIO) <= tx_energy(1000, hi, RADIO)
 
+    def test_array_distances_equal_scalar_bits(self):
+        # each element costs what the scalar formula gives its distance, on
+        # both branches and at d == d0, whose d ** 4 is Python's float power
+        rng = np.random.default_rng(0)
+        d = np.concatenate([rng.uniform(0.0, 600.0, 5000),
+                            [0.0, RADIO.d0, np.nextafter(RADIO.d0, 0.0)]])
+        got = tx_energy(2500, d, RADIO)
+        want = np.array([2500 * RADIO.e_elec + 2500 * RADIO.eps_fs * v * v if v < RADIO.d0
+                         else 2500 * RADIO.e_elec + 2500 * RADIO.eps_mp * v ** 4
+                         for v in d.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(tx_energy(2500, v, RADIO) == w for v, w in zip(d.tolist(), want))
+
 
 class TestRxEnergy:
     def test_value(self):
