@@ -2,6 +2,8 @@
 """Per-phase wall time of simulator rounds, with page faults and kernel time.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/phase_times.py
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/phase_times.py \\
+        --against ../other-checkout --repeats 8
 
 Runs scenarios/rda50.json roles at the table1 density (100 nodes per
 100 m x 100 m) for n = 100, 400, 1600 and 3200 under leach and eepca,
@@ -16,19 +18,28 @@ kernel microseconds per round from resource.getrusage.  Timers wrap the
 phase methods of engine._Sim and eepca.nearest_heads from outside for the
 duration of the run; the engine itself is unchanged and the traces are the
 ones an untimed run gives.  _Sim set-up is not counted.
+
+Each cell is run --repeats times and its row holds the median of each
+column.  --against PATH also loads the simulator of the checkout at PATH,
+under another package name, and runs each cell on both trees in turn, the
+order flipping every repeat; each cell then gets a row for PATH's tree
+(marked "against") above the row for this one.  Host speed that drifts
+between processes or minutes then hits both rows alike.
 """
 
+import argparse
 import dataclasses
+import importlib
+import importlib.util
 import math
 import resource
+import statistics
+import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
-from wsncluster import eepca
-from wsncluster.baselines import PolicyKind
-from wsncluster.engine import _Sim
-from wsncluster.model import load_scenario
+import wsncluster
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 400, 1600, 3200)
@@ -38,6 +49,17 @@ PHASES = ("_setup_broadcasts", "_election", "_form_clusters", "_steady")
 # table columns in order; nearest_heads runs inside _form_clusters
 COLUMNS = ("round", "_setup_broadcasts", "_election", "_form_clusters",
            "nearest_heads", "_steady")
+
+
+def load_tree(checkout: Path, name: str):
+    """The wsncluster package of the checkout's src/, imported as name."""
+    pkg = checkout / "src" / "wsncluster"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _timed(fn, totals, key):
@@ -50,17 +72,19 @@ def _timed(fn, totals, key):
     return wrapper
 
 
-def time_cell(config, policy, rounds):
-    """Seconds per phase over up to `rounds` rounds, plus round count, heads,
-    minor faults and kernel seconds."""
+def time_cell(pkg, config, policy, rounds):
+    """Seconds per phase over up to `rounds` rounds of the package pkg, plus
+    round count, heads, minor faults and kernel seconds."""
+    sim_cls = importlib.import_module(pkg.__name__ + ".engine")._Sim
+    eepca = importlib.import_module(pkg.__name__ + ".eepca")
     totals = defaultdict(float)
-    saved = {name: getattr(_Sim, name) for name in PHASES}
+    saved = {name: getattr(sim_cls, name) for name in PHASES}
     saved_nearest = eepca.nearest_heads
     for name in PHASES:
-        setattr(_Sim, name, _timed(saved[name], totals, name))
+        setattr(sim_cls, name, _timed(saved[name], totals, name))
     eepca.nearest_heads = _timed(saved_nearest, totals, "nearest_heads")
     try:
-        sim = _Sim(config, PolicyKind.parse(policy), detail=False)
+        sim = sim_cls(config, pkg.PolicyKind.parse(policy), detail=False)
         heads = played = 0
         before = resource.getrusage(resource.RUSAGE_SELF)
         for r in range(rounds):
@@ -74,33 +98,60 @@ def time_cell(config, policy, rounds):
         after = resource.getrusage(resource.RUSAGE_SELF)
     finally:
         for name, fn in saved.items():
-            setattr(_Sim, name, fn)
+            setattr(sim_cls, name, fn)
         eepca.nearest_heads = saved_nearest
     faults = after.ru_minflt - before.ru_minflt
     kernel = after.ru_stime - before.ru_stime
     return totals, played, heads, faults, kernel
 
 
-def _row(label, policy, cell):
-    totals, played, heads, faults, kernel = cell
-    us = [f"{totals[k] / played * 1e6:,.0f}" for k in COLUMNS]
-    print(f"| {label} | {policy} | {heads / played:.1f} | " + " | ".join(us)
-          + f" | {faults / played:.1f} | {kernel / played * 1e6:,.0f} |")
+def _row(label, policy, cells):
+    """One table row: the median of each column over the runs in cells."""
+    per_run = [[h / p, *(t[k] / p * 1e6 for k in COLUMNS), f / p, kern / p * 1e6]
+               for t, p, h, f, kern in cells]
+    heads, *us, faults, kernel = map(statistics.median, zip(*per_run))
+    print(f"| {label} | {policy} | {heads:.1f} | "
+          + " | ".join(f"{v:,.0f}" for v in us)
+          + f" | {faults:.1f} | {kernel:,.0f} |")
 
 
-def main() -> None:
-    rda50 = load_scenario(ROOT / "scenarios" / "rda50.json")
-    time_cell(rda50, "eepca", 2)  # warm-up, so the first row pays no first-call costs
-    print("| n (field) | policy | heads/round | round | setup bcasts | election "
-          "| clusters | nearest heads | steady | minor faults | kernel µs |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+def _configs(pkg):
+    """(row label, config, policy, rounds) of every cell, in table order."""
+    rda50 = pkg.load_scenario(ROOT / "scenarios" / "rda50.json")
     for n in SIZES:
         side = 100.0 * math.sqrt(n / 100.0)
         config = dataclasses.replace(rda50, n_nodes=n, m_field=side)
         for policy in ("leach", "eepca"):
-            _row(f"{n} ({side:.0f} m)", policy, time_cell(config, policy, ROUNDS))
+            yield f"{n} ({side:.0f} m)", config, policy, ROUNDS
     for policy in ("leach", "sep", "eepca"):
-        _row("100 (100 m), to exhaustion", policy, time_cell(rda50, policy, EXHAUSTION))
+        yield "100 (100 m), to exhaustion", rda50, policy, EXHAUSTION
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", type=Path,
+                    help="checkout whose simulator is timed alongside this one")
+    ap.add_argument("--repeats", type=int, default=1,
+                    help="runs of each cell per tree; rows hold the medians")
+    args = ap.parse_args()
+    trees = [("", wsncluster)]
+    if args.against is not None:
+        trees.insert(0, (" (against)", load_tree(args.against.resolve(),
+                                                 "wsncluster_against")))
+    for _, pkg in trees:  # warm-up, so the first row pays no first-call costs
+        time_cell(pkg, pkg.load_scenario(ROOT / "scenarios" / "rda50.json"), "eepca", 2)
+    print("| n (field) | policy | heads/round | round | setup bcasts | election "
+          "| clusters | nearest heads | steady | minor faults | kernel µs |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    for cells in zip(*(_configs(pkg) for _, pkg in trees)):
+        runs = [[] for _ in trees]
+        for k in range(args.repeats):
+            sides = range(len(trees)) if k % 2 == 0 else reversed(range(len(trees)))
+            for i in sides:
+                _, config, policy, rounds = cells[i]
+                runs[i].append(time_cell(trees[i][1], config, policy, rounds))
+        for (mark, _), (label, _, policy, _), cell_runs in zip(trees, cells, runs):
+            _row(label, policy + mark, cell_runs)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,15 @@ that bound leaves a single head near.
 Per-node arrays are indexed by node id.  Neighborhoods are directed edge
 lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
 src[k], and neighborhood sums are bincounts over src, so memory and time
-grow with the number of edges, not with n^2.
+grow with the number of edges, not with n^2.  neighbor_edges puts the
+nodes in grid cells at least radius wide, and at least max(ptp) / isqrt(n)
+wide so that there are O(n) of them.  A node meets the later nodes of its
+own cell and every node of 4 forward cells (a half stencil), which meets
+each pair in the same or adjacent cells once.  A pair whose squared distance
+lies in ranging_window and more than _TIE_GAP above radius^2 is too far
+whatever the rounding, and is not ranged; any other is ranged once for both
+its edges.  The estimate is symmetric: x[i] - x[j] is exactly
+-(x[j] - x[i]), and hypot ignores signs.
 """
 
 from __future__ import annotations
@@ -46,8 +54,10 @@ def live_neighbors(src: np.ndarray, dst: np.ndarray,
                    live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(live[dst], live neighbor count per node) over the edges src, dst.
 
-    live is as in energy_factors_all; a bool mask reads as 1 and 0.  The
-    election reads both twice a round; they change only when a node dies.
+    live is as in energy_factors_all; a bool mask reads as 1 and 0.  Both
+    change only when a node dies, so the engine keeps them until one does:
+    the election's factors read them, and the counts are what each node
+    hears in a setup round where every alive node broadcasts.
     """
     w = live[dst]
     return w, np.bincount(src, weights=w, minlength=live.size)
@@ -324,11 +334,9 @@ def cost_per_bit_matrix(d_est: np.ndarray, radio: RadioParams) -> np.ndarray:
     return tx_energy_per_bit(d_est, radio)
 
 
-# Cells are a little wider than the radius, and there are at most this many
-# to a side, so that rounding in the cell index can never put two neighbors
-# more than one cell apart and the cell keys stay small integers.
+# Cells are a little wider than the radius, so that rounding in the cell
+# index can never put two neighbors more than one cell apart.
 _CELL_SLACK = 1.0 + 1e-6
-_MAX_CELLS = 1 << 20
 
 
 def neighbor_edges(x: np.ndarray, y: np.ndarray, radius: float, radio: RadioParams,
@@ -337,31 +345,31 @@ def neighbor_edges(x: np.ndarray, y: np.ndarray, radius: float, radio: RadioPara
 
     dst is a neighbor of src when src != dst and the distance src estimates
     to dst is at most radius; co-located nodes (distance 0) are neighbors.
-    Candidates come from a uniform cell grid: each node is compared only with
-    the nodes in its own and the 8 surrounding cells, so the cost is
-    O(n + candidate pairs) instead of O(n^2).
+    Candidates come from the half stencil of the module docstring.
     """
-    side = max(radius * _CELL_SLACK, max(np.ptp(x), np.ptp(y)) / _MAX_CELLS)
-    cx = np.floor((x - x.min()) / side).astype(np.int64)
-    cy = np.floor((y - y.min()) / side).astype(np.int64)
-    # a column holds cy.max() + 1 cells plus an empty guard cell at each end,
-    # so a step of -1 or +1 in y never wraps into the next column
-    stride = int(cy.max()) + 3
+    n = x.size
+    side = max(radius * _CELL_SLACK, max(np.ptp(x), np.ptp(y)) / math.isqrt(n))
+    cx, cy = (np.floor((c - c.min()) / side).astype(np.int64) for c in (x, y))
+    stride = int(cy.max()) + 3  # cy.max() + 1 cells, an empty guard cell at each end
     key = cx * stride + cy + 1
     order = np.argsort(key)
-    sorted_key = key[order]
-    # row i holds the keys of node i's own cell and its 8 surrounding cells
-    offsets = (np.array([-1, 0, 1])[:, None] * stride + np.array([-1, 0, 1])).ravel()
-    cells = (key[:, None] + offsets).ravel()
-    lo = np.searchsorted(sorted_key, cells, side="left")
-    cnt = np.searchsorted(sorted_key, cells, side="right") - lo
-    # query q = 9 * i + k meets sorted positions lo[q] .. lo[q] + cnt[q] - 1
-    query = np.repeat(np.arange(cells.size), cnt)
-    pos = np.arange(query.size) + (lo - (np.cumsum(cnt) - cnt))[query]
-    src, dst = query // 9, order[pos]
-    d_est = estimated_distance_matrix(x[src] - x[dst], y[src] - y[dst],
-                                      radio, broadcast_energy)
-    keep = (src != dst) & (d_est <= radius)
-    src, dst, d_est = src[keep], dst[keep], d_est[keep]
-    idx = np.lexsort((dst, src))
-    return src[idx], dst[idx], d_est[idx]
+    # sorted positions bounds[c] .. bounds[c + 1] - 1 lie in cell c
+    bounds = np.zeros((int(cx.max()) + 2) * stride + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=bounds.size - 1), out=bounds[1:])
+    # row p: p's cell after p, then the cells (0, +1) and (+1, -1 .. +1)
+    cells = key[order][:, None] + np.array([0, 1, stride - 1, stride, stride + 1])
+    lo, hi = bounds[cells], bounds[cells + 1]
+    lo[:, 0] = np.arange(1, n + 1)
+    cnt = (hi - lo).ravel()
+    query = np.repeat(np.arange(cnt.size), cnt)  # query 5p + k meets lo .. hi - 1
+    pos = np.arange(query.size) + (lo.ravel() - np.cumsum(cnt) + cnt)[query]
+    a, b = order[query // 5], order[pos]
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    sq, (w_lo, w_hi) = dx * dx + dy * dy, ranging_window(radio, broadcast_energy)
+    near = ((sq <= radius * radius * (1.0 + _TIE_GAP)) | (sq < w_lo) | (sq > w_hi)).nonzero()[0]
+    d_est = estimated_distance_matrix(dx[near], dy[near], radio, broadcast_energy)
+    keep = d_est <= radius
+    a, b, d_est = a[near[keep]], b[near[keep]], d_est[keep]
+    key = np.concatenate((a * n + b, b * n + a))
+    idx = np.argsort(key)
+    return *np.divmod(key[idx], n), np.tile(d_est, 2)[idx]

@@ -18,12 +18,20 @@ residual-energy value neighbors can compute for an RDA node without hearing
 a broadcast; for non-malfunctioning nodes it tracks ground truth exactly.
 
 Neighborhoods are held as edge arrays (src, dst) with the per-bit cost over
-each edge, built once per run; nothing in a run is n x n.  In cluster
-formation each member picks this round's nearest head by squared distance
-and ranges only that head, unless a near-tie or a distance at the edge of
-the float range needs every head ranged (eepca.nearest_heads); the choice is
-the one ranging every head would give.  The squared distances come from one
-matrix product per block of members, whose per-node operand
+each edge, built once per run; nothing in a run is n x n.  What the edges
+give over the alive nodes (eepca.live_neighbors: each edge's live weight
+and each node's live-neighbour count) is kept until a node dies.  The
+election's factors read it, and in a round where every alive node
+broadcasts and none dies sending (every LEACH and SEP round; EEPCA's round
+0, and its rounds with suppression off or no alive RDA node) the counts are
+the setup-broadcast reception counts; any other round counts its senders'
+edges.
+
+In cluster formation each member picks this round's nearest head by squared
+distance and ranges only that head, unless a near-tie or a distance at the
+edge of the float range needs every head ranged (eepca.nearest_heads); the
+choice is the one ranging every head would give.  The squared distances
+come from one matrix product per block of members, whose per-node operand
 (eepca.screen_operand) is built once per run and holds the node coordinates
 themselves.  Each member's per-bit cost to its chosen head is kept in one
 per-node vector, which the join and both steady paths read.
@@ -32,7 +40,9 @@ The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
 round spend, and a per-frame granular path that handles mid-round deaths.
 The whole-round path sums reception, aggregation and uplink over the alive
-heads only, so its temporaries are frames x heads, not frames x n.
+heads only, so its temporaries are frames x heads, not frames x n.  A
+one-value non-RDA length range gives one row of lengths, broadcast over the
+frames.
 """
 
 from __future__ import annotations
@@ -168,8 +178,8 @@ class _Sim:
         self.static_epoch = eepca.rotation_epochs(self.static_p)
         # EEPCA's factors make p, and so the rotation epochs, change by round
         self.dynamic_p = policy is PolicyKind.EEPCA and not config.force_unit_factors
-        # live neighbours of the factors, as of the alive count they were
-        # taken at; no node revives, so an equal count is an equal set
+        # live neighbours (eepca.live_neighbors) as of the alive count they
+        # were taken at; no node revives, so an equal count is an equal set
         self.live_count, self.neighbors = -1, None
         self.suppresses = policy is PolicyKind.EEPCA and not config.disable_suppression
         self.nobody = np.zeros(n, dtype=bool)
@@ -249,6 +259,15 @@ class _Sim:
         self.alive[idx] = self.e[idx] > 0.0
         return ok
 
+    def _live_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """eepca.live_neighbors over the alive nodes, taken again only when
+        a node has died since the last call."""
+        n_alive = np.count_nonzero(self.alive)
+        if n_alive != self.live_count:
+            self.live_count = n_alive
+            self.neighbors = eepca.live_neighbors(self.src, self.dst, self.alive)
+        return self.neighbors
+
     # --- phases -----------------------------------------------------------
 
     def _setup_broadcasts(self, r: int) -> np.ndarray:
@@ -268,7 +287,12 @@ class _Sim:
         senders[idx] = sent > 0
         # receptions: each alive node hears each successful neighbor broadcast
         hearers = self.alive.nonzero()[0]
-        heard = np.bincount(self.src[senders[self.dst]], minlength=self.n)[hearers]
+        if suppressed is self.nobody and hearers.size == idx.size:
+            # every alive node sent and none died (a failed send kills), so
+            # the senders are the alive nodes: heard counts are live ones
+            heard = self._live_neighbors()[1][hearers]
+        else:
+            heard = np.bincount(self.src[senders[self.dst]], minlength=self.n)[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
         if self.track_belief:
@@ -279,16 +303,13 @@ class _Sim:
         cfg = self.cfg
         alive = self.alive
         if self.dynamic_p:
-            n_alive = np.count_nonzero(alive)
-            if n_alive != self.live_count:
-                self.live_count = n_alive
-                self.neighbors = eepca.live_neighbors(self.src, self.dst, alive)
+            neighbors = self._live_neighbors()
             w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst,
-                                           alive, self.neighbors)
+                                           alive, neighbors)
             l_sched = np.where(self.is_rda, self.msg_len, self.nonrda_mean_len)
             e_round = eepca.avg_round_energies_all(l_sched, self.cost_nb, self.src,
                                                    self.dst, alive, self.e_ideal,
-                                                   self.neighbors)
+                                                   neighbors)
             w_c = eepca.cost_factors_all(self.e_ideal, e_round, cfg.cost_factor_cap)
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
@@ -368,8 +389,9 @@ class _Sim:
         lo_n, hi_n = cfg.nonrda_len_range_bits
         sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
         if lo_n == hi_n:
-            # integers() draws no bits for a one-value range: the same stream
-            lengths = np.full((frames, self.n), lo_n, dtype=np.int64)
+            # integers() draws no bits for a one-value range: the same
+            # stream; one row, broadcast over the frames
+            lengths = np.full((1, self.n), lo_n, dtype=np.int64)
         else:
             lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
 
@@ -395,7 +417,7 @@ class _Sim:
         # an unassigned node's -1 reads the last node, masked by assignment >= 0
         member = (assignment >= 0) & self.alive & head_alive[assignment]
 
-        msg_cost_nf = lengths * self.cpb_head              # per message, per frame
+        msg_cost_nf = lengths * self.cpb_head              # per message, per frame row
         data_nf = np.add.reduce(counts * msg_cost_nf) * member
         data_act = data_nf * noise
 
@@ -431,7 +453,7 @@ class _Sim:
 
     def _steady_slow(self, assignment, heads, noise, counts, lengths):
         """Per-frame granular evaluation handling mid-round deaths."""
-        cfg = self.cfg
+        lengths = np.broadcast_to(lengths, counts.shape)
         bs_msgs = 0
         data_spent = np.zeros(self.n)
         data_pred = np.zeros(self.n)

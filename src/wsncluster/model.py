@@ -148,11 +148,13 @@ class ScenarioConfig:
     def _check_plan(self) -> None:
         """Reject a scenario whose analytic plan leaves the float range.
 
-        The amplifier ratio eps_fs / eps_mp sets the ideal head count, and
-        with it the ideal cluster radius that planner.make_plan raises to
-        the 4th power; extreme ratios (or fields) overflow there, or divide
-        by a head count that rounds to 0 or inf, and run() would fail in
-        set-up instead.
+        The amplifier ratio eps_fs / eps_mp and the field size set the ideal
+        head count, and with it the ideal cluster radius that
+        planner.make_plan raises to the 4th power; extreme ratios or fields
+        overflow there, or divide by a head count that rounds to 0 or inf,
+        and run() would fail in set-up instead.  The error names eps_mp when
+        the ratio leaves the range on table 1's 100 m field too, and m_field
+        otherwise.
         """
         from .planner import make_plan  # planner imports this module
         with warnings.catch_warnings():
@@ -161,10 +163,15 @@ class ScenarioConfig:
                 plan = make_plan(self)
             except (OverflowError, ZeroDivisionError):
                 plan = None
-        if plan is None or not all(math.isfinite(v) for v in (
+        if plan is not None and all(math.isfinite(v) for v in (
                 plan.k_opt, plan.d_cluster, plan.e_consume_avg)):
-            raise ConfigError("eps_mp", "eps_fs / eps_mp with this field gives an ideal "
-                              "cluster plan outside the float range")
+            return
+        if self.m_field == 100.0:
+            raise ConfigError("eps_mp", "eps_fs / eps_mp gives an ideal cluster plan "
+                              "outside the float range")
+        replace(self, m_field=100.0)  # validates again: raises for eps_mp at 100 m
+        raise ConfigError("m_field", "this field size gives an ideal cluster plan "
+                          "outside the float range")
 
     @property
     def bs_xy(self) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,10 +331,48 @@ def _layouts(draw):
     return x, y, radius, radio
 
 
+@st.composite
+def _sparse_layouts(draw):
+    """Tight groups of nodes spread over a field so wide that the cell side
+    is max(ptp) / isqrt(n), many radii, rather than the radius."""
+    radius = draw(st.floats(0.5, 4.0))
+    side = draw(st.floats(500.0, 1e6))
+    centres = draw(st.lists(st.tuples(st.floats(0.0, side), st.floats(0.0, side)),
+                            min_size=2, max_size=12))
+    spread = st.floats(-2.0 * radius, 2.0 * radius)
+    pts = [(cx + draw(spread), cy + draw(spread)) for cx, cy in centres
+           for _ in range(draw(st.integers(1, 5)))]
+    radio = RadioParams(alpha_pathloss=draw(st.floats(1.0, 6.0)))
+    x, y = (np.array(c, dtype=float) for c in zip(*pts))
+    return x, y, radius, radio
+
+
+@st.composite
+def _crowded_layouts(draw):
+    """Up to 200 nodes on a field a few radii wide: many nodes to a cell, and
+    neighbours across every side and corner of a cell."""
+    radius = draw(st.floats(0.5, 20.0))
+    side = radius * draw(st.floats(1.0, 8.0))
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.uniform(0.0, side, (2, n))
+    radio = RadioParams(alpha_pathloss=draw(st.floats(1.0, 6.0)))
+    return x, y, radius, radio
+
+
+def _cell_steps(x, y, src, dst, radius):
+    """The (x, y) cell steps of the edges on a grid of radius-wide cells,
+    the cell side neighbor_edges takes while max(ptp) / isqrt(n) is
+    smaller."""
+    side = radius * eepca._CELL_SLACK
+    cx, cy = np.floor((x - x.min()) / side), np.floor((y - y.min()) / side)
+    return set(zip((cx[dst] - cx[src]).tolist(), (cy[dst] - cy[src]).tolist()))
+
+
 class TestNeighborEdges:
-    @given(_layouts())
+    @given(_layouts() | _sparse_layouts() | _crowded_layouts())
     @example((np.array([3.0]), np.array([4.0]), 12.0, RADIO))  # one node, no edges
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_edges_equal_dense_oracle(self, layout):
         x, y, radius, radio = layout
         bcast = tx_energy(2500, radius, radio)
@@ -343,6 +382,33 @@ class TestNeighborEdges:
         assert np.array_equal(src, o_src)
         assert np.array_equal(dst, o_dst)
         assert np.array_equal(d_est, est[neigh])  # bit for bit
+
+    def test_crowded_layout_meets_every_stencil_offset(self):
+        # 200 nodes on a 5-radius field: isqrt(200) = 14 cells would be
+        # narrower than the radius, so cells are radius-wide, hold about 8
+        # nodes each, and edges run to all 8 surrounding cells
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(0.0, 60.0, (2, 200))
+        bcast = tx_energy(2500, 12.0, RADIO)
+        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, bcast)
+        est, neigh = _dense_neighbors(x, y, 12.0, RADIO, bcast)
+        assert np.array_equal(np.stack((src, dst)), np.stack(np.nonzero(neigh)))
+        assert np.array_equal(d_est, est[neigh])
+        steps = {(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)}
+        assert _cell_steps(x, y, src, dst, 12.0) == steps
+
+    def test_far_apart_nodes_allocate_a_few_cells(self):
+        # radius-wide cells would be 2e9 to a side; cells max(ptp) / isqrt(n)
+        # wide make a table of 3 columns of 4 cells
+        x, y = np.array([0.0, 1e9]), np.array([0.0, 1e9])
+        tracemalloc.start()
+        try:
+            src, dst, _ = eepca.neighbor_edges(x, y, 0.5, RADIO, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert src.size == dst.size == 0
+        assert peak < 1 << 14
 
     def test_co_located_and_boundary_pairs(self):
         # 0 and 1 share a spot; 2 is exactly one radius away, 3 two radii

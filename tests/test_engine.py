@@ -580,3 +580,42 @@ def test_live_neighbors_follow_deaths():
             break
         sim.play_round(r)
     assert 1 < sum(refreshed) < len(refreshed)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.LEACH, PolicyKind.SEP])
+def test_heard_counts_follow_deaths(policy):
+    # every alive node broadcasts in a LEACH or SEP round, so the reception
+    # counts are the live-neighbour counts, reused while no node dies
+    cfg = dataclasses.replace(ScenarioConfig(), n_nodes=30, e_min=0.01, e_max=0.05,
+                              homogeneous_energy=0.03)
+    sim = _Sim(cfg, policy, detail=False)
+    setup, debit = sim._setup_broadcasts, sim._debit_messages
+    calls, refreshed = [], []
+
+    def recorded(idx, *args):
+        out = debit(idx, *args)
+        calls.append((idx.copy(), args[-1], np.asarray(out).copy()))
+        return out
+
+    def checked(r):
+        calls.clear()
+        if r == 3:
+            # a node left with exactly one broadcast's energy sends it and
+            # dies: it is heard, but no longer a live neighbour
+            sim.e[sim.src[sim.alive[sim.src]][0]] = sim.bcast_cost
+        before = sim.live_count
+        out = setup(r)
+        refreshed.append(sim.live_count != before)
+        (sent_idx, _, sent), (hearers, heard, _) = calls
+        senders = np.zeros(sim.n, dtype=bool)
+        senders[sent_idx] = sent > 0
+        want = np.bincount(sim.src[senders[sim.dst]], minlength=sim.n)[hearers]
+        assert np.array_equal(heard, want)
+        return out
+
+    sim._debit_messages, sim._setup_broadcasts = recorded, checked
+    for r in range(60):
+        if not sim.alive.any():
+            break
+        sim.play_round(r)
+    assert 1 < sum(refreshed) < len(refreshed)

@@ -58,6 +58,10 @@ class TestValidation:
         ({"bs_pos": (150.0, 50.0), "radio": RadioParams(eps_mp=1e300, d0=150.0)},
          "eps_mp"),
         ({"radio": RadioParams(eps_fs=1e300, eps_mp=1e-300)}, "eps_mp"),
+        # a field so large that the radius overflows with the default ratio
+        # names the field, and an extreme ratio on it still names the ratio
+        ({"m_field": 1e60}, "m_field"),
+        ({"m_field": 1e60, "radio": RadioParams(eps_fs=1e300, eps_mp=1e-300)}, "eps_mp"),
     ])
     def test_invalid_field_raises_with_field_name(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
