@@ -21,13 +21,17 @@ ones an untimed run gives.  _Sim set-up is not counted.
 
 Each cell is run --repeats times and its row holds the median of each
 column.  --against PATH also loads the simulator of the checkout at PATH,
-under another package name, and runs each cell on both trees in turn, the
-order flipping every repeat; each cell then gets a row for PATH's tree
-(marked "against") above the row for this one.  Host speed that drifts
-between processes or minutes then hits both rows alike.
+under another package name, and steps a run of each tree in one loop, round
+by round, alternating which tree plays a round first; each cell then gets a
+row for PATH's tree (marked "against") above the row for this one.  Host
+speed that drifts between processes, minutes or even runs then hits both
+rows alike.  --sizes picks the field sizes to run (the rows run to
+exhaustion are n = 100 rows), so a one-size comparison such as
+--sizes 1600 takes seconds.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
@@ -72,37 +76,53 @@ def _timed(fn, totals, key):
     return wrapper
 
 
-def time_cell(pkg, config, policy, rounds):
-    """Seconds per phase over up to `rounds` rounds of the package pkg, plus
-    round count, heads, minor faults and kernel seconds."""
+@contextlib.contextmanager
+def timed_phases(pkg, totals):
+    """Wrap the phase methods of pkg's engine._Sim and its
+    eepca.nearest_heads in timers adding into totals, for the duration."""
     sim_cls = importlib.import_module(pkg.__name__ + ".engine")._Sim
     eepca = importlib.import_module(pkg.__name__ + ".eepca")
-    totals = defaultdict(float)
     saved = {name: getattr(sim_cls, name) for name in PHASES}
     saved_nearest = eepca.nearest_heads
     for name in PHASES:
         setattr(sim_cls, name, _timed(saved[name], totals, name))
     eepca.nearest_heads = _timed(saved_nearest, totals, "nearest_heads")
     try:
-        sim = sim_cls(config, pkg.PolicyKind.parse(policy), detail=False)
-        heads = played = 0
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        for r in range(rounds):
-            if not sim.alive.any():
-                break
-            t0 = time.perf_counter()
-            rec = sim.play_round(r)
-            totals["round"] += time.perf_counter() - t0
-            heads += len(rec.head_ids)
-            played += 1
-        after = resource.getrusage(resource.RUSAGE_SELF)
+        yield sim_cls
     finally:
         for name, fn in saved.items():
             setattr(sim_cls, name, fn)
         eepca.nearest_heads = saved_nearest
-    faults = after.ru_minflt - before.ru_minflt
-    kernel = after.ru_stime - before.ru_stime
-    return totals, played, heads, faults, kernel
+
+
+def time_cell(pkgs, configs, policy, rounds, first=0):
+    """Up to `rounds` rounds of one run per package, stepped together: round
+    r of every run before round r + 1 of any, the package that plays first
+    turning each round, starting at index `first`.  Returns per package the
+    seconds per phase, round count, heads, minor faults and kernel seconds."""
+    cells = [(defaultdict(float), [0, 0, 0, 0.0]) for _ in pkgs]
+    with contextlib.ExitStack() as stack:
+        sims = [stack.enter_context(timed_phases(pkg, totals))(
+                    config, pkg.PolicyKind.parse(policy), detail=False)
+                for pkg, config, (totals, _) in zip(pkgs, configs, cells)]
+        for r in range(rounds):
+            start = (first + r) % len(pkgs)
+            for i in [*range(start, len(pkgs)), *range(start)]:
+                sim, (totals, counts) = sims[i], cells[i]
+                if not sim.alive.any():
+                    continue
+                before = resource.getrusage(resource.RUSAGE_SELF)
+                t0 = time.perf_counter()
+                rec = sim.play_round(r)
+                totals["round"] += time.perf_counter() - t0
+                after = resource.getrusage(resource.RUSAGE_SELF)
+                counts[0] += 1
+                counts[1] += len(rec.head_ids)
+                counts[2] += after.ru_minflt - before.ru_minflt
+                counts[3] += after.ru_stime - before.ru_stime
+            if not any(sim.alive.any() for sim in sims):
+                break
+    return [(totals, *counts) for totals, counts in cells]
 
 
 def _row(label, policy, cells):
@@ -115,16 +135,17 @@ def _row(label, policy, cells):
           + f" | {faults:.1f} | {kernel:,.0f} |")
 
 
-def _configs(pkg):
+def _configs(pkg, sizes):
     """(row label, config, policy, rounds) of every cell, in table order."""
     rda50 = pkg.load_scenario(ROOT / "scenarios" / "rda50.json")
-    for n in SIZES:
+    for n in sizes:
         side = 100.0 * math.sqrt(n / 100.0)
         config = dataclasses.replace(rda50, n_nodes=n, m_field=side)
         for policy in ("leach", "eepca"):
             yield f"{n} ({side:.0f} m)", config, policy, ROUNDS
-    for policy in ("leach", "sep", "eepca"):
-        yield "100 (100 m), to exhaustion", rda50, policy, EXHAUSTION
+    if 100 in sizes:
+        for policy in ("leach", "sep", "eepca"):
+            yield "100 (100 m), to exhaustion", rda50, policy, EXHAUSTION
 
 
 def main() -> None:
@@ -133,24 +154,28 @@ def main() -> None:
                     help="checkout whose simulator is timed alongside this one")
     ap.add_argument("--repeats", type=int, default=1,
                     help="runs of each cell per tree; rows hold the medians")
+    ap.add_argument("--sizes", type=int, nargs="+", default=SIZES, metavar="N",
+                    help=f"field sizes to run, of {', '.join(map(str, SIZES))}")
     args = ap.parse_args()
+    if not set(args.sizes) <= set(SIZES):
+        ap.error(f"--sizes takes values of {SIZES}")
     trees = [("", wsncluster)]
     if args.against is not None:
         trees.insert(0, (" (against)", load_tree(args.against.resolve(),
                                                  "wsncluster_against")))
-    for _, pkg in trees:  # warm-up, so the first row pays no first-call costs
-        time_cell(pkg, pkg.load_scenario(ROOT / "scenarios" / "rda50.json"), "eepca", 2)
+    pkgs = [pkg for _, pkg in trees]
+    # warm-up, so the first row pays no first-call costs
+    time_cell(pkgs, [pkg.load_scenario(ROOT / "scenarios" / "rda50.json") for pkg in pkgs],
+              "eepca", 2)
     print("| n (field) | policy | heads/round | round | setup bcasts | election "
           "| clusters | nearest heads | steady | minor faults | kernel µs |")
     print("|---|---|---|---|---|---|---|---|---|---|---|")
-    for cells in zip(*(_configs(pkg) for _, pkg in trees)):
-        runs = [[] for _ in trees]
-        for k in range(args.repeats):
-            sides = range(len(trees)) if k % 2 == 0 else reversed(range(len(trees)))
-            for i in sides:
-                _, config, policy, rounds = cells[i]
-                runs[i].append(time_cell(trees[i][1], config, policy, rounds))
-        for (mark, _), (label, _, policy, _), cell_runs in zip(trees, cells, runs):
+    for cells in zip(*(_configs(pkg, args.sizes) for pkg in pkgs)):
+        configs = [config for _, config, _, _ in cells]
+        label, _, policy, rounds = cells[-1]
+        runs = [time_cell(pkgs, configs, policy, rounds, first=k % len(pkgs))
+                for k in range(args.repeats)]
+        for (mark, _), cell_runs in zip(trees, zip(*runs)):
             _row(label, policy + mark, cell_runs)
 
 

@@ -18,11 +18,15 @@ by estimated_distance_matrix, the one ranging formula.  A cluster member
 joins the head it ranges nearest; nearest_heads picks that head by squared
 distance and ranges only the pair it picked, which gives the same head and
 the same distance bits as ranging every head.  It screens squared
-distances with one matrix product per block of members: heads
+distances with one float32 matrix product per block of members: heads
 [1, -2x, -2y, |h|^2] times members [|m|^2, x, y, 1] gives
-|h|^2 - 2 h.m + |m|^2, within 32 eps (max |h|^2 + |m|^2) of the exact
-value whatever the product's summation order, and a member settles only when
-that bound leaves a single head near.
+|h|^2 - 2 h.m + |m|^2, within 32 float32 eps (max |h|^2 + |m|^2) of the
+exact value whatever the product's summation order (the derivation, with
+the rounding of the coordinates to float32 and of the cut, is at
+_SCREEN_ERR), and a member settles only when that bound leaves a single
+head near.  Only the screen is float32: the coordinates a settled member is
+ranged from stay float64.  Ranging every pair of a small grid instead made
+n=100 runs slower, so the screen runs at every size.
 
 Per-node arrays are indexed by node id.  Neighborhoods are directed edge
 lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
@@ -41,6 +45,7 @@ its edges.  The estimate is symmetric: x[i] - x[j] is exactly
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,22 +55,34 @@ from .radio import tx_energy_per_bit
 
 # --- energy factor -----------------------------------------------------------
 
-def live_neighbors(src: np.ndarray, dst: np.ndarray,
-                   live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(live[dst], live neighbor count per node) over the edges src, dst.
+class LiveNeighbors(NamedTuple):
+    """What the edges src, dst give over a live mask (live_neighbors)."""
+    w: np.ndarray         # live[dst], each edge's live weight
+    counts: np.ndarray    # live neighbours per node
+    has: np.ndarray       # counts > 0
+    denom: np.ndarray     # np.maximum(counts, 1)
+    all_live: bool        # every edge's dst is live: w is all ones
 
-    live is as in energy_factors_all; a bool mask reads as 1 and 0.  Both
-    change only when a node dies, so the engine keeps them until one does:
-    the election's factors read them, and the counts are what each node
-    hears in a setup round where every alive node broadcasts.
+
+def live_neighbors(src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> LiveNeighbors:
+    """live[dst] and the live neighbor count per node over the edges src, dst,
+    with the count's positive mask and floor of 1.
+
+    live is as in energy_factors_all; a bool mask reads as 1 and 0.  All of
+    it changes only when a node dies, so the engine keeps it until one does:
+    the election's factors read it, and the counts are what each node hears
+    in a setup round where every alive node broadcasts.  While every edge's
+    neighbour is live, the factors skip multiplying by w.
     """
     w = live[dst]
-    return w, np.bincount(src, weights=w, minlength=live.size)
+    counts = np.bincount(src, weights=w, minlength=live.size)
+    return LiveNeighbors(w, counts, counts > 0, np.maximum(counts, 1),
+                         np.count_nonzero(w) == w.size)
 
 
 def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
                        dst: np.ndarray, live: np.ndarray,
-                       neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                       neighbors: LiveNeighbors | None = None) -> np.ndarray:
     """Node energy over the mean believed energy of its live neighbors.
 
     Edge k makes dst[k] a neighbor of src[k]; live[j] is 1 for a neighbor
@@ -75,10 +92,11 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
     still have a mean that rounds to 0.  neighbors is live_neighbors(src,
     dst, live), for a caller that has it already.
     """
-    w, counts = live_neighbors(src, dst, live) if neighbors is None else neighbors
-    sums = np.bincount(src, weights=w * belief[dst], minlength=e.size)
-    ok = (counts > 0) & (sums / np.maximum(counts, 1) > 0)
-    return np.divide(e * counts, sums, out=np.ones(e.shape), where=ok)
+    nb = live_neighbors(src, dst, live) if neighbors is None else neighbors
+    b = belief[dst]
+    sums = np.bincount(src, weights=b if nb.all_live else nb.w * b, minlength=e.size)
+    ok = nb.has & (sums / nb.denom > 0)
+    return np.divide(e * nb.counts, sums, out=np.ones(e.shape), where=ok)
 
 
 # --- communication-cost factor ----------------------------------------------
@@ -86,7 +104,7 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
 def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
                            src: np.ndarray, dst: np.ndarray, live: np.ndarray,
                            ideal_fallback: float,
-                           neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                           neighbors: LiveNeighbors | None = None) -> np.ndarray:
     """Per node, the mean energy of one transmission from each live neighbor
     to it.
 
@@ -96,11 +114,12 @@ def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
     in energy_factors_all.  A node with no live neighbors gets
     ideal_fallback, so its cost factor degenerates to 1.
     """
-    w, counts = live_neighbors(src, dst, live) if neighbors is None else neighbors
-    sums = np.bincount(src, weights=cost_per_bit * l_sched[dst] * w,
+    nb = live_neighbors(src, dst, live) if neighbors is None else neighbors
+    cost = cost_per_bit * l_sched[dst]
+    sums = np.bincount(src, weights=cost if nb.all_live else cost * nb.w,
                        minlength=l_sched.size)
     out = np.full(l_sched.shape, ideal_fallback, dtype=float)
-    return np.divide(sums, counts, out=out, where=counts > 0)
+    return np.divide(sums, nb.counts, out=out, where=nb.has)
 
 
 def cost_factors_all(e_ideal: float, e_round: np.ndarray, cap: float) -> np.ndarray:
@@ -129,7 +148,8 @@ def rotation_epochs(p: np.ndarray) -> np.ndarray:
 
 
 def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray | None,
-                         in_g: np.ndarray, epoch: np.ndarray | None = None) -> np.ndarray:
+                         in_g: np.ndarray, epoch: np.ndarray | None = None,
+                         phase: np.ndarray | None = None) -> np.ndarray:
     """Election threshold of every node in round r.
 
     The classic rotation threshold p/(1 - p*(r mod epoch)), or 1 where the
@@ -140,12 +160,12 @@ def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray |
     epoch and passes it after more.  With w == 1 this is the classic
     threshold, and w=None stands for unit weights: the bracket is then 1.0
     exactly and is skipped.  Clamped into [0, 1], and 0 for nodes outside the
-    eligible set in_g.  epoch is rotation_epochs(p), for a caller that has it
-    already.
+    eligible set in_g.  epoch is rotation_epochs(p) and phase is r % epoch,
+    for a caller that has them already.
     """
     if epoch is None:
         epoch = rotation_epochs(p)
-    denom = 1.0 - p * (r % epoch)
+    denom = 1.0 - p * (r % epoch if phase is None else phase)
     t = np.divide(p, denom, out=np.ones(p.shape), where=denom > 0)
     if w is not None:
         t *= w + (r_s // epoch) * np.maximum(1.0 - w, 0.0)
@@ -192,46 +212,69 @@ def estimated_distance_matrix(dx: np.ndarray, dy: np.ndarray,
 
 
 # Members are matched to heads in blocks of about this many member-head pairs:
-# 8,192 pairs make each float temporary 64 KB, which stays in cache and stops
-# the per-round page-fault churn that larger blocks cause.  A round at n=100
-# (about 85 members x 15 heads) is still one block.
-_PAIRS_PER_BLOCK = 1 << 13
+# 16,384 float32 pairs make each temporary 64 KB, which stays in cache and
+# stops the per-round page-fault churn that larger blocks cause.  A round at
+# n=100 (about 85 members x 15 heads) is still one block.
+_PAIRS_PER_BLOCK = 1 << 14
 # Squared distances within this relative gap of a row's minimum count as a
 # near-tie: rounding in the ranging chain could swap their order.
 _TIE_GAP = 1e-9
-# The screen's |h|^2 - 2 h.m + |m|^2 is within _SCREEN_ERR * (|h|^2 + |m|^2) of
-# the exact squared distance: about 10 u = 5 eps of rounding in the worst
-# summation order, with or without fused multiply-adds, so 32 eps leaves a
-# wide margin whatever BLAS computes the product.
-_SCREEN_ERR = 32 * np.finfo(float).eps
-# Squared norms above this are taken as inf, so a finite screen bound keeps
-# every partial sum of the product below overflow.
-_SCREEN_MAX = 2.0 ** 1020
+# The screen runs in float32, whose unit roundoff is u = 2**-24.  For a pair
+# with exact squared norms Qh and Qm of its float64 coordinates, the screened
+# |h|^2 - 2 h.m + |m|^2 differs from the exact squared distance by at most
+#   (u + 2**-51) (Qh + Qm)  from |h|^2 and |m|^2, formed in float64 and
+#                           rounded to float32;
+#   (2u + u^2) (Qh + Qm)    from rounding x, y, -2x and -2y to float32, since
+#                           the cross terms 2|xh xm| + 2|yh ym| are at most
+#                           Qh + Qm;
+#   8.0001u (Qh + Qm)       from the 4-term product in any summation order,
+#                           with or without fused multiply-adds: at most
+#                           4u / (1 - 4u) times the sum of the terms' moduli,
+#                           itself at most 2.0001 (Qh + Qm);
+# about E = 11u (Qh + Qm) in all, where nothing underflows.  A member's cut is
+# (min + e) + e in float32, at most 4.001u (max Q + Qm) below its exact value,
+# and must clear (min + E) (1 + _TIE_GAP) + E, where min + E <= 2.001 (max Q +
+# Qm): e = (13.01u + 1.001 _TIE_GAP) (max Q + Qm) does it.  _SCREEN_ERR = 32
+# float32 eps = 64u leaves about 5x that whatever BLAS computes the product,
+# and _SCREEN_TINY, added to every bound, covers the few minimum float32
+# normals (2**-126) that underflow may cost.
+_SCREEN_ERR = 32 * float(np.finfo(np.float32).eps)
+_SCREEN_TINY = 2.0 ** -100
+# Squared norms above this are taken as inf: a finite screen then keeps every
+# coordinate, product, partial sum and cut, at most 4.01 max Q, below the
+# float32 overflow at 2**128.
+_SCREEN_MAX = 2.0 ** 125
 # Binary orders of magnitude kept clear of each end of the normal range.
 _RANGE_MARGIN = 64
 
 
 def screen_operand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-node operand of nearest_heads' screen, 9 x n, with the rows
+    """Per-node float32 operand of nearest_heads' screen, 9 x n, with the rows
 
-        0 err   _SCREEN_ERR * (|p|^2 + max |p|^2), max over every node
+        0 err   _SCREEN_ERR * (|p|^2 + max |p|^2) + _SCREEN_TINY, max over
+                every node
         1-4     [|p|^2, x, y, 1], the node's column as a member
         4-7     [1, -2x, -2y, |p|^2], the node's row as a head
         8       0, 1, ..., n - 1
 
-    where |p|^2 = x*x + y*y, read as inf above _SCREEN_MAX.  Rows 4 and 8 of
-    the first h columns are the tally [1; head index] of h heads.  The
-    member and head rows share the row of ones, so each is one contiguous
-    block that a single take gathers.  A caller running many rounds over the
-    same nodes builds this once and hands nearest_heads its screen_operands.
+    where |p|^2 = x*x + y*y is formed from the float64 coordinates and read
+    as inf above _SCREEN_MAX, with x and y then read as 0: such a node makes
+    every bound inf, and every screened value it enters inf.  Rows 4 and 8 of
+    the first h columns are the tally [1; head index] of h heads, exact for h
+    up to 2**24.  The member and head rows share the row of ones, so each is
+    one contiguous block that a single take gathers.  A caller running many
+    rounds over the same nodes builds this once and hands nearest_heads its
+    screen_operands.
     """
-    op = np.empty((9, x.size))
-    q = np.add(x * x, y * y, out=op[1])
-    q[q > _SCREEN_MAX] = np.inf
-    np.multiply(np.add(q, np.maximum.reduce(q)), _SCREEN_ERR, out=op[0])
-    op[2], op[3], op[4], op[7] = x, y, 1.0, q
-    np.multiply(x, -2.0, out=op[5])
-    np.multiply(y, -2.0, out=op[6])
+    op = np.empty((9, x.size), dtype=np.float32)
+    q = x * x + y * y
+    far = q > _SCREEN_MAX
+    if np.count_nonzero(far):
+        q[far] = np.inf
+        x, y = np.where(far, 0.0, x), np.where(far, 0.0, y)
+    op[0] = (q + np.maximum.reduce(q)) * _SCREEN_ERR + _SCREEN_TINY
+    op[1], op[2], op[3], op[4], op[7] = q, x, y, 1.0, q
+    op[5], op[6] = x * -2.0, y * -2.0
     op[8] = np.arange(x.size)
     return op
 
@@ -278,16 +321,17 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
     Equal, bit for bit, to argmin over estimated_distance_matrix of every
     member-head pair (lowest head index on ties) and that argmin's distance.
 
-    Each block of members is screened with one matrix product, heads
-    [1, -2x, -2y, |h|^2] times members [|m|^2, x, y, 1], which gives every
-    squared distance within err = _SCREEN_ERR * (max |h|^2 + |m|^2) of its
-    exact value; the max runs over every node of the screen_operand, a
-    superset of the heads.  A head is near when its screened value is at
-    most (min + err) * (1 + _TIE_GAP) + err, the row's smallest value with
-    the bound on both sides; a second product of [1; head index] with the
-    near mask counts each member's near heads and gives the index of a lone
-    one.  A member settles when exactly one head is near and that pair's
-    exact dx*dx + dy*dy lies in window, the ranging_window of radio and
+    Each block of members is screened with one float32 matrix product,
+    heads [1, -2x, -2y, |h|^2] times members [|m|^2, x, y, 1], which gives
+    every squared distance within err = _SCREEN_ERR * (max |h|^2 + |m|^2) +
+    _SCREEN_TINY of its exact value (the derivation is at _SCREEN_ERR); the
+    max runs over every node of the screen_operand, a superset of the heads.
+    A head is near when its screened value is at most (min + err) + err, the
+    row's smallest value with the bound on both sides and room for
+    _TIE_GAP; a second product of [1; head index] with the near mask counts
+    each member's near heads and gives the index of a lone one.  A member
+    settles when exactly one head is near and that pair's exact float64
+    dx*dx + dy*dy lies in window, the ranging_window of radio and
     broadcast_energy: every other head is then more than _TIE_GAP farther,
     exactly, and the ranging chain's rounding is far below that gap.  Any
     other member (near-ties, co-located heads, estimates that saturate to 0
@@ -295,21 +339,23 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
     argmin.  Only the pair chosen is ranged for a settled member.
 
     operands is screen_operands(screen_operand(x, y), members, heads) for
-    the nodes whose coordinates xm, ym, xh, yh are; it is built here when
-    None.
+    the nodes whose float64 coordinates xm, ym, xh, yh are; it is built here
+    when None.
     """
     if operands is None:
         op = screen_operand(np.concatenate((xm, xh)), np.concatenate((ym, yh)))
         operands = screen_operands(op, np.arange(xm.size), np.arange(xm.size, op.shape[1]))
     err, m_op, h_op, tally = operands
-    found = np.empty((2, xm.size))  # near heads and their index sum, per member
+    # near heads and their index sum, per member
+    found = np.empty((2, xm.size), dtype=np.float32)
     step = max(1, _PAIRS_PER_BLOCK // xh.size)
     for start in range(0, xm.size, step):
         blk = slice(start, start + step)
         # heads x members, so the reductions run over contiguous rows
         sq = h_op @ m_op[:, blk]
         e = err[blk]
-        cut = (np.minimum.reduce(sq, axis=0) + e) * (1.0 + _TIE_GAP) + e
+        cut = np.minimum.reduce(sq, axis=0) + e
+        cut += e
         found[:, blk] = tally @ np.less_equal(sq, cut, out=sq)
     n_near, choice = found
     choice = choice.astype(np.int64)  # the lone near head where n_near == 1

@@ -19,30 +19,41 @@ a broadcast; for non-malfunctioning nodes it tracks ground truth exactly.
 
 Neighborhoods are held as edge arrays (src, dst) with the per-bit cost over
 each edge, built once per run; nothing in a run is n x n.  What the edges
-give over the alive nodes (eepca.live_neighbors: each edge's live weight
-and each node's live-neighbour count) is kept until a node dies.  The
-election's factors read it, and in a round where every alive node
-broadcasts and none dies sending (every LEACH and SEP round; EEPCA's round
-0, and its rounds with suppression off or no alive RDA node) the counts are
-the setup-broadcast reception counts; any other round counts its senders'
-edges.
+give over the alive nodes (eepca.live_neighbors: each edge's live weight,
+each node's live-neighbour count and its positive mask and floor of 1, and
+whether every neighbour is alive) is kept until a node dies.  The election's
+factors read it, and skip the live weights while every node lives; in a
+round where every alive node broadcasts and none dies sending (every LEACH
+and SEP round; EEPCA's round 0, and its rounds with suppression off or no
+alive RDA node) the counts are the setup-broadcast reception counts; any
+other round counts its senders' edges.  A message debit of every node works
+on views of the energy and belief arrays, and a debit that every node
+affords tells its caller (_Sim.rich) to skip re-masking the nodes it sent
+for.
 
 In cluster formation each member picks this round's nearest head by squared
 distance and ranges only that head, unless a near-tie or a distance at the
 edge of the float range needs every head ranged (eepca.nearest_heads); the
 choice is the one ranging every head would give.  The squared distances
-come from one matrix product per block of members, whose per-node operand
-(eepca.screen_operand) is built once per run and holds the node coordinates
-themselves.  Each member's per-bit cost to its chosen head is kept in one
-per-node vector, which the join and both steady paths read.
+come from one float32 matrix product per block of members, whose per-node
+operand (eepca.screen_operand) is built once per run beside the float64
+coordinates the choice is ranged from.  Each member's per-bit cost to its
+chosen head is kept in one per-node vector, which the join and both steady
+paths read.
 
 The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
 round spend, and a per-frame granular path that handles mid-round deaths.
 The whole-round path sums reception, aggregation and uplink over the alive
-heads only, so its temporaries are frames x heads, not frames x n.  A
-one-value non-RDA length range gives one row of lengths, broadcast over the
-frames.
+heads only; one bincount sums every node's bits into (frame, head)
+columns, a non-member's into a dump column.  A non-RDA node that sends in every frame (send probability
+1) holds frames messages in msg_count, and a one-value non-RDA length range
+is held in msg_len, so a round forms its frame counts and lengths with no
+per-round fill; the send draws that probability 1 makes moot are skipped by
+advancing the bit generator (skip_doubles), which leaves the stream where
+drawing them would.  A per-run table of LEACH/SEP thresholds by round was
+tried and not kept: at n=1600 it cost more set-up time and heap than the
+election time it saved.
 """
 
 from __future__ import annotations
@@ -134,10 +145,20 @@ class _Sim:
         self.in_g = np.ones(n, dtype=bool)
         self.msg_count = np.zeros(n, dtype=np.int64)
         self.msg_len = np.zeros(n, dtype=np.int64)
+        # a non-RDA node that sends every frame holds frames messages a round,
+        # and one with a one-value length range holds that length: the round
+        # draws nothing for them but the stream positions (_steady)
+        frames = config.frames_per_round
+        lo_n, hi_n = config.nonrda_len_range_bits
+        self.sends_every_frame = config.nonrda_tx_prob_per_frame == 1.0
+        self.fixed_len = lo_n == hi_n
+        if self.sends_every_frame:
+            self.msg_count[~self.is_rda] = frames
+        if self.fixed_len:
+            self.msg_len[~self.is_rda] = lo_n
         # message counts of one-message debits, viewed read-only
         self.ones = np.ones(n, dtype=np.int64)
         self.ones.flags.writeable = False
-        frames = config.frames_per_round
         self.frame_col = np.arange(frames)[:, None]
 
         self.rng = np.random.default_rng([config.rng_seed, 1])
@@ -164,10 +185,9 @@ class _Sim:
         bx, by = config.bs_xy
         self.d_bs = np.hypot(self.x - bx, self.y - by)
         self.bs_cost = tx_energy(config.fused_len_bits, self.d_bs, radio)
-        # operand of the head-selection screen, built after the set-up peak;
-        # its rows 2 and 3 replace x and y
+        # float32 operand of the head-selection screen, built after the
+        # set-up peak
         self.screen = eepca.screen_operand(self.x, self.y)
-        self.x, self.y = self.screen[2], self.screen[3]
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
 
@@ -188,6 +208,9 @@ class _Sim:
         self.track_belief = policy is PolicyKind.EEPCA
 
         self.debits = 0.0
+        # whether the last _debit_messages delivered every message asked for
+        # and killed no node, so its caller need not re-mask
+        self.rich = True
 
     # --- energy accounting helpers ---------------------------------------
 
@@ -207,10 +230,15 @@ class _Sim:
         e > counts * per_msg * (1 + 1e-12) affords every message and skips
         the division; only nodes near running short pay for floor_divide.
         When every node is rich, e - cost stays positive, so no node dies,
-        and the counts themselves are returned as the delivered messages.
+        the counts themselves are returned as the delivered messages and
+        self.rich is set.  A debit of every node (idx.size == n, so idx is
+        0 .. n - 1) works on views of e and belief, not gathered copies.
         """
+        if idx.size == self.n:
+            idx = slice(None)
         e = self.e[idx]
         scalar = not isinstance(per_msg, np.ndarray)
+        self.rich = True
         if scalar and per_msg == 0.0:
             return np.broadcast_to(np.asarray(counts), e.shape).copy()
         if not isinstance(counts, np.ndarray):
@@ -218,12 +246,16 @@ class _Sim:
         cost = counts * per_msg
         rich = e > cost * (1.0 + 1e-12)
         if np.count_nonzero(rich) == rich.size:
-            self.e[idx] = e - cost
+            e -= cost
+            self.e[idx] = e
             self.debits += float(np.add.reduce(cost))
             if self.track_belief:
                 spent = cost if per_msg_belief is per_msg else counts * per_msg_belief
-                self.belief[idx] = np.maximum(self.belief[idx] - spent, 0.0)
+                b = self.belief[idx]
+                b -= spent
+                self.belief[idx] = np.maximum(b, 0.0, out=b)
             return counts
+        self.rich = False
         delivered = counts.astype(float)
         short = (~rich).nonzero()[0]
         unit = per_msg if scalar else per_msg[short]
@@ -259,7 +291,7 @@ class _Sim:
         self.alive[idx] = self.e[idx] > 0.0
         return ok
 
-    def _live_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+    def _live_neighbors(self) -> eepca.LiveNeighbors:
         """eepca.live_neighbors over the alive nodes, taken again only when
         a node has died since the last call."""
         n_alive = np.count_nonzero(self.alive)
@@ -284,19 +316,24 @@ class _Sim:
                 senders ^= suppressed
         idx = senders.nonzero()[0]
         sent = self._debit_messages(idx, self.bcast_cost, self.bcast_cost, 1)
-        senders[idx] = sent > 0
+        no_death = self.rich
+        if not no_death:
+            senders[idx] = sent > 0
         # receptions: each alive node hears each successful neighbor broadcast
         hearers = self.alive.nonzero()[0]
         if suppressed is self.nobody and hearers.size == idx.size:
             # every alive node sent and none died (a failed send kills), so
             # the senders are the alive nodes: heard counts are live ones
-            heard = self._live_neighbors()[1][hearers]
+            heard = self._live_neighbors().counts
         else:
-            heard = np.bincount(self.src[senders[self.dst]], minlength=self.n)[hearers]
+            heard = np.bincount(self.src[senders[self.dst]], minlength=self.n)
+        if hearers.size < self.n:
+            heard = heard[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
         if self.track_belief:
-            np.copyto(self.belief, self.e, where=senders & self.alive)
+            np.copyto(self.belief, self.e,
+                      where=senders if no_death and self.rich else senders & self.alive)
         return suppressed
 
     def _election(self, r: int) -> np.ndarray:
@@ -306,7 +343,8 @@ class _Sim:
             neighbors = self._live_neighbors()
             w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst,
                                            alive, neighbors)
-            l_sched = np.where(self.is_rda, self.msg_len, self.nonrda_mean_len)
+            l_sched = (self.msg_len if self.fixed_len else
+                       np.where(self.is_rda, self.msg_len, self.nonrda_mean_len))
             e_round = eepca.avg_round_energies_all(l_sched, self.cost_nb, self.src,
                                                    self.dst, alive, self.e_ideal,
                                                    neighbors)
@@ -317,8 +355,9 @@ class _Sim:
         else:  # LEACH, SEP, or EEPCA with factors forced to 1
             p, w, epoch = self.static_p, None, self.static_epoch
 
-        self.in_g |= (r % epoch) == 0
-        t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g, epoch)
+        phase = r % epoch
+        self.in_g |= phase == 0
+        t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g, epoch, phase)
         u = self.rng.random(self.n)
         elected = alive & (u < t)
         if not np.count_nonzero(elected) and np.count_nonzero(alive):
@@ -343,36 +382,40 @@ class _Sim:
         h_idx = heads.nonzero()[0]
         sent = self._debit_messages(h_idx, self.ad_cost, self.ad_cost, 1)
         ok_heads = heads.copy()
-        ok_heads[h_idx] = sent > 0
+        no_death = self.rich
+        if not no_death:
+            ok_heads[h_idx] = sent > 0
         n_ads = np.count_nonzero(ok_heads)
         # every alive node hears every successful advertisement but its own
         if n_ads:
             hearers = self.alive.nonzero()[0]
-            counts = n_ads - ok_heads[hearers]
+            counts = n_ads - (ok_heads if hearers.size == self.n else ok_heads[hearers])
             self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, counts)
-        ok_heads &= self.alive
+            no_death &= self.rich
+        if not no_death:
+            ok_heads &= self.alive
         ok_heads_idx = ok_heads.nonzero()[0]
         if ok_heads_idx.size == 0:
             return assignment, ok_heads
         members = (self.alive ^ ok_heads).nonzero()[0]
         if members.size:
             ops = eepca.screen_operands(self.screen, members, ok_heads_idx)
-            m_op = ops[1]  # its rows 1 and 2 are the members' x and y
             choice, d_head = eepca.nearest_heads(
-                m_op[1], m_op[2], self.x[ok_heads_idx], self.y[ok_heads_idx],
+                self.x[members], self.y[members], self.x[ok_heads_idx], self.y[ok_heads_idx],
                 cfg.radio, self.bcast_cost, self.ranging_window, ops)
             cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
             self.cpb_head[members] = cpb
             join_cost = cfg.broadcast_bits * cpb
             joined = self._debit_messages(members, join_cost, join_cost, 1)
-            if np.count_nonzero(joined) < members.size:
+            if not self.rich and np.count_nonzero(joined) < members.size:
                 members, choice = members[joined > 0], choice[joined > 0]
             assignment[members] = ok_heads_idx[choice]
             if members.size:
                 # choice indexes ok_heads_idx, so this counts joins per head
                 n_join = np.bincount(choice, minlength=ok_heads_idx.size)
                 self._debit_messages(ok_heads_idx, self.rx_bcast, self.rx_bcast, n_join)
-                if np.count_nonzero(self.alive[ok_heads_idx]) < ok_heads_idx.size:
+                if (not self.rich and
+                        np.count_nonzero(self.alive[ok_heads_idx]) < ok_heads_idx.size):
                     ok_heads &= self.alive
                     dead = ~self.alive[assignment[members]]
                     assignment[members[dead]] = -1
@@ -386,20 +429,24 @@ class _Sim:
         per-node data-send energy for the round)."""
         cfg = self.cfg
         frames = cfg.frames_per_round
-        lo_n, hi_n = cfg.nonrda_len_range_bits
-        sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
-        if lo_n == hi_n:
-            # integers() draws no bits for a one-value range: the same
-            # stream; one row, broadcast over the frames
-            lengths = np.full((1, self.n), lo_n, dtype=np.int64)
-        else:
-            lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
-
-        # an RDA node with c = q * frames + rem >= 0 messages sends
+        # a node with c = q * frames + rem >= 0 messages sends
         # ceil((c - f) / frames) of them in frame f, which is q + (f < rem)
         q, rem = np.divmod(self.msg_count, frames)
-        counts = np.where(self.is_rda, q + (self.frame_col < rem), sends)
-        np.copyto(lengths, self.msg_len, where=self.is_rda)
+        counts = q + (self.frame_col < rem)
+        if self.sends_every_frame:
+            # every draw of random() < 1 is true: move the stream past them
+            skip_doubles(self.rng, frames * self.n)
+        else:
+            sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
+            counts = np.where(self.is_rda, counts, sends)
+        if self.fixed_len:
+            # integers() draws no bits for a one-value range, so the length
+            # held in msg_len keeps the stream; one row, broadcast over frames
+            lengths = self.msg_len
+        else:
+            lo_n, hi_n = cfg.nonrda_len_range_bits
+            lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
+            np.copyto(lengths, self.msg_len, where=self.is_rda)
 
         fast = self._steady_fast(assignment, heads, noise, counts, lengths)
         if fast is not None:
@@ -423,15 +470,15 @@ class _Sim:
 
         bits = counts * lengths                            # (frames, n)
         # bits each alive head receives per frame, as (frames, heads); whole
-        # numbers, so exact in any order
+        # numbers, so exact in any order.  Every node's bits go to its head's
+        # column, or to a dump column n_h past them if it is no member.
         h_idx = head_alive.nonzero()[0]
         frames, n_h = counts.shape[0], h_idx.size
-        member_idx = member.nonzero()[0]
         rank = np.empty(self.n, dtype=np.int64)  # each alive head's column
         rank[h_idx] = np.arange(n_h)
-        slot = self.frame_col * n_h + rank[assignment[member_idx]]
-        bits_rx = np.bincount(slot.ravel(), weights=bits[:, member_idx].ravel(),
-                              minlength=frames * n_h).reshape(frames, n_h)
+        slot = self.frame_col * (n_h + 1) + np.where(member, rank[assignment], n_h)
+        bits_rx = np.bincount(slot.ravel(), weights=bits.ravel(),
+                              minlength=frames * (n_h + 1)).reshape(frames, n_h + 1)[:, :n_h]
         total_bits = bits_rx + bits[:, h_idx]              # heads sense their own
         rx_spend = np.add.reduce(bits_rx) * self.e_elec
         agg_spend = np.add.reduce(total_bits) * self.e_da
@@ -542,6 +589,23 @@ class _Sim:
             rec.data_energy = data_spent
             rec.data_energy_predicted = data_pred
         return rec
+
+
+def skip_doubles(rng: np.random.Generator, count: int) -> None:
+    """Leave rng's stream where rng.random(count) would, without drawing.
+
+    Each double is one 64-bit step of the PCG64 bit generator, so advancing
+    it by count steps moves the stream alike.  advance() also drops the
+    32-bit half of a step that integers() may hold for its next draw, which
+    random() would keep; it is put back.
+    """
+    bg = rng.bit_generator
+    state = bg.state
+    bg.advance(count)
+    if state["has_uint32"]:
+        moved = bg.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bg.state = moved
 
 
 def run(config: ScenarioConfig, policy: PolicyKind | str,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import _Sim
-from wsncluster.model import RadioParams
+from wsncluster.model import RadioParams, ScenarioConfig
 from wsncluster.radio import rx_energy, tx_energy
 
 RADIO = RadioParams()
@@ -525,6 +526,32 @@ class TestNearestHeads:
 
 
 @st.composite
+def _float32_near_ties(draw):
+    """Members on a field of up to 1e6 m, or of 1e-20 m, where squared
+    distances are float32 subnormals, each with one head at a random squared
+    distance D and others at D + g, where g is within a few float32 screen
+    bounds of 0 (err32 = 64 * 2**-24 * (max |h|^2 + |m|^2)) or a hair off an
+    exact tie: the float32 screen must range exactly those members whose
+    bound cannot separate the heads."""
+    side = draw(st.sampled_from([1e-20, 100.0, 400.0, 1e4, 1e6]))
+    coord = st.floats(0.0, side)
+    xm = np.array(draw(st.lists(coord, min_size=1, max_size=6)))
+    ym = np.array(draw(st.lists(coord, min_size=xm.size, max_size=xm.size)))
+    err32 = 64 * 2.0 ** -24 * 4 * side * side
+    gap = (st.floats(-4.0, 4.0).map(lambda k: k * err32)
+           | st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6]).map(lambda k: k * side * side))
+    heads = []
+    for x, y in zip(xm, ym):
+        d2 = draw(st.floats(1e-4, 0.25)) * side * side
+        for g in [0.0] + draw(st.lists(gap, min_size=1, max_size=3)):
+            phi = draw(st.floats(0.0, 2 * math.pi))
+            r = math.sqrt(max(d2 + g, 0.0))
+            heads.append((x + r * math.cos(phi), y + r * math.sin(phi)))
+    xh, yh = (np.array(c) for c in zip(*heads))
+    return xm, ym, xh, yh
+
+
+@st.composite
 def _offset_near_ties(draw):
     """Heads around a common offset of 1e3 to 1e9 m, with members on or a hair
     off the bisector of two of them.  |h|^2 - 2 h.m + |m|^2 then cancels
@@ -584,6 +611,43 @@ class TestHeadScreen:
         xm, ym = _pts((0, 0), (2, 1), (1e200, 1), (-1e200, 0), (2.0 ** 511, 1))
         xh, yh = _pts((1e200, 0), (1, 1), (3, 0), (-1e200, 5), (2.0 ** 511, 0))
         self._check(xm, ym, xh, yh)
+
+    @given(_float32_near_ties())
+    @settings(max_examples=300, deadline=None)
+    def test_float32_near_ties_equal_argmin(self, layout):
+        self._check(*layout)
+
+    # the largest m_field ScenarioConfig accepts with the default radio
+    LARGEST_FIELD = 1.13e47
+
+    def test_largest_valid_field_equals_argmin(self):
+        # squared norms of about 1e94 pass _SCREEN_MAX (2**125) and read as
+        # inf, so every member ranges every head; nodes at the float32
+        # screen's own limit stay finite and settle
+        ScenarioConfig(m_field=self.LARGEST_FIELD)
+        rng = np.random.default_rng(12)
+        for side in (self.LARGEST_FIELD, 2.0 ** 62):
+            x, y = rng.uniform(0, side, 60), rng.uniform(0, side, 60)
+            self._check(x[:50], y[:50], x[50:], y[50:])
+            self._check(x[:50], y[:50], x[50:], y[50:], bcast=1e-3)
+
+    def test_largest_valid_field_operand_does_not_warn(self):
+        rng = np.random.default_rng(13)
+        x, y = (rng.uniform(0, self.LARGEST_FIELD, 30) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = eepca.screen_operand(x, y)
+        assert op.dtype == np.float32
+        assert np.isinf(op[0]).all() and np.isfinite(op[2:7]).all()
+
+    @pytest.mark.parametrize("offset", [0.0, 400.0, 1e6, 2.0 ** 62])
+    def test_colocated_member_and_head_equal_argmin(self, offset):
+        # a member on a head estimates 0 to it; heads beside it, co-located
+        # with each other, or a float32 ulp of the offset away
+        ulp = float(np.spacing(np.float32(offset))) if offset else 1e-30
+        xh, yh = _pts((0, 0), (0, 0), (3, 4), (ulp, 0), (0, -ulp))
+        xm, ym = _pts((0, 0), (3, 4), (ulp, 0), (1.5, 2), (ulp / 2, 0), (0, 0))
+        self._check(xm + offset, ym + offset, xh + offset, yh + offset)
 
     def test_caller_operands_equal_built_ones(self):
         rng = np.random.default_rng(11)

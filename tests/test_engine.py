@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RunTrace, _Sim, run
+from wsncluster.engine import RunTrace, _Sim, run, skip_doubles
 from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
@@ -269,6 +269,37 @@ class TestDebitMessages:
         assert sim.belief.tobytes() == b_new.tobytes()
         assert np.float64(sim.debits).tobytes() == np.float64(debited).tobytes()
         assert np.array_equal(sim.alive, sim.e > 0.0)
+
+
+    @given(_debit_cases(), st.sampled_from([0.0, 1.0, 1e-300]))
+    # every node rich, beliefs below their cost; one node short, one at its
+    # cost; the belief charged at its own cost
+    @example((np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.05, 3.0]),
+              _SHARED_SCALAR, _SHARED_SCALAR, 1), 1.0)
+    @example((np.array([1.0, 0.05, 0.1]), np.array([1.0, 0.05, 0.0]),
+              0.1, 0.1, np.array([1, 2, 1])), 0.0)
+    @example((np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.1, 3.0]),
+              np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.4, 0.3]), np.array([2, 1, 3])), 1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_every_node_equals_indexed(self, case, e_extra):
+        # idx = arange(n) over n nodes debits views of e and belief in place;
+        # with one more node, left out of idx, the same debit gathers and
+        # scatters, and must give the same bits
+        e, belief, per_msg, per_msg_belief, counts = case
+        n = e.size
+        results = []
+        for extra in ((), (e_extra,)):
+            sim = _Sim(dataclasses.replace(ScenarioConfig(), n_nodes=n + len(extra)),
+                       PolicyKind.EEPCA, detail=False)
+            sim.e, sim.belief = np.append(e, extra), np.append(belief, extra)
+            sim.alive = sim.e > 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = sim._debit_messages(np.arange(n), per_msg, per_msg_belief, counts)
+            results.append((got.tolist(), sim.e[:n].tobytes(), sim.belief[:n].tobytes(),
+                            np.float64(sim.debits).tobytes(), sim.alive[:n].tolist(),
+                            sim.rich))
+            assert sim.e[n:].tolist() == sim.belief[n:].tolist() == list(extra)
+        assert results[0] == results[1]
 
 
 class TestSteadyPaths:
@@ -547,6 +578,45 @@ def test_one_value_length_range_draws_no_bits(lo, shape):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("n,len_hi", [(7, 6000), (7, 2000), (100, 6000), (100, 2000)])
+def test_skip_doubles_leaves_the_stream_of_random(n, len_hi):
+    # with every non-RDA node sending every frame, _steady moves the stream
+    # past its frames x n send draws instead of drawing them: every later
+    # draw, in the engine's order (schedule integers, integers, election
+    # random, the send draws, noise uniform, then the next round's), must be
+    # the one random((frames, n)) leaves.  Each integer is one 32-bit half of
+    # a step; an odd count of them (odd n, one range of one value, which
+    # draws none) leaves a cached half, which a bare advance() drops and
+    # skip_doubles puts back
+    frames = 5
+
+    def rounds(skip):
+        rng = np.random.default_rng([3, 1])
+        drawn, cached = [], []
+        for _ in range(3):
+            drawn += [rng.integers(3, 8, n), rng.integers(2000, len_hi + 1, n), rng.random(n)]
+            cached.append(rng.bit_generator.state["has_uint32"])
+            if skip:
+                skip_doubles(rng, frames * n)
+            else:
+                rng.random((frames, n))
+            drawn.append(rng.uniform(0.5, 1.5, n))
+        drawn.append(rng.integers(3, 8, n))
+        return drawn, cached, rng.bit_generator.state
+
+    want, cached, want_state = rounds(skip=False)
+    got, _, got_state = rounds(skip=True)
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    assert got_state == want_state
+    assert any(cached) == (n % 2 == 1 and len_hi == 2000)
+    if not any(cached):
+        # no cached half: the bare advance() is the same stream
+        rng = np.random.default_rng([3, 1])
+        rng.integers(3, 8, n), rng.integers(2000, len_hi + 1, n), rng.random(n)
+        rng.bit_generator.advance(frames * n)
+        assert np.array_equal(rng.uniform(0.5, 1.5, n), want[3])
+
+
 @given(c=st.integers(0, 10**6), frames=st.integers(1, 9))
 def test_frame_counts_from_divmod(c, frames):
     # an RDA node's messages in frame f: q + (f < rem) with q, rem = divmod(c,
@@ -570,7 +640,7 @@ def test_live_neighbors_follow_deaths():
         before = sim.live_count
         out = election(r)
         refreshed.append(sim.live_count != before)
-        w, counts = eepca.live_neighbors(sim.src, sim.dst, alive.astype(float))
+        w, counts = eepca.live_neighbors(sim.src, sim.dst, alive.astype(float))[:2]
         assert np.array_equal(sim.neighbors[0], w) and np.array_equal(sim.neighbors[1], counts)
         return out
 

@@ -179,7 +179,8 @@ class TestDeploy:
 
     def test_schedule_regeneration_contract(self, rda_config):
         # every round redraws each RDA node's message count and length from
-        # the configured ranges; other nodes have no schedule
+        # the configured ranges; other nodes, which send every frame at one
+        # length here, hold that round's count and length throughout
         sim = _Sim(rda_config, PolicyKind.LEACH, detail=False)
         rda = sim.is_rda
         lengths = set()
@@ -187,6 +188,7 @@ class TestDeploy:
             sim.play_round(r)
             assert ((3 <= sim.msg_count[rda]) & (sim.msg_count[rda] <= 7)).all()
             assert ((2000 <= sim.msg_len[rda]) & (sim.msg_len[rda] <= 6000)).all()
-            assert (sim.msg_count[~rda] == 0).all() and (sim.msg_len[~rda] == 0).all()
+            assert (sim.msg_count[~rda] == rda_config.frames_per_round).all()
+            assert (sim.msg_len[~rda] == 4000).all()
             lengths.add(sim.msg_len[rda].tobytes())
         assert len(lengths) == 3

@@ -4,7 +4,10 @@ Speed never buys a change in traces: an optimization of the engine must give
 every run of this grid the same bytes.  The grid covers death rounds and the
 per-frame steady path (small_config to exhaustion), prediction suppression
 (rda50 for 300 rounds) and the large-field head selection (rda50 at n=1600
-for 5 rounds).  scripts/trace_digests.py checks a larger grid by hand.
+for 5 rounds).  Two small_config variants keep the non-RDA draws that the
+scenarios leave out: a send probability below 1 (one uniform draw compared
+per node and frame) and a length range of more than one value (one integer
+draw per node and frame).  scripts/trace_digests.py checks a larger grid by hand.
 
 A change that alters the model on purpose re-pins these digests and says so
 in CHANGES.md.
@@ -29,6 +32,18 @@ DIGESTS = {
         "9c4a84b6fab102d6e08b2bf4cef80dea9f064ebad02a623cb032aa56defd9b6f",
     "small/eepca":
         "f228f4c9768d31881e0a91b484d6be0913c6395460459209ec7dff24a4420283",
+    "small-tx0.6/leach":
+        "e02541e0442d84a0f16611f9dcfbae4171c88ab7c64ed8467c4feee0b55048e5",
+    "small-tx0.6/sep":
+        "d1b040404451f77797899c94e390055eabb9852af1ed7e418864d6221e5958f9",
+    "small-tx0.6/eepca":
+        "b7161df0f9390b9ca53250f5a19df6d143c22ede788efe14a481aea64addfd62",
+    "small-len2000-6000/leach":
+        "79b7ae08aa94e2064207f18861f85c148b1886ff78816d003e525551c2a5ae3e",
+    "small-len2000-6000/sep":
+        "a0e435c866088765518443eab297d0d96d2f1ef89958432a269a6e549669165e",
+    "small-len2000-6000/eepca":
+        "45089633d49d0d8b9977d18544f8ee432446a981ba4c99279551c42a701f6ef4",
     "rda50/leach":
         "b07e3ec59d8bea3930cd034cfe70aa51aacae90a60f04a9a45ad750da826f729",
     "rda50/sep":
@@ -42,9 +57,16 @@ DIGESTS = {
 }
 
 
+SMALL_VARIANTS = {
+    "small": {},
+    "small-tx0.6": {"nonrda_tx_prob_per_frame": 0.6},
+    "small-len2000-6000": {"nonrda_len_range_bits": (2000, 6000)},
+}
+
+
 def _config(name, small_config):
-    if name == "small":
-        return small_config, 10000
+    if name in SMALL_VARIANTS:
+        return dataclasses.replace(small_config, **SMALL_VARIANTS[name]), 10000
     if name == "rda50":
         return RDA50.with_seed(0), 300
     return FIELD1600.with_seed(0), 5
