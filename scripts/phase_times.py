@@ -13,11 +13,14 @@ the lifetime experiments, whose late rounds have deaths, sparse grids and the
 per-frame steady path.  It prints one markdown table row per cell:
 heads per round, then microseconds per round for the whole round, each
 engine phase (setup broadcasts, election, cluster formation, steady phase)
-and eepca.nearest_heads inside cluster formation, then minor page faults and
-kernel microseconds per round from resource.getrusage.  Timers wrap the
-phase methods of engine._Sim and eepca.nearest_heads from outside for the
-duration of the run; the engine itself is unchanged and the traces are the
-ones an untimed run gives.  _Sim set-up is not counted.
+and the nearest-head pick inside cluster formation, then minor page faults
+and kernel microseconds per round from resource.getrusage.  The pick is
+eepca.nearest_heads, the float32 screen, above engine.RANK_MAX_NODES nodes
+and eepca.ranked_heads, the lookup in the per-run rank table, at or below
+it.  Timers wrap the phase methods of engine._Sim and both pick functions
+from outside for the duration of the run; the engine itself is unchanged
+and the traces are the ones an untimed run gives.  _Sim set-up is not
+counted.
 
 Each cell is run --repeats times and its row holds the median of each
 column.  --against PATH also loads the simulator of the checkout at PATH,
@@ -25,9 +28,9 @@ under another package name, and steps a run of each tree in one loop, round
 by round, alternating which tree plays a round first; each cell then gets a
 row for PATH's tree (marked "against") above the row for this one.  Host
 speed that drifts between processes, minutes or even runs then hits both
-rows alike.  --sizes picks the field sizes to run (the rows run to
-exhaustion are n = 100 rows), so a one-size comparison such as
---sizes 1600 takes seconds.
+rows alike.  --sizes picks the node counts to run, any n >= 2 at the
+same density (the rows run to exhaustion come with 100), so a one-size
+comparison such as --sizes 1600 takes seconds.
 """
 
 import argparse
@@ -50,7 +53,9 @@ SIZES = (100, 400, 1600, 3200)
 ROUNDS = 40
 EXHAUSTION = 10000  # run()'s default round limit
 PHASES = ("_setup_broadcasts", "_election", "_form_clusters", "_steady")
-# table columns in order; nearest_heads runs inside _form_clusters
+# what picks each member's head inside _form_clusters
+PICKS = ("nearest_heads", "ranked_heads")
+# table columns in order; whichever pick runs is timed as nearest_heads
 COLUMNS = ("round", "_setup_broadcasts", "_election", "_form_clusters",
            "nearest_heads", "_steady")
 
@@ -78,21 +83,23 @@ def _timed(fn, totals, key):
 
 @contextlib.contextmanager
 def timed_phases(pkg, totals):
-    """Wrap the phase methods of pkg's engine._Sim and its
-    eepca.nearest_heads in timers adding into totals, for the duration."""
+    """Wrap the phase methods of pkg's engine._Sim and those PICKS its
+    eepca has in timers adding into totals, for the duration."""
     sim_cls = importlib.import_module(pkg.__name__ + ".engine")._Sim
     eepca = importlib.import_module(pkg.__name__ + ".eepca")
     saved = {name: getattr(sim_cls, name) for name in PHASES}
-    saved_nearest = eepca.nearest_heads
+    picks = {name: getattr(eepca, name) for name in PICKS if hasattr(eepca, name)}
     for name in PHASES:
         setattr(sim_cls, name, _timed(saved[name], totals, name))
-    eepca.nearest_heads = _timed(saved_nearest, totals, "nearest_heads")
+    for name, fn in picks.items():
+        setattr(eepca, name, _timed(fn, totals, "nearest_heads"))
     try:
         yield sim_cls
     finally:
         for name, fn in saved.items():
             setattr(sim_cls, name, fn)
-        eepca.nearest_heads = saved_nearest
+        for name, fn in picks.items():
+            setattr(eepca, name, fn)
 
 
 def time_cell(pkgs, configs, policy, rounds, first=0):
@@ -155,10 +162,11 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=1,
                     help="runs of each cell per tree; rows hold the medians")
     ap.add_argument("--sizes", type=int, nargs="+", default=SIZES, metavar="N",
-                    help=f"field sizes to run, of {', '.join(map(str, SIZES))}")
+                    help="node counts to run, each at least 2, at 100 nodes per "
+                         f"hectare (default {' '.join(map(str, SIZES))})")
     args = ap.parse_args()
-    if not set(args.sizes) <= set(SIZES):
-        ap.error(f"--sizes takes values of {SIZES}")
+    if min(args.sizes) < 2:
+        ap.error("--sizes takes node counts of at least 2")
     trees = [("", wsncluster)]
     if args.against is not None:
         trees.insert(0, (" (against)", load_tree(args.against.resolve(),

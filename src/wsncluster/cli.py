@@ -43,6 +43,8 @@ class SweepSpec:
             raise ConfigError("sweep", "value list must be nonempty")
         if self.seeds < 1:
             raise ConfigError("seeds", "must be at least 1")
+        if self.max_rounds < 1:
+            raise ConfigError("max_rounds", "must be at least 1")
 
 
 def apply_sweep_value(base: ScenarioConfig, var: str, value: float) -> ScenarioConfig:

@@ -25,8 +25,12 @@ exact value whatever the product's summation order (the derivation, with
 the rounding of the coordinates to float32 and of the cut, is at
 _SCREEN_ERR), and a member settles only when that bound leaves a single
 head near.  Only the screen is float32: the coordinates a settled member is
-ranged from stay float64.  Ranging every pair of a small grid instead made
-n=100 runs slower, so the screen runs at every size.
+ranged from stay float64.  Positions never change within a run, so a small
+field instead ranges every pair once: nearest_ranks gives each node's rank
+of every node by estimated distance and the per-bit cost to it, and
+ranked_heads picks each member's head of lowest rank, the same head with
+the same cost bits.  The tables are n x n, so the engine keeps them to
+fields where their one-off cost is soon repaid (engine.RANK_MAX_NODES).
 
 Per-node arrays are indexed by node id.  Neighborhoods are directed edge
 lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
@@ -378,6 +382,33 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
 def cost_per_bit_matrix(d_est: np.ndarray, radio: RadioParams) -> np.ndarray:
     """Per-bit transmission cost over estimated distances, elementwise."""
     return tx_energy_per_bit(d_est, radio)
+
+
+def nearest_ranks(x: np.ndarray, y: np.ndarray, radio: RadioParams,
+                  broadcast_energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, cost) of the nodes at x, y, each n x n: rank[i, j] is node j's
+    place in node i's order of every node by the distance i estimates to it,
+    0 for the nearest and the lower id first on ties (a stable argsort of
+    estimated_distance_matrix), in the smallest unsigned type that holds
+    n - 1; cost[i, j] is cost_per_bit_matrix of that estimate.  Both come
+    from one contiguous matrix of every pair's estimate, formed by the ufuncs
+    that range one pair, so each entry has the bits ranging that pair alone
+    gives.
+    """
+    n = x.size
+    d = estimated_distance_matrix(x[:, None] - x, y[:, None] - y, radio, broadcast_energy)
+    rank = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+    np.put_along_axis(rank, np.argsort(d, axis=1, kind="stable"),
+                      np.arange(n, dtype=rank.dtype)[None], axis=1)
+    return rank, cost_per_bit_matrix(d, radio)
+
+
+def ranked_heads(rank: np.ndarray, members: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Each member's nearest head as an index into heads, from the rank of
+    nearest_ranks: the head of lowest rank, which is the argmin over
+    estimated_distance_matrix of every member-head pair, the lowest head id
+    on ties, as nearest_heads picks it."""
+    return rank.take(members, axis=0).take(heads, axis=1).argmin(axis=1)
 
 
 # Cells are a little wider than the radius, so that rounding in the cell

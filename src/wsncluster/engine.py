@@ -31,11 +31,15 @@ on views of the energy and belief arrays, and a debit that every node
 affords tells its caller (_Sim.rich) to skip re-masking the nodes it sent
 for.
 
-In cluster formation each member picks this round's nearest head by squared
-distance and ranges only that head, unless a near-tie or a distance at the
-edge of the float range needs every head ranged (eepca.nearest_heads); the
-choice is the one ranging every head would give.  The squared distances
-come from one float32 matrix product per block of members, whose per-node
+In cluster formation each member picks this round's nearest head, the one
+ranging every head would give.  On a field of at most RANK_MAX_NODES nodes
+it is the alive head of lowest rank in the member's row of a per-run table
+of every pair's distance rank, and its per-bit cost is read from a per-run
+table of every pair's cost (eepca.nearest_ranks, eepca.ranked_heads).  On a
+larger field the member picks its head by squared distance and ranges only
+that head, unless a near-tie or a distance at the edge of the float range
+needs every head ranged (eepca.nearest_heads).  The squared distances come
+from one float32 matrix product per block of members, whose per-node
 operand (eepca.screen_operand) is built once per run beside the float64
 coordinates the choice is ranged from.  Each member's per-bit cost to its
 chosen head is kept in one per-node vector, which the join and both steady
@@ -127,6 +131,19 @@ class RunTrace:
                 fh.write(json.dumps(rec.to_json_dict()) + "\n")
 
 
+# Fields of at most this many nodes pick each member's head from per-run
+# n x n tables (eepca.nearest_ranks), larger ones through the float32 screen
+# of eepca.nearest_heads.  scripts/phase_times.py --against the screen,
+# rda50 roles at table1 density, median µs per round over 5 runs, screen ->
+# tables: leach 294 -> 232 and eepca 437 -> 362 at n=100 run to exhaustion;
+# over 40 rounds leach 249 -> 200 and eepca 349 -> 288 at 150, leach
+# 233 -> 190 and eepca 465 -> 390 at 200, and leach 405 -> 341 and eepca
+# 551 -> 499 at 300.  But the tables take 0.65 ms to build at n=100,
+# 3.4 ms at 200 and 8.7 ms at 300: a run repays them after 45 to 80 rounds
+# at 200 and 140 to 170 at 300, while the n^2 set-up keeps growing.
+RANK_MAX_NODES = 200
+
+
 class _Sim:
     """Mutable per-run state; strictly single-threaded and deterministic."""
 
@@ -178,16 +195,22 @@ class _Sim:
         self.src, self.dst, d_nb = eepca.neighbor_edges(
             self.x, self.y, config.neighbor_radius, radio, bcast_e)
         self.cost_nb = eepca.cost_per_bit_matrix(d_nb, radio)
-        # squared distances over which a member may pick its head unranged
-        self.ranging_window = eepca.ranging_window(radio, bcast_e)
         # per-bit cost from each member to the head it joined this round
         self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
         self.d_bs = np.hypot(self.x - bx, self.y - by)
         self.bs_cost = tx_energy(config.fused_len_bits, self.d_bs, radio)
-        # float32 operand of the head-selection screen, built after the
-        # set-up peak
-        self.screen = eepca.screen_operand(self.x, self.y)
+        # how members pick their head: a small field's per-run tables of
+        # every pair's distance rank and per-bit cost, or a large field's
+        # float32 screen operand, built after the set-up peak, and the
+        # squared distances over which the screen may pick a head unranged
+        if n <= RANK_MAX_NODES:
+            self.rank, self.cpb_pair = eepca.nearest_ranks(self.x, self.y, radio, bcast_e)
+            self.screen = None
+        else:
+            self.rank = None
+            self.screen = eepca.screen_operand(self.x, self.y)
+            self.ranging_window = eepca.ranging_window(radio, bcast_e)
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
 
@@ -373,9 +396,11 @@ class _Sim:
         """Advertisements, joins; returns (assignment, surviving head mask).
 
         Each member joins the head whose advertisement it ranges nearest,
-        the lowest head id on ties.  eepca.nearest_heads picks that head by
-        squared distance and ranges only the pair it picked, so a round
-        ranges about one pair per member instead of members x heads.
+        the lowest head id on ties.  A small field looks that head up in its
+        per-run rank table (eepca.ranked_heads) and ranges nothing; on a
+        larger one eepca.nearest_heads picks it by squared distance and
+        ranges only the pair it picked, so a round ranges about one pair per
+        member instead of members x heads.
         """
         cfg = self.cfg
         assignment = np.full(self.n, -1, dtype=np.int64)
@@ -399,11 +424,15 @@ class _Sim:
             return assignment, ok_heads
         members = (self.alive ^ ok_heads).nonzero()[0]
         if members.size:
-            ops = eepca.screen_operands(self.screen, members, ok_heads_idx)
-            choice, d_head = eepca.nearest_heads(
-                self.x[members], self.y[members], self.x[ok_heads_idx], self.y[ok_heads_idx],
-                cfg.radio, self.bcast_cost, self.ranging_window, ops)
-            cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
+            if self.rank is not None:
+                choice = eepca.ranked_heads(self.rank, members, ok_heads_idx)
+                cpb = self.cpb_pair[members, ok_heads_idx[choice]]
+            else:
+                ops = eepca.screen_operands(self.screen, members, ok_heads_idx)
+                choice, d_head = eepca.nearest_heads(
+                    self.x[members], self.y[members], self.x[ok_heads_idx],
+                    self.y[ok_heads_idx], cfg.radio, self.bcast_cost, self.ranging_window, ops)
+                cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
             self.cpb_head[members] = cpb
             join_cost = cfg.broadcast_bits * cpb
             joined = self._debit_messages(members, join_cost, join_cost, 1)

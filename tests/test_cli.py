@@ -88,6 +88,16 @@ class TestMain:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    def test_no_rounds_is_config_error(self, tmp_path, scenario_file, rounds, capsys):
+        # a run of no rounds has no trace to summarize
+        out = tmp_path / "o"
+        rc = main(["--scenario", str(scenario_file), "--max-rounds", rounds,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "max_rounds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_dir(self, tmp_path, scenario_file):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -113,6 +123,8 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(base=small_config, policies=[], seeds=1,
                       sweep_var="alpha", values=[])
+        with pytest.raises(ConfigError, match="max_rounds"):
+            SweepSpec(base=small_config, policies=[], seeds=1, max_rounds=0)
 
 
 def test_parser_defaults():

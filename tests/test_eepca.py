@@ -659,3 +659,93 @@ class TestHeadScreen:
         args = (x[members], y[members], x[heads], y[heads], RADIO, self.BCAST, window)
         for got, want in zip(eepca.nearest_heads(*args, ops), eepca.nearest_heads(*args)):
             assert np.array_equal(got, want)
+
+
+@st.composite
+def _ranked_layouts(draw):
+    """A small field on an integer lattice (exact ties, co-located nodes) or
+    at random points, scaled from 1 m to 300 m a step so that pairs fall on
+    either side of d0, with heads drawn as a random mask, a single node, or
+    every node but one; the path-loss exponent and RSS constant vary, so the
+    ranging powers take numpy's general loop as well as its squares."""
+    scale = draw(st.sampled_from([1.0, 7.5, 30.0, RADIO.d0 / 2, 300.0]))
+    lattice = st.integers(-4, 4).map(float)
+    point = st.tuples(lattice, lattice) | st.tuples(st.floats(-4, 4), st.floats(-4, 4))
+    pts = draw(st.lists(point, min_size=2, max_size=30))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))  # co-located nodes
+    x, y = (np.array(c) * scale for c in zip(*pts))
+    n = x.size
+    kind = draw(st.sampled_from(["mask", "one", "all but one"]))
+    if kind == "mask":
+        heads = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        heads[draw(st.integers(0, n - 1))] = False
+        heads[draw(st.integers(0, n - 1))] = True
+    else:
+        heads = np.full(n, kind == "all but one")
+        heads[draw(st.integers(0, n - 1))] = kind == "one"
+    radio = RadioParams(alpha_pathloss=draw(st.sampled_from([2.0, 1.0, 2.7, 3.5, 6.0])
+                                            | st.floats(1.0, 6.0)),
+                        k_rss=draw(st.sampled_from([3.7e-4, 1.0, 1e6])))
+    bcast = tx_energy(2500, draw(st.sampled_from([12.0, 50.0, 200.0])), RADIO)
+    return x, y, heads, radio, bcast
+
+
+class TestRankedHeads:
+    """The per-run rank and cost tables of a small field give each member the
+    head, and the per-bit cost bits, of nearest_heads + cost_per_bit_matrix
+    and of the argmin over every ranged member-head pair."""
+
+    @staticmethod
+    def _check(x, y, heads, radio, bcast):
+        members, h_idx = (~heads).nonzero()[0], heads.nonzero()[0]
+        rank, cost = eepca.nearest_ranks(x, y, radio, bcast)
+        choice = eepca.ranked_heads(rank, members, h_idx)
+        cpb = cost[members, h_idx[choice]]
+
+        xm, ym, xh, yh = x[members], y[members], x[h_idx], y[h_idx]
+        picked, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast,
+                                            eepca.ranging_window(radio, bcast))
+        assert np.array_equal(choice, picked)
+        assert np.array_equal(cpb.view(np.int64),
+                              eepca.cost_per_bit_matrix(d_est, radio).view(np.int64))
+
+        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
+                                                radio, bcast)
+        want = np.argmin(dense, axis=1)
+        assert np.array_equal(choice, want)
+        d_want = dense[np.arange(members.size), want]
+        assert np.array_equal(cpb.view(np.int64),
+                              eepca.cost_per_bit_matrix(d_want, radio).view(np.int64))
+        return cpb, d_want
+
+    @given(_ranked_layouts())
+    # one head at the far corner of a 9 x 9 lattice of 300 m steps: every
+    # member's cost takes the multipath d**4 branch
+    @example((*_pts(*((i * 300.0, j * 300.0) for i in range(-4, 5) for j in range(-4, 5))),
+              np.arange(81) == 80, RadioParams(alpha_pathloss=3.5), 1e-5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_nearest_heads_and_argmin(self, layout):
+        self._check(*layout)
+
+    def test_lattice_ties_go_to_the_lowest_head_id(self):
+        # the member at the origin is 1 from four heads and 0 from none
+        x, y = _pts((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))
+        heads = np.array([False, True, True, True, True, False])
+        rank, _ = eepca.nearest_ranks(x, y, RADIO, 1e-5)
+        assert eepca.ranked_heads(rank, np.array([0, 5]), heads.nonzero()[0]).tolist() == [0, 0]
+        self._check(x, y, heads, RADIO, 1e-5)
+
+    def test_both_branches_of_the_radio_model(self):
+        # members beside their head and members at or beyond d0 from any head
+        d0 = RADIO.d0
+        x, y = _pts((0, 0), (1, 0), (d0, 0), (-2 * d0, 0), (0, 5 * d0))
+        cpb, d_est = self._check(x, y, np.arange(5) == 0, RADIO, 1e-5)
+        assert (d_est < d0).any() and (d_est >= d0).any()
+        assert (cpb > RADIO.e_elec).all()
+
+    def test_rank_type_holds_every_place(self):
+        for n, dtype in ((2, np.uint8), (256, np.uint8), (257, np.uint16)):
+            x = np.arange(n, dtype=float)
+            rank, cost = eepca.nearest_ranks(x, np.zeros(n), RADIO, 1e-5)
+            assert rank.dtype == dtype and cost.shape == (n, n)
+            assert (np.sort(rank, axis=1) == np.arange(n)).all()

@@ -7,7 +7,10 @@ per-frame steady path (small_config to exhaustion), prediction suppression
 for 5 rounds).  Two small_config variants keep the non-RDA draws that the
 scenarios leave out: a send probability below 1 (one uniform draw compared
 per node and frame) and a length range of more than one value (one integer
-draw per node and frame).  scripts/trace_digests.py checks a larger grid by hand.
+draw per node and frame).  The small fields run again with their member-head
+pick forced onto the float32 screen of large fields, and must give the same
+bytes as with their rank tables.  scripts/trace_digests.py checks a larger
+grid by hand.
 
 A change that alters the model on purpose re-pins these digests and says so
 in CHANGES.md.
@@ -19,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from wsncluster import eepca, engine
+from wsncluster.baselines import PolicyKind
 from wsncluster.engine import run
 from wsncluster.model import load_scenario
 
@@ -72,10 +77,42 @@ def _config(name, small_config):
     return FIELD1600.with_seed(0), 5
 
 
+def _digest(config, policy, max_rounds, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    run(config, policy, max_rounds=max_rounds).write_jsonl(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(DIGESTS))
 def test_trace_bytes_are_pinned(key, small_config, tmp_path):
     name, policy = key.split("/")
     config, max_rounds = _config(name, small_config)
-    path = tmp_path / "trace.jsonl"
-    run(config, policy, max_rounds=max_rounds).write_jsonl(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[key]
+    assert _digest(config, policy, max_rounds, tmp_path) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(k for k in DIGESTS if not k.startswith("rda50-n1600")))
+@pytest.mark.parametrize("gate", [0, 10**6])
+def test_small_fields_pick_heads_alike_either_side_of_the_gate(key, gate, small_config,
+                                                                tmp_path, monkeypatch):
+    # gate 0 sends every field through nearest_heads' screen, 10**6 through
+    # the rank tables; each may call only its own pick
+    name, policy = key.split("/")
+    config, max_rounds = _config(name, small_config)
+    unused = "nearest_heads" if gate else "ranked_heads"
+
+    def refuse(*args):
+        raise AssertionError(f"{unused} called")
+
+    monkeypatch.setattr(engine, "RANK_MAX_NODES", gate)
+    monkeypatch.setattr(eepca, unused, refuse)
+    assert _digest(config, policy, max_rounds, tmp_path) == DIGESTS[key]
+
+
+def test_large_field_builds_no_rank_table():
+    # above the gate only the screen operand is built; at or below it only
+    # the tables
+    big = engine._Sim(FIELD1600, PolicyKind.EEPCA, detail=False)
+    assert FIELD1600.n_nodes > engine.RANK_MAX_NODES
+    assert big.rank is None and not hasattr(big, "cpb_pair") and big.screen is not None
+    small = engine._Sim(RDA50, PolicyKind.EEPCA, detail=False)
+    assert small.screen is None and small.rank.shape == small.cpb_pair.shape == (100, 100)
