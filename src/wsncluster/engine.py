@@ -49,15 +49,14 @@ The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
 round spend, and a per-frame granular path that handles mid-round deaths.
 The whole-round path sums reception, aggregation and uplink over the alive
-heads only; one bincount sums every node's bits into (frame, head)
-columns, a non-member's into a dump column.  A non-RDA node that sends in every frame (send probability
-1) holds frames messages in msg_count, and a one-value non-RDA length range
-is held in msg_len, so a round forms its frame counts and lengths with no
-per-round fill; the send draws that probability 1 makes moot are skipped by
-advancing the bit generator (skip_doubles), which leaves the stream where
-drawing them would.  A per-run table of LEACH/SEP thresholds by round was
-tried and not kept: at n=1600 it cost more set-up time and heap than the
-election time it saved.
+heads only; one bincount sums every node's bits into (frame, head) columns,
+a non-member's into a dump column.  A non-RDA node that sends in every
+frame (send probability 1) holds frames messages in msg_count, and a
+one-value non-RDA length range is held in msg_len, so a round forms its
+frame counts and lengths with no per-round fill; the send draws that
+probability 1 makes moot are still drawn, to keep the stream.  A per-run
+table of LEACH/SEP thresholds by round was tried and not kept: at n=1600 it
+cost more set-up time and heap than the election time it saved.
 """
 
 from __future__ import annotations
@@ -164,7 +163,7 @@ class _Sim:
         self.msg_len = np.zeros(n, dtype=np.int64)
         # a non-RDA node that sends every frame holds frames messages a round,
         # and one with a one-value length range holds that length: the round
-        # draws nothing for them but the stream positions (_steady)
+        # forms neither from its draws (_steady)
         frames = config.frames_per_round
         lo_n, hi_n = config.nonrda_len_range_bits
         self.sends_every_frame = config.nonrda_tx_prob_per_frame == 1.0
@@ -262,8 +261,6 @@ class _Sim:
         e = self.e[idx]
         scalar = not isinstance(per_msg, np.ndarray)
         self.rich = True
-        if scalar and per_msg == 0.0:
-            return np.broadcast_to(np.asarray(counts), e.shape).copy()
         if not isinstance(counts, np.ndarray):
             counts = self.ones[:e.size] if counts == 1 else np.full(e.shape, counts)
         cost = counts * per_msg
@@ -463,8 +460,8 @@ class _Sim:
         q, rem = np.divmod(self.msg_count, frames)
         counts = q + (self.frame_col < rem)
         if self.sends_every_frame:
-            # every draw of random() < 1 is true: move the stream past them
-            skip_doubles(self.rng, frames * self.n)
+            # every draw is a send, as msg_count holds; drawn to keep the stream
+            self.rng.random((frames, self.n))
         else:
             sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
             counts = np.where(self.is_rda, counts, sends)
@@ -618,23 +615,6 @@ class _Sim:
             rec.data_energy = data_spent
             rec.data_energy_predicted = data_pred
         return rec
-
-
-def skip_doubles(rng: np.random.Generator, count: int) -> None:
-    """Leave rng's stream where rng.random(count) would, without drawing.
-
-    Each double is one 64-bit step of the PCG64 bit generator, so advancing
-    it by count steps moves the stream alike.  advance() also drops the
-    32-bit half of a step that integers() may hold for its next draw, which
-    random() would keep; it is put back.
-    """
-    bg = rng.bit_generator
-    state = bg.state
-    bg.advance(count)
-    if state["has_uint32"]:
-        moved = bg.state
-        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-        bg.state = moved
 
 
 def run(config: ScenarioConfig, policy: PolicyKind | str,

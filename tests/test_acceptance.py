@@ -1,15 +1,21 @@
 """Acceptance suite: one test per acceptance criterion.
 
-The multi-seed experiments are expensive (a full 100-node run takes a few
-seconds), so their per-seed results are cached as JSON under tests/_cache,
-keyed by the scenario hash, the sweep parameters and a hash of the simulator
-source (src/wsncluster/*.py).  Any change to the source therefore recomputes
-every experiment: a cold run is about 1,650 simulations, about 35
-CPU-minutes.  With a warm cache the whole module runs in seconds.
+The five multi-seed experiment grids (lifetime, rda-lifetime, alpha,
+heterogeneity, epsilon) are the entries of scenarios/experiments.json, the
+table scripts/run_experiment.py runs too.  They are expensive (a full
+100-node run takes about a second), so their per-seed results are cached as
+JSON under tests/_cache, keyed by the scenario hash, the sweep parameters
+and a hash of the simulator source (src/wsncluster/*.py).  Any change to
+the source therefore recomputes every experiment: a cold run is about 1,650
+simulations, about 21 CPU-minutes (8.8 and 12.0 minutes wall in two pytest
+processes on a 2-vCPU Xeon).  With a warm cache the whole module runs in
+seconds.
 """
 
+import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -18,26 +24,26 @@ import pytest
 
 import wsncluster
 from wsncluster.baselines import PolicyKind
+from wsncluster.cli import apply_sweep_value
 from wsncluster.eepca import eepca_thresholds_all
 from wsncluster.engine import run
 from wsncluster.metrics import summarize
-from wsncluster.model import ScenarioConfig, deploy
+from wsncluster.model import ScenarioConfig, deploy, load_scenario
 from wsncluster.planner import d_to_bs, expected_member_distances
 from wsncluster.radio import tx_energy
 
 CACHE_DIR = Path(__file__).parent / "_cache"
+ROOT = Path(__file__).parent.parent
+SCENARIOS = ROOT / "scenarios"
+EXPERIMENTS = json.loads((SCENARIOS / "experiments.json").read_text())
 
-BASE = ScenarioConfig()
-RDA = dataclasses.replace(BASE, frac_rda=0.5, frac_malfunction=0.1)
+BASE = load_scenario(SCENARIOS / "table1.json")
+RDA = load_scenario(SCENARIOS / "rda50.json")
 
-POLICIES = ("leach", "sep", "eepca")
-LIFETIME_SEEDS = 100
-ALPHA_GRID = [round(0.50 + 0.05 * i, 2) for i in range(9)]
-ALPHA_SEEDS = 50
-HET_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
-HET_SEEDS = 30
-EPS_GRID = [0.80, 0.85, 0.90, 0.95, 1.00]
-EPS_SEEDS = 30
+POLICIES = tuple(EXPERIMENTS["lifetime"]["policies"])
+ALPHA_GRID = EXPERIMENTS["alpha"]["values"]
+HET_GRID = EXPERIMENTS["heterogeneity"]["values"]
+EPS_GRID = EXPERIMENTS["epsilon"]["values"]
 
 
 def source_hash(package_dir: Path) -> str:
@@ -74,57 +80,59 @@ def _milestones(config: ScenarioConfig, policy: str, seed: int) -> dict:
             "lnd": s.lnd_round, "bs": s.bs_messages_total}
 
 
-def _grid(config, policies, seeds, var=None, values=(None,)):
+def _grid(config, policies, seeds, var, values):
     out = {}
     for value in values:
-        cfg = config
-        if var == "alpha":
-            cfg = dataclasses.replace(config, alpha=value, beta=1.0 - value)
-        elif var is not None:
-            cfg = dataclasses.replace(config, **{var: value})
+        cfg = apply_sweep_value(config, var, value)
         for policy in policies:
             out[f"{value}/{policy}"] = [_milestones(cfg, policy, s)
                                         for s in range(seeds)]
     return out
 
 
+def _params(name: str) -> dict:
+    """The cache parameters of a table entry: its scenario's hash, its seed
+    count and, for a sweep, its values."""
+    exp = EXPERIMENTS[name]
+    params = {"config": load_scenario(SCENARIOS / exp["scenario"]).config_hash(),
+              "seeds": exp["seeds"]}
+    if "values" in exp:
+        params["grid"] = exp["values"]
+    return params
+
+
+def _experiment(name: str) -> dict:
+    exp = EXPERIMENTS[name]
+    config = load_scenario(SCENARIOS / exp["scenario"])
+    return _cached(name, _params(name),
+                   lambda: _grid(config, exp["policies"], exp["seeds"],
+                                 exp.get("sweep", "none"),
+                                 exp.get("values", (None,))))
+
+
 @pytest.fixture(scope="session")
 def lifetime_data():
-    params = {"config": BASE.config_hash(), "seeds": LIFETIME_SEEDS}
-    return _cached("lifetime", params,
-                   lambda: _grid(BASE, POLICIES, LIFETIME_SEEDS))
+    return _experiment("lifetime")
 
 
 @pytest.fixture(scope="session")
 def rda_lifetime_data():
-    params = {"config": RDA.config_hash(), "seeds": LIFETIME_SEEDS}
-    return _cached("rda-lifetime", params,
-                   lambda: _grid(RDA, POLICIES, LIFETIME_SEEDS))
+    return _experiment("rda-lifetime")
 
 
 @pytest.fixture(scope="session")
 def alpha_data():
-    params = {"config": BASE.config_hash(), "seeds": ALPHA_SEEDS,
-              "grid": ALPHA_GRID}
-    return _cached("alpha", params,
-                   lambda: _grid(BASE, ("eepca",), ALPHA_SEEDS,
-                                 "alpha", ALPHA_GRID))
+    return _experiment("alpha")
 
 
 @pytest.fixture(scope="session")
 def het_data():
-    params = {"config": BASE.config_hash(), "seeds": HET_SEEDS, "grid": HET_GRID}
-    return _cached("heterogeneity", params,
-                   lambda: _grid(BASE, POLICIES, HET_SEEDS,
-                                 "frac_energy_heterogeneous", HET_GRID))
+    return _experiment("heterogeneity")
 
 
 @pytest.fixture(scope="session")
 def eps_data():
-    params = {"config": RDA.config_hash(), "seeds": EPS_SEEDS, "grid": EPS_GRID}
-    return _cached("epsilon", params,
-                   lambda: _grid(RDA, ("eepca",), EPS_SEEDS,
-                                 "epsilon_tol", EPS_GRID))
+    return _experiment("epsilon")
 
 
 def _mean(rows, key):
@@ -135,7 +143,7 @@ def test_cache_key_covers_every_source_byte(tmp_path):
     for path in Path(wsncluster.__file__).parent.glob("*.py"):
         (tmp_path / path.name).write_bytes(path.read_bytes())
     assert source_hash(tmp_path) == SOURCE_HASH
-    params = {"config": BASE.config_hash(), "seeds": LIFETIME_SEEDS}
+    params = _params("lifetime")
     for path in sorted(tmp_path.glob("*.py")):
         original = path.read_bytes()
         for i in (0, len(original) - 1):
@@ -145,6 +153,50 @@ def test_cache_key_covers_every_source_byte(tmp_path):
             assert cache_key(params, source_hash(tmp_path)) != cache_key(params), \
                 f"{path.name} byte {i}"
         path.write_bytes(original)
+
+
+# --- the experiment table ------------------------------------------------
+
+def test_table_grids_keep_their_cache_keys():
+    # the keys, without the source hash, of the grids as they were written
+    # before the table held them: a table edit that changes a grid (0 for
+    # 0.0, a dropped seed or value) changes its key
+    assert {name: cache_key(_params(name), src="") for name in EXPERIMENTS} == {
+        "lifetime": "2da41748fca1",
+        "rda-lifetime": "cd091f863feb",
+        "alpha": "75fcb9c8aba1",
+        "heterogeneity": "c11922173aff",
+        "epsilon": "b122b6f0a3f2",
+    }
+
+
+def _run_experiment_script():
+    path = ROOT / "scripts" / "run_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_run_experiment_writes_the_grid(name, tmp_path):
+    out = tmp_path / name
+    assert _run_experiment_script().main(
+        [name, "--seeds", "1", "--max-rounds", "2", "--out", str(out)]) == 0
+    with open(out / "summary.csv") as fh:
+        rows = [(r["sweep_value"], r["policy"]) for r in csv.DictReader(fh)]
+    exp = EXPERIMENTS[name]
+    # one row per sweep value and policy; the value is blank without a sweep
+    values = [str(v) for v in exp.get("values", [""])]
+    assert sorted(rows) == sorted((v, p) for v in values for p in exp["policies"])
+
+
+def test_run_experiment_rejects_an_unknown_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run_experiment_script().main(["lifetimes"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(repr(name) in err for name in EXPERIMENTS), err
 
 
 # --- criterion 1: lifetime ordering --------------------------------------

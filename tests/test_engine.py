@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RunTrace, _Sim, run, skip_doubles
+from wsncluster.engine import RunTrace, _Sim, run
 from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
@@ -576,45 +576,6 @@ def test_one_value_length_range_draws_no_bits(lo, shape):
     state = rng.bit_generator.state
     assert np.array_equal(rng.integers(lo, lo + 1, shape), np.full(shape, lo))
     assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("n,len_hi", [(7, 6000), (7, 2000), (100, 6000), (100, 2000)])
-def test_skip_doubles_leaves_the_stream_of_random(n, len_hi):
-    # with every non-RDA node sending every frame, _steady moves the stream
-    # past its frames x n send draws instead of drawing them: every later
-    # draw, in the engine's order (schedule integers, integers, election
-    # random, the send draws, noise uniform, then the next round's), must be
-    # the one random((frames, n)) leaves.  Each integer is one 32-bit half of
-    # a step; an odd count of them (odd n, one range of one value, which
-    # draws none) leaves a cached half, which a bare advance() drops and
-    # skip_doubles puts back
-    frames = 5
-
-    def rounds(skip):
-        rng = np.random.default_rng([3, 1])
-        drawn, cached = [], []
-        for _ in range(3):
-            drawn += [rng.integers(3, 8, n), rng.integers(2000, len_hi + 1, n), rng.random(n)]
-            cached.append(rng.bit_generator.state["has_uint32"])
-            if skip:
-                skip_doubles(rng, frames * n)
-            else:
-                rng.random((frames, n))
-            drawn.append(rng.uniform(0.5, 1.5, n))
-        drawn.append(rng.integers(3, 8, n))
-        return drawn, cached, rng.bit_generator.state
-
-    want, cached, want_state = rounds(skip=False)
-    got, _, got_state = rounds(skip=True)
-    assert all(np.array_equal(a, b) for a, b in zip(want, got))
-    assert got_state == want_state
-    assert any(cached) == (n % 2 == 1 and len_hi == 2000)
-    if not any(cached):
-        # no cached half: the bare advance() is the same stream
-        rng = np.random.default_rng([3, 1])
-        rng.integers(3, 8, n), rng.integers(2000, len_hi + 1, n), rng.random(n)
-        rng.bit_generator.advance(frames * n)
-        assert np.array_equal(rng.uniform(0.5, 1.5, n), want[3])
 
 
 @given(c=st.integers(0, 10**6), frames=st.integers(1, 9))
