@@ -45,6 +45,14 @@ class SweepSpec:
             raise ConfigError("seeds", "must be at least 1")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds", "must be at least 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs", "must be at least 1")
+        for value in self.values:
+            apply_sweep_value(self.base, self.sweep_var, value)
+
+    @property
+    def seed_ids(self) -> list[int]:
+        return [self.base.rng_seed + i for i in range(self.seeds)]
 
 
 def apply_sweep_value(base: ScenarioConfig, var: str, value: float) -> ScenarioConfig:
@@ -66,8 +74,23 @@ def _one_run(args):
             metrics.curve_rows(summary, var, sv))
 
 
+def run_grid(spec: SweepSpec):
+    """Run the (value x policy x seed) grid, yielding each run's summary row
+    and curve rows in that order."""
+    values = spec.values if spec.sweep_var != "none" else [0.0]
+    tasks = [(spec.base, spec.sweep_var, value, policy, seed, spec.max_rounds)
+             for value in values
+             for policy in spec.policies
+             for seed in spec.seed_ids]
+    if spec.jobs > 1:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            yield from pool.map(_one_run, tasks, chunksize=1)
+    else:
+        yield from map(_one_run, tasks)
+
+
 def run_experiment(spec: SweepSpec) -> int:
-    """Run the full (value x policy x seed) grid and write CSV artifacts."""
+    """Run the grid of run_grid and write CSV artifacts."""
     try:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         probe = spec.out_dir / ".write_probe"
@@ -77,19 +100,7 @@ def run_experiment(spec: SweepSpec) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 3
 
-    values = spec.values if spec.sweep_var != "none" else [0.0]
-    seeds = [spec.base.rng_seed + i for i in range(spec.seeds)]
-    tasks = [(spec.base, spec.sweep_var, value, policy, seed, spec.max_rounds)
-             for value in values
-             for policy in spec.policies
-             for seed in seeds]
-
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_one_run, tasks, chunksize=1))
-    else:
-        results = [_one_run(t) for t in tasks]
-
+    results = list(run_grid(spec))
     summary_rows = [r[0] for r in results]
     curve_rows = [row for r in results for row in r[1]]
     metrics.write_summary_csv(spec.out_dir / "summary.csv", summary_rows)
@@ -100,8 +111,8 @@ def run_experiment(spec: SweepSpec) -> int:
         "config_hash": spec.base.config_hash(),
         "policies": [p.value for p in spec.policies],
         "sweep_var": spec.sweep_var,
-        "sweep_values": values if spec.sweep_var != "none" else [],
-        "seeds": seeds,
+        "sweep_values": spec.values if spec.sweep_var != "none" else [],
+        "seeds": spec.seed_ids,
         "max_rounds": spec.max_rounds,
     }
     with open(spec.out_dir / "metadata.json", "w") as fh:

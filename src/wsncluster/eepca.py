@@ -72,11 +72,13 @@ def live_neighbors(src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> LiveNe
     """live[dst] and the live neighbor count per node over the edges src, dst,
     with the count's positive mask and floor of 1.
 
-    live is as in energy_factors_all; a bool mask reads as 1 and 0.  All of
-    it changes only when a node dies, so the engine keeps it until one does:
-    the election's factors read it, and the counts are what each node hears
-    in a setup round where every alive node broadcasts.  While every edge's
-    neighbour is live, the factors skip multiplying by w.
+    Edge k makes dst[k] a neighbor of src[k]; live[j] is 1 for a neighbor
+    that counts (alive) and 0 for one that does not, and a bool mask reads
+    as 1 and 0.  All of it changes only when a node dies, so the engine
+    keeps it until one does: the election's factors read it, and the counts
+    are what each node hears in a setup round where every alive node
+    broadcasts.  While every edge's neighbour is live, the factors skip
+    multiplying by w.
     """
     w = live[dst]
     counts = np.bincount(src, weights=w, minlength=live.size)
@@ -85,18 +87,14 @@ def live_neighbors(src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> LiveNe
 
 
 def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
-                       dst: np.ndarray, live: np.ndarray,
-                       neighbors: LiveNeighbors | None = None) -> np.ndarray:
+                       dst: np.ndarray, nb: LiveNeighbors) -> np.ndarray:
     """Node energy over the mean believed energy of its live neighbors.
 
-    Edge k makes dst[k] a neighbor of src[k]; live[j] is 1 for a neighbor
-    that counts (alive) and 0 for one that does not.  A node with no live
+    nb is live_neighbors over the edges src, dst.  A node with no live
     neighbors, or whose neighbors' mean belief is 0, gets 1.  The fallback
     tests the mean, not the sum: a positive sum of subnormal beliefs can
-    still have a mean that rounds to 0.  neighbors is live_neighbors(src,
-    dst, live), for a caller that has it already.
+    still have a mean that rounds to 0.
     """
-    nb = live_neighbors(src, dst, live) if neighbors is None else neighbors
     b = belief[dst]
     sums = np.bincount(src, weights=b if nb.all_live else nb.w * b, minlength=e.size)
     ok = nb.has & (sums / nb.denom > 0)
@@ -106,19 +104,17 @@ def energy_factors_all(e: np.ndarray, belief: np.ndarray, src: np.ndarray,
 # --- communication-cost factor ----------------------------------------------
 
 def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
-                           src: np.ndarray, dst: np.ndarray, live: np.ndarray,
-                           ideal_fallback: float,
-                           neighbors: LiveNeighbors | None = None) -> np.ndarray:
+                           src: np.ndarray, dst: np.ndarray, nb: LiveNeighbors,
+                           ideal_fallback: float) -> np.ndarray:
     """Per node, the mean energy of one transmission from each live neighbor
     to it.
 
     cost_per_bit[k] is the static per-bit cost e_elec + amplifier(d) over
     edge k, from neighbor dst[k] to node src[k]; l_sched holds each node's
-    scheduled message length for this round, and live and neighbors are as
-    in energy_factors_all.  A node with no live neighbors gets
-    ideal_fallback, so its cost factor degenerates to 1.
+    scheduled message length for this round, and nb is live_neighbors over
+    the edges.  A node with no live neighbors gets ideal_fallback, so its
+    cost factor degenerates to 1.
     """
-    nb = live_neighbors(src, dst, live) if neighbors is None else neighbors
     cost = cost_per_bit * l_sched[dst]
     sums = np.bincount(src, weights=cost if nb.all_live else cost * nb.w,
                        minlength=l_sched.size)
@@ -317,7 +313,6 @@ def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, 
 
 def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray,
                   radio: RadioParams, broadcast_energy: float,
-                  window: tuple[float, float],
                   operands: tuple[np.ndarray, ...] | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Each member's nearest head by estimated distance: (head index, distance).
@@ -335,7 +330,7 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
     _TIE_GAP; a second product of [1; head index] with the near mask counts
     each member's near heads and gives the index of a lone one.  A member
     settles when exactly one head is near and that pair's exact float64
-    dx*dx + dy*dy lies in window, the ranging_window of radio and
+    dx*dx + dy*dy lies in the ranging_window of radio and
     broadcast_energy: every other head is then more than _TIE_GAP farther,
     exactly, and the ranging chain's rounding is far below that gap.  Any
     other member (near-ties, co-located heads, estimates that saturate to 0
@@ -368,7 +363,7 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
     dx = xm - xh.take(choice, mode="clip")
     dy = ym - yh.take(choice, mode="clip")
     sq = dx * dx + dy * dy
-    lo, hi = window
+    lo, hi = ranging_window(radio, broadcast_energy)
     rows = ((n_near != 1) | (sq < lo) | (sq > hi)).nonzero()[0]
     if rows.size:
         d = estimated_distance_matrix(xm[rows][:, None] - xh, ym[rows][:, None] - yh,

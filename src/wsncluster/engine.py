@@ -4,18 +4,21 @@ Each round has a setup phase (info broadcasts with optional prediction-based
 suppression, head election, cluster formation) and a steady phase of TDMA
 frames in which members transmit scheduled data to their head, the head
 aggregates and forwards one fused message per data-bearing frame to the base
-station.  All energy movements go through debit helpers that log the applied
-amounts, clamp at zero, and kill nodes whose energy is exhausted; a blocked
-action (message the node cannot afford) is not performed.  A message debit
+station.  Energy a node may not afford moves through one debit helper,
+_Sim._debit_messages, that logs the applied amounts, clamps at zero, and
+kills nodes whose energy is exhausted; a blocked action (message the node
+cannot afford) is not performed, and an aggregate amount (a head's reception
+or aggregation in a frame) is one message of that amount.  A message debit
 settles affordability with one compare for nodes well above the cost of
 their messages and divides only for the rest.  Every debit leaves alive
 equal to e > 0, so a debit every node affords, which kills no one, skips the
 alive write.
 
 A parallel "believed energy" ledger mirrors every debit, with data
-transmissions charged at their predicted (noise-free) cost.  This is the
-residual-energy value neighbors can compute for an RDA node without hearing
-a broadcast; for non-malfunctioning nodes it tracks ground truth exactly.
+transmissions charged at their predicted (noise-free) cost, and a node a
+blocked debit drains believes 0.  This is the residual-energy value
+neighbors can compute for an RDA node without hearing a broadcast; for
+non-malfunctioning nodes it tracks ground truth exactly.
 
 Neighborhoods are held as edge arrays (src, dst) with the per-bit cost over
 each edge, built once per run; nothing in a run is n x n.  What the edges
@@ -148,7 +151,6 @@ class _Sim:
 
     def __init__(self, config: ScenarioConfig, policy: PolicyKind, detail: bool):
         self.cfg = config
-        self.policy = policy
         self.detail = detail
         radio = config.radio
         n = config.n_nodes
@@ -180,7 +182,6 @@ class _Sim:
         self.rng = np.random.default_rng([config.rng_seed, 1])
 
         plan = make_plan(config)
-        self.plan = plan
         self.p_opt = plan.p_opt
         self.e_ideal = plan.e_consume_avg
         self.nonrda_mean_len = sum(config.nonrda_len_range_bits) / 2.0
@@ -197,19 +198,16 @@ class _Sim:
         # per-bit cost from each member to the head it joined this round
         self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
-        self.d_bs = np.hypot(self.x - bx, self.y - by)
-        self.bs_cost = tx_energy(config.fused_len_bits, self.d_bs, radio)
+        self.bs_cost = tx_energy(config.fused_len_bits, np.hypot(self.x - bx, self.y - by), radio)
         # how members pick their head: a small field's per-run tables of
         # every pair's distance rank and per-bit cost, or a large field's
-        # float32 screen operand, built after the set-up peak, and the
-        # squared distances over which the screen may pick a head unranged
+        # float32 screen operand, built after the set-up peak
         if n <= RANK_MAX_NODES:
             self.rank, self.cpb_pair = eepca.nearest_ranks(self.x, self.y, radio, bcast_e)
             self.screen = None
         else:
             self.rank = None
             self.screen = eepca.screen_operand(self.x, self.y)
-            self.ranging_window = eepca.ranging_window(radio, bcast_e)
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
 
@@ -295,22 +293,6 @@ class _Sim:
         self.alive[idx] = self.e[idx] > 0.0
         return delivered.astype(np.int64)
 
-    def _debit_bulk(self, idx: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-        """Debit an aggregate amount (e.g. reception of many messages).
-
-        Returns a mask of nodes that could afford the full amount; the rest
-        are drained to zero and die.
-        """
-        e = self.e[idx]
-        ok = e >= amounts
-        applied = np.where(ok, amounts, e)
-        self.e[idx] = e - applied
-        self.debits += float(applied.sum())
-        if self.track_belief:
-            self.belief[idx] = np.maximum(self.belief[idx] - applied, 0.0)
-        self.alive[idx] = self.e[idx] > 0.0
-        return ok
-
     def _live_neighbors(self) -> eepca.LiveNeighbors:
         """eepca.live_neighbors over the alive nodes, taken again only when
         a node has died since the last call."""
@@ -361,13 +343,11 @@ class _Sim:
         alive = self.alive
         if self.dynamic_p:
             neighbors = self._live_neighbors()
-            w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst,
-                                           alive, neighbors)
+            w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst, neighbors)
             l_sched = (self.msg_len if self.fixed_len else
                        np.where(self.is_rda, self.msg_len, self.nonrda_mean_len))
             e_round = eepca.avg_round_energies_all(l_sched, self.cost_nb, self.src,
-                                                   self.dst, alive, self.e_ideal,
-                                                   neighbors)
+                                                   self.dst, neighbors, self.e_ideal)
             w_c = eepca.cost_factors_all(self.e_ideal, e_round, cfg.cost_factor_cap)
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
@@ -428,7 +408,7 @@ class _Sim:
                 ops = eepca.screen_operands(self.screen, members, ok_heads_idx)
                 choice, d_head = eepca.nearest_heads(
                     self.x[members], self.y[members], self.x[ok_heads_idx],
-                    self.y[ok_heads_idx], cfg.radio, self.bcast_cost, self.ranging_window, ops)
+                    self.y[ok_heads_idx], cfg.radio, self.bcast_cost, ops)
                 cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
             self.cpb_head[members] = cpb
             join_cost = cfg.broadcast_bits * cpb
@@ -549,15 +529,15 @@ class _Sim:
             h_idx = (head_alive & self.alive).nonzero()[0]
             if h_idx.size == 0:
                 continue
-            ok = self._debit_bulk(h_idx, bits_rx[h_idx] * self.e_elec)
-            h_idx = h_idx[ok]
+            rx = bits_rx[h_idx] * self.e_elec
+            h_idx = h_idx[self._debit_messages(h_idx, rx, rx, 1) > 0]
             if h_idx.size == 0:
                 continue
             # heads sense their own data straight into the aggregate
             total_bits = bits_rx[h_idx] + counts[f, h_idx] * lengths[f, h_idx]
-            if self.e_da > 0:
-                ok = self._debit_bulk(h_idx, total_bits * self.e_da)
-                h_idx, total_bits = h_idx[ok], total_bits[ok]
+            agg = total_bits * self.e_da
+            ok = self._debit_messages(h_idx, agg, agg, 1) > 0
+            h_idx, total_bits = h_idx[ok], total_bits[ok]
             tx_bs = h_idx[total_bits > 0]
             if tx_bs.size:
                 sent = self._debit_messages(tx_bs, self.bs_cost[tx_bs],

@@ -114,7 +114,7 @@ class ScenarioConfig:
         if self.homogeneous_energy < 0:
             raise ConfigError("homogeneous_energy", "must be non-negative")
         for name in ("frac_energy_heterogeneous", "frac_rda", "frac_malfunction",
-                     "epsilon_tol", "nonrda_tx_prob_per_frame"):
+                     "alpha", "beta", "epsilon_tol", "nonrda_tx_prob_per_frame"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(name, "must lie in [0, 1]")

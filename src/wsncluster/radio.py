@@ -36,16 +36,8 @@ def rx_energy(l_bits: float, radio: RadioParams) -> float:
     return l_bits * radio.e_elec
 
 
-def amplifier_energy_per_bit(d, radio: RadioParams):
-    """Vectorized amplifier term of the transmit model: eps_fs*d^2 or eps_mp*d^4.
-
-    Accepts scalars or arrays; the electronics term (e_elec per bit) is not
-    included.
-    """
-    d = np.asarray(d, dtype=float)
-    return np.where(d < radio.d0, radio.eps_fs * d * d, radio.eps_mp * d ** 4)
-
-
 def tx_energy_per_bit(d, radio: RadioParams):
-    """Vectorized per-bit transmit cost (electronics + amplifier)."""
-    return radio.e_elec + amplifier_energy_per_bit(d, radio)
+    """Vectorized per-bit transmit cost, e_elec + eps_fs*d^2 or
+    e_elec + eps_mp*d^4, over a float or an array of distances."""
+    d = np.asarray(d, dtype=float)
+    return radio.e_elec + np.where(d < radio.d0, radio.eps_fs * d * d, radio.eps_mp * d ** 4)

@@ -7,9 +7,9 @@ table scripts/run_experiment.py runs too.  They are expensive (a full
 JSON under tests/_cache, keyed by the scenario hash, the sweep parameters
 and a hash of the simulator source (src/wsncluster/*.py).  Any change to
 the source therefore recomputes every experiment: a cold run is about 1,650
-simulations, about 21 CPU-minutes (8.8 and 12.0 minutes wall in two pytest
-processes on a 2-vCPU Xeon).  With a warm cache the whole module runs in
-seconds.
+simulations, which the fixtures spread over every usable CPU through
+cli.run_grid, about 20 CPU-minutes (10.2 minutes wall in one pytest process
+on a 2-vCPU Xeon).  With a warm cache the whole module runs in seconds.
 """
 
 import csv
@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,10 @@ import pytest
 
 import wsncluster
 from wsncluster.baselines import PolicyKind
-from wsncluster.cli import apply_sweep_value
+from wsncluster.cli import SweepSpec, run_grid
 from wsncluster.eepca import eepca_thresholds_all
 from wsncluster.engine import run
-from wsncluster.metrics import summarize
-from wsncluster.model import ScenarioConfig, deploy, load_scenario
+from wsncluster.model import deploy, load_scenario
 from wsncluster.planner import d_to_bs, expected_member_distances
 from wsncluster.radio import tx_energy
 
@@ -44,6 +44,9 @@ POLICIES = tuple(EXPERIMENTS["lifetime"]["policies"])
 ALPHA_GRID = EXPERIMENTS["alpha"]["values"]
 HET_GRID = EXPERIMENTS["heterogeneity"]["values"]
 EPS_GRID = EXPERIMENTS["epsilon"]["values"]
+# a cached run's milestones: cache field -> summary.csv column
+MILESTONES = {"fnd": "fnd_round", "p10": "p10_round", "p50": "p50_round",
+              "lnd": "lnd_round", "bs": "bs_messages_total"}
 
 
 def source_hash(package_dir: Path) -> str:
@@ -74,22 +77,6 @@ def _cached(name: str, params: dict, builder):
     return data
 
 
-def _milestones(config: ScenarioConfig, policy: str, seed: int) -> dict:
-    s = summarize(run(config.with_seed(seed), policy))
-    return {"fnd": s.fnd_round, "p10": s.p10_round, "p50": s.p50_round,
-            "lnd": s.lnd_round, "bs": s.bs_messages_total}
-
-
-def _grid(config, policies, seeds, var, values):
-    out = {}
-    for value in values:
-        cfg = apply_sweep_value(config, var, value)
-        for policy in policies:
-            out[f"{value}/{policy}"] = [_milestones(cfg, policy, s)
-                                        for s in range(seeds)]
-    return out
-
-
 def _params(name: str) -> dict:
     """The cache parameters of a table entry: its scenario's hash, its seed
     count and, for a sweep, its values."""
@@ -101,13 +88,26 @@ def _params(name: str) -> dict:
     return params
 
 
-def _experiment(name: str) -> dict:
+def _grid(name: str) -> dict:
+    """A table entry's milestones per seed, keyed "value/policy" (value None
+    without a sweep), from cli.run_grid over every usable CPU."""
     exp = EXPERIMENTS[name]
-    config = load_scenario(SCENARIOS / exp["scenario"])
-    return _cached(name, _params(name),
-                   lambda: _grid(config, exp["policies"], exp["seeds"],
-                                 exp.get("sweep", "none"),
-                                 exp.get("values", (None,))))
+    jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    spec = SweepSpec(base=load_scenario(SCENARIOS / exp["scenario"]),
+                     policies=[PolicyKind.parse(p) for p in exp["policies"]],
+                     seeds=exp["seeds"], sweep_var=exp.get("sweep", "none"),
+                     values=exp.get("values", []), jobs=jobs)
+    rows = [{key: row[col] for key, col in MILESTONES.items()} for row, _ in run_grid(spec)]
+    # run_grid yields in (value, policy, seed) order
+    cells = [f"{value}/{policy}" for value in exp.get("values", (None,))
+             for policy in exp["policies"]]
+    n = exp["seeds"]
+    return {cell: rows[i * n:(i + 1) * n] for i, cell in enumerate(cells)}
+
+
+def _experiment(name: str) -> dict:
+    return _cached(name, _params(name), lambda: _grid(name))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """What the benchmark in perfbench/ relies on: the module attributes its
-tracer wraps and the scenarios its workloads run.  A refactor that renames a
-traced function or a scenario key fails here, not only in a benchmark run.
+tracer wraps, the scenarios its workloads run and the CLI options they pass.
+A refactor that renames a traced function, a scenario key or a CLI option
+fails here, not only in a benchmark run.
 """
 
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from wsncluster.cli import build_parser
 from wsncluster.model import scenario_from_dict
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -38,3 +40,12 @@ def test_workload_scenario_is_accepted(name):
     for batch in range(wl.batches):
         config = scenario_from_dict(wl.batch_scenario(0, batch))
         assert config.n_nodes == wl.scenario["n_nodes"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_arguments_parse(name):
+    # the timed, warm-up and heap-measuring calls of perfbench/bench.py
+    wl = WORKLOADS[name]
+    for argv in (wl.argv("s.json", "out"), wl.argv("s.json", "out", max_rounds=1),
+                 wl.argv("s.json", "out", cli_args=wl.heap_args)):
+        build_parser().parse_args(argv)

@@ -98,6 +98,20 @@ class TestMain:
         assert "max_rounds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["--sweep", "epsilon_tol=0.9,2"], "epsilon_tol: must lie in [0, 1]"),
+        (["--sweep", "alpha=0.5,1.5"], "alpha: must lie in [0, 1]"),
+        (["--jobs", "0"], "jobs: must be at least 1"),
+    ])
+    def test_bad_sweep_value_or_jobs_is_config_error(self, tmp_path, scenario_file,
+                                                     args, field, capsys):
+        # checked before any run, so nothing is written
+        out = tmp_path / "o"
+        rc = main(["--scenario", str(scenario_file), "--out", str(out), *args])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_dir(self, tmp_path, scenario_file):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -106,7 +106,8 @@ class TestEnergyFactor:
         # the sum is the smallest subnormal, but half of it rounds to 0
         belief = np.array([0.0, 0.0, 5e-324, 0.0])
         src, dst = np.array([3, 3]), np.array([1, 2])
-        out = eepca.energy_factors_all(np.ones(4), belief, src, dst, np.ones(4))
+        out = eepca.energy_factors_all(np.ones(4), belief, src, dst,
+                                       eepca.live_neighbors(src, dst, np.ones(4)))
         assert energy_factor(1.0, belief[dst]) == 1.0
         assert out[3] == 1.0
 
@@ -123,7 +124,8 @@ class TestEnergyFactor:
             min_size=n, max_size=n)))
         np.fill_diagonal(neigh, False)
         src, dst = np.nonzero(neigh)
-        out = eepca.energy_factors_all(e, belief, src, dst, np.ones(n))
+        out = eepca.energy_factors_all(e, belief, src, dst,
+                                       eepca.live_neighbors(src, dst, np.ones(n)))
         for i in range(n):
             expect = energy_factor(e[i], belief[neigh[i]])
             assert out[i] == pytest.approx(expect, rel=1e-12)
@@ -161,7 +163,8 @@ class TestCostFactor:
         neigh = (d < 40.0) & ~np.eye(n, dtype=bool)
         src, dst = np.nonzero(neigh)
         cpb = eepca.cost_per_bit_matrix(d[src, dst], RADIO)
-        out = eepca.avg_round_energies_all(lengths, cpb, src, dst, np.ones(n), 0.123)
+        nb = eepca.live_neighbors(src, dst, np.ones(n))
+        out = eepca.avg_round_energies_all(lengths, cpb, src, dst, nb, 0.123)
         for i in range(n):
             js = np.flatnonzero(neigh[i])
             expect = avg_round_energy_if_head(
@@ -496,8 +499,7 @@ class TestNearestHeads:
     def test_equals_argmin_over_ranged_pairs(self, layout):
         xm, ym, xh, yh, radio, bcast = layout
         with np.errstate(all="ignore"):
-            window = eepca.ranging_window(radio, bcast)
-            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast, window)
+            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast)
             dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                     radio, bcast)
         want = np.argmin(dense, axis=1)
@@ -516,8 +518,7 @@ class TestNearestHeads:
         xm, ym = rng.uniform(0, 400, 3000), rng.uniform(0, 400, 3000)
         xh, yh = rng.uniform(0, 400, 40), rng.uniform(0, 400, 40)
         bcast = tx_energy(2500, 12.0, RADIO)
-        choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, RADIO, bcast,
-                                            eepca.ranging_window(RADIO, bcast))
+        choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, RADIO, bcast)
         dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                 RADIO, bcast)
         assert 3000 * 40 > 2 * eepca._PAIRS_PER_BLOCK
@@ -580,8 +581,7 @@ class TestHeadScreen:
     def _check(cls, xm, ym, xh, yh, radio=RADIO, bcast=None):
         bcast = cls.BCAST if bcast is None else bcast
         with np.errstate(all="ignore"):
-            window = eepca.ranging_window(radio, bcast)
-            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast, window)
+            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast)
             dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                     radio, bcast)
         want = np.argmin(dense, axis=1)
@@ -654,9 +654,8 @@ class TestHeadScreen:
         x, y = rng.uniform(0, 400, 500), rng.uniform(0, 400, 500)
         heads = np.sort(rng.choice(500, 30, replace=False))
         members = np.setdiff1d(np.arange(500), heads)
-        window = eepca.ranging_window(RADIO, self.BCAST)
         ops = eepca.screen_operands(eepca.screen_operand(x, y), members, heads)
-        args = (x[members], y[members], x[heads], y[heads], RADIO, self.BCAST, window)
+        args = (x[members], y[members], x[heads], y[heads], RADIO, self.BCAST)
         for got, want in zip(eepca.nearest_heads(*args, ops), eepca.nearest_heads(*args)):
             assert np.array_equal(got, want)
 
@@ -703,8 +702,7 @@ class TestRankedHeads:
         cpb = cost[members, h_idx[choice]]
 
         xm, ym, xh, yh = x[members], y[members], x[h_idx], y[h_idx]
-        picked, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast,
-                                            eepca.ranging_window(radio, bcast))
+        picked, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast)
         assert np.array_equal(choice, picked)
         assert np.array_equal(cpb.view(np.int64),
                               eepca.cost_per_bit_matrix(d_est, radio).view(np.int64))

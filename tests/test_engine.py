@@ -142,32 +142,38 @@ def test_config_hash_recorded(small_config):
 
 
 class TestScalarDebit:
-    """The engine's debit helpers, one node at a time."""
+    """One-message debits of an aggregate amount, one node at a time."""
 
     def _sim(self, small_config, e):
-        sim = _Sim(small_config, PolicyKind.LEACH, detail=False)
+        sim = _Sim(small_config, PolicyKind.EEPCA, detail=False)
         sim.e[0] = e
         sim.alive[0] = e > 0.0
         return sim
 
+    @staticmethod
+    def _debit(sim, amount):
+        a = np.array([amount])
+        return sim._debit_messages(np.array([0]), a, a, 1).tolist()
+
     def test_normal_debit(self, small_config):
         sim = self._sim(small_config, 1.0)
-        assert sim._debit_bulk(np.array([0]), np.array([0.3])).tolist() == [True]
+        assert self._debit(sim, 0.3) == [1]
         assert sim.alive[0]
         assert sim.e[0] == pytest.approx(0.7)
         assert sim.debits == pytest.approx(0.3)
 
     def test_exhaustion_kills(self, small_config):
         sim = self._sim(small_config, 0.2)
-        assert sim._debit_bulk(np.array([0]), np.array([0.2])).tolist() == [True]
+        assert self._debit(sim, 0.2) == [1]
         assert not sim.alive[0]
         assert sim.e[0] == 0.0
 
     def test_blocked_action_clamps_to_zero(self, small_config):
         sim = self._sim(small_config, 0.1)
-        assert sim._debit_bulk(np.array([0]), np.array([0.5])).tolist() == [False]
+        assert self._debit(sim, 0.5) == [0]
         assert not sim.alive[0] and sim.e[0] == 0.0
         assert sim.debits == pytest.approx(0.1)  # only what the node had
+        assert sim.belief[0] == 0.0  # a drained node believes nothing left
         # a message the node cannot afford is not delivered
         sim = self._sim(small_config, 0.1)
         assert sim._debit_messages(np.array([0]), 0.04, 0.04, 3).tolist() == [2]

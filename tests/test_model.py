@@ -28,6 +28,7 @@ class TestValidation:
         ({"frac_malfunction": -0.1}, "frac_malfunction"),
         ({"epsilon_tol": 2.0}, "epsilon_tol"),
         ({"alpha": 0.7, "beta": 0.4}, "alpha"),
+        ({"alpha": 1.5, "beta": -0.5}, "alpha"),
         ({"frames_per_round": 0}, "frames_per_round"),
         ({"rda_msgs_range": (7, 3)}, "rda_msgs_range"),
         ({"neighbor_radius": 0.0}, "neighbor_radius"),

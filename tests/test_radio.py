@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from wsncluster.eepca import estimated_distance_matrix
 from wsncluster.model import ContractViolation, RadioParams
-from wsncluster.radio import (amplifier_energy_per_bit, rx_energy, tx_energy,
-                              tx_energy_per_bit)
+from wsncluster.radio import rx_energy, tx_energy, tx_energy_per_bit
 
 RADIO = RadioParams()
 
@@ -100,5 +99,5 @@ class TestVectorizedForms:
             assert pb * 1000 == pytest.approx(tx_energy(1000, d, RADIO), rel=1e-12)
 
     def test_amplifier_term_only(self):
-        amp = amplifier_energy_per_bit(np.array([50.0]), RADIO)
+        amp = tx_energy_per_bit(np.array([50.0]), RADIO) - RADIO.e_elec
         assert amp[0] == pytest.approx(RADIO.eps_fs * 2500, rel=1e-12)
