@@ -8,10 +8,12 @@ The grid is the one a change that must keep traces byte-identical is checked
 on: scenarios/table1.json and scenarios/rda50.json, seeds 0-4 under leach,
 sep and eepca, each run to exhaustion; and rda50 at n_nodes=1600 on a 400 m
 field, seeds 0, 1, 1000 and 1001 under leach and eepca, 40 rounds each.
---out writes a JSON object from run name to digest, sorted by name.  --check
-compares the digests with such a file written at another commit, names every
-run whose digest differs or that one side lacks, and exits 1 if there is
-any.  It takes about a minute on one core.
+The CLI's output path is checked too: the summary.csv and curves.csv of one
+CLI grid, rda50 under leach, sep and eepca, seeds 0-1, 400 rounds at most.
+--out writes a JSON object from run or file name to digest, sorted by name.
+--check compares the digests with such a file written at another commit,
+names every entry whose digest differs or that one side lacks, and exits 1
+if there is any.  It takes about a minute on one core.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from wsncluster import cli
 from wsncluster.engine import run
 from wsncluster.model import load_scenario
 
@@ -42,6 +45,11 @@ def grid():
             yield f"rda50-n1600/{policy}/seed={seed}", field.with_seed(seed), policy, 40
 
 
+CLI_ARGS = ["--scenario", str(ROOT / "scenarios" / "rda50.json"),
+            "--policy", "leach,sep,eepca", "--seeds", "2", "--max-rounds", "400"]
+CLI_FILES = ("summary.csv", "curves.csv")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON file to write")
@@ -57,6 +65,11 @@ def main() -> None:
         for name, config, policy, max_rounds in grid():
             run(config, policy, max_rounds=max_rounds).write_jsonl(path)
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        out = Path(tmp) / "cli"
+        if cli.main([*CLI_ARGS, "--out", str(out)]) != 0:
+            sys.exit("the CLI grid failed")
+        for name in CLI_FILES:
+            digests[f"cli/rda50/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     if args.out:
         Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     if baseline is not None:
@@ -71,8 +84,8 @@ def main() -> None:
             else:
                 continue
             bad += 1
-        print(f"{bad} runs differ or are missing" if bad
-              else f"all {len(digests)} runs match {args.check}")
+        print(f"{bad} entries differ or are missing" if bad
+              else f"all {len(digests)} entries match {args.check}")
         sys.exit(1 if bad else 0)
 
 

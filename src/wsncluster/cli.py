@@ -65,13 +65,19 @@ def apply_sweep_value(base: ScenarioConfig, var: str, value: float) -> ScenarioC
 
 
 def _one_run(args):
+    """One run of the grid: its summary row and its curve rows as CSV text.
+
+    The trace is dropped before the curve rows are formed, so a run holds its
+    trace or its curve rows but never both.
+    """
     base, var, value, policy, seed, max_rounds = args
     config = apply_sweep_value(base, var, value).with_seed(seed)
     trace = run(config, policy, max_rounds=max_rounds)
     summary = metrics.summarize(trace)
     sv = "" if var == "none" else value
-    return (metrics.summary_row(summary, trace, var, sv),
-            metrics.curve_rows(summary, var, sv))
+    row = metrics.summary_row(summary, trace, var, sv)
+    del trace
+    return row, metrics.curve_rows(summary, var, sv)
 
 
 def run_grid(spec: SweepSpec):
@@ -90,7 +96,12 @@ def run_grid(spec: SweepSpec):
 
 
 def run_experiment(spec: SweepSpec) -> int:
-    """Run the grid of run_grid and write CSV artifacts."""
+    """Run the grid of run_grid and write CSV artifacts.
+
+    Each run's curve rows are appended to curves.csv as the run finishes, so
+    the grid holds one run's rows at a time; summary.csv is written at the
+    end from the summary rows.
+    """
     try:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         probe = spec.out_dir / ".write_probe"
@@ -100,11 +111,13 @@ def run_experiment(spec: SweepSpec) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 3
 
-    results = list(run_grid(spec))
-    summary_rows = [r[0] for r in results]
-    curve_rows = [row for r in results for row in r[1]]
+    summary_rows = []
+    with open(spec.out_dir / "curves.csv", "w", newline="") as curves:
+        curves.write(metrics.CURVES_HEADER)
+        for row, curve_text in run_grid(spec):
+            summary_rows.append(row)
+            metrics.write_curves_csv(curves, curve_text)
     metrics.write_summary_csv(spec.out_dir / "summary.csv", summary_rows)
-    metrics.write_curves_csv(spec.out_dir / "curves.csv", curve_rows)
 
     meta = {
         "config": spec.base.to_flat_dict(),

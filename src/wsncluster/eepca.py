@@ -313,8 +313,7 @@ def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, 
 
 def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray,
                   radio: RadioParams, broadcast_energy: float,
-                  operands: tuple[np.ndarray, ...] | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  operands: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each member's nearest head by estimated distance: (head index, distance).
 
     Equal, bit for bit, to argmin over estimated_distance_matrix of every
@@ -338,12 +337,8 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
     argmin.  Only the pair chosen is ranged for a settled member.
 
     operands is screen_operands(screen_operand(x, y), members, heads) for
-    the nodes whose float64 coordinates xm, ym, xh, yh are; it is built here
-    when None.
+    the nodes whose float64 coordinates xm, ym, xh, yh are.
     """
-    if operands is None:
-        op = screen_operand(np.concatenate((xm, xh)), np.concatenate((ym, yh)))
-        operands = screen_operands(op, np.arange(xm.size), np.arange(xm.size, op.shape[1]))
     err, m_op, h_op, tally = operands
     # near heads and their index sum, per member
     found = np.empty((2, xm.size), dtype=np.float32)

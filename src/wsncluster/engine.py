@@ -78,7 +78,7 @@ from .planner import make_plan
 from .radio import rx_energy, tx_energy
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     r: int
     head_ids: tuple[int, ...]

@@ -3,16 +3,21 @@
 Death milestones are read off the alive-vs-round curve: first node death,
 10% death (the stable period), 50% death and last node death.  Monitoring
 quality is the cumulative count of fused messages the base station received.
-Milestones that never occur before the round limit are censored.
+Milestones count against the nodes alive at round 0: a node that starts with
+no energy never dies in a round.  Milestones that never occur before the
+round limit are censored.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .engine import RunTrace
 
@@ -44,7 +49,7 @@ def summarize(trace: RunTrace) -> MetricsSummary:
     """Per-run metrics from a trace."""
     if not trace.records:
         raise ValueError("cannot summarize an empty trace")
-    n = trace.e_init.size
+    n = int(np.count_nonzero(trace.e_init > 0))  # a node that starts dead never dies
     dead = 0
     fnd = p10 = p50 = lnd = CENSORED
     cum = []
@@ -110,6 +115,16 @@ SUMMARY_COLUMNS = ["policy", "seed", "sweep_var", "sweep_value", "config_hash",
 CURVE_COLUMNS = ["policy", "seed", "sweep_var", "sweep_value", "round", "alive", "bs_cum"]
 
 
+def _csv_text(rows) -> str:
+    """Rows in the csv module's default dialect, the one csv.DictWriter writes."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+CURVES_HEADER = _csv_text([CURVE_COLUMNS])
+
+
 def write_summary_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
@@ -119,11 +134,10 @@ def write_summary_csv(path, rows: list[dict]) -> None:
                              for k in SUMMARY_COLUMNS})
 
 
-def write_curves_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CURVE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def write_curves_csv(fh, rows: str) -> None:
+    """Append one run's curve rows, the text curve_rows gives, to an open
+    curves file that starts with CURVES_HEADER."""
+    fh.write(rows)
 
 
 def summary_row(summary: MetricsSummary, trace: RunTrace,
@@ -144,10 +158,10 @@ def summary_row(summary: MetricsSummary, trace: RunTrace,
     }
 
 
-def curve_rows(summary: MetricsSummary, sweep_var: str = "none", sweep_value="") -> list[dict]:
-    return [
-        {"policy": summary.policy, "seed": summary.seed, "sweep_var": sweep_var,
-         "sweep_value": sweep_value, "round": r, "alive": alive, "bs_cum": bs}
-        for r, (alive, bs) in enumerate(zip(summary.alive_curve,
-                                            summary.cumulative_bs_messages))
-    ]
+def curve_rows(summary: MetricsSummary, sweep_var: str = "none", sweep_value="") -> str:
+    """One run's rows of curves.csv as CSV text, one line per round in
+    CURVE_COLUMNS order and no header."""
+    key = (summary.policy, summary.seed, sweep_var, sweep_value)
+    return _csv_text((*key, r, alive, bs)
+                     for r, (alive, bs) in enumerate(zip(summary.alive_curve,
+                                                         summary.cumulative_bs_messages)))

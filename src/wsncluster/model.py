@@ -34,6 +34,43 @@ class ContractViolation(ValueError):
     """An operation was called outside its contract."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_pair(v, item) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(map(item, v))
+
+
+# field annotation -> (what a value must be, its check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[int, int]": ("a pair of integers", lambda v: _is_pair(v, _is_int)),
+    "tuple[float, float]": ("a pair of numbers", lambda v: _is_pair(v, _is_number)),
+    "Optional[tuple[float, float]]": (
+        "null or a pair of numbers", lambda v: v is None or _is_pair(v, _is_number)),
+    "RadioParams": ("radio parameters", lambda v: isinstance(v, RadioParams)),
+}
+
+
+def _require_types(obj) -> None:
+    """Reject a field whose value is not of its annotated type.
+
+    Ints are not bools and floats may be ints, as JSON gives them; the
+    checks run first, so the range checks compare numbers.
+    """
+    for f in fields(obj):
+        what, check = _FIELD_TYPES[f.type]
+        if not check(getattr(obj, f.name)):
+            raise ConfigError(f.name, f"must be {what}")
+
+
 def _require_finite(obj) -> None:
     """Reject NaN and +-inf in any float field or float tuple element.
 
@@ -59,6 +96,7 @@ class RadioParams:
     alpha_pathloss: float = 2.0   # path-loss exponent, in [1, 6]
 
     def __post_init__(self):
+        _require_types(self)
         _require_finite(self)
         for name in ("e_elec", "eps_fs", "eps_mp", "d0", "k_rss", "alpha_pathloss"):
             if getattr(self, name) <= 0:
@@ -102,6 +140,7 @@ class ScenarioConfig:
     radio: RadioParams = field(default_factory=RadioParams)
 
     def __post_init__(self):
+        _require_types(self)
         _require_finite(self)
         if self.m_field <= 0:
             raise ConfigError("m_field", "must be positive")
@@ -200,10 +239,6 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_TUPLE_FIELDS = {"bs_pos", "rda_msgs_range", "msg_len_range_bits",
-                 "nonrda_len_range_bits", "malfunction_noise_range"}
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a flat key-value mapping; unknown keys error."""
     scen_names = {f.name for f in fields(ScenarioConfig)} - {"radio"}
@@ -214,7 +249,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if key in radio_names:
             radio_kwargs[key] = value
         elif key in scen_names:
-            if key in _TUPLE_FIELDS and value is not None:
+            if isinstance(value, list):
                 value = tuple(value)
             scen_kwargs[key] = value
         else:

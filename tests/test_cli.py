@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -74,6 +76,19 @@ class TestMain:
         assert "neighbor_radius: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields, error", [
+        ({"n_nodes": "100"}, "n_nodes: must be an integer"),
+        ({"rda_msgs_range": 5}, "rda_msgs_range: must be a pair of integers"),
+        ({"n_nodes": 100.5}, "n_nodes: must be an integer"),
+    ])
+    def test_wrongly_typed_field_is_config_error(self, tmp_path, capsys, fields, error):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(fields))
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_plan_overflow_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({"bs_pos": [150.0, 50.0], "eps_mp": 1e300,
@@ -118,6 +133,50 @@ class TestMain:
         rc = main(["--scenario", str(scenario_file),
                    "--out", str(blocker / "sub")])
         assert rc == 3
+
+
+# sha256 of the CLI's output for small_config under leach, sep and eepca,
+# seeds 0-1 and alpha 0.6 and 0.8, every run to exhaustion.  Writing the
+# output must not change its bytes, whatever the number of workers.
+OUTPUT_DIGESTS = {
+    "summary.csv": "d98a3a438225a0ebbfe7fea7d517b7955655a5820114e4ca1829884805754500",
+    "curves.csv": "c2bc916c91ba24da4cd0b100e6466504b6d5775b9626c771bba66b3dcd96d0cc",
+    "metadata.json": "2a87df4a04063d6b187934025df8f9149c56e74c226709a0f867d2cdf949f1ab",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_output_bytes_are_pinned(tmp_path, small_config, jobs):
+    scenario = tmp_path / "small.json"
+    scenario.write_text(json.dumps(small_config.to_flat_dict()))
+    out = tmp_path / "o"
+    rc = main(["--scenario", str(scenario), "--policy", "leach,sep,eepca",
+               "--seeds", "2", "--sweep", "alpha=0.6,0.8", "--jobs", jobs,
+               "--out", str(out)])
+    assert rc == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in OUTPUT_DIGESTS} == OUTPUT_DIGESTS
+
+
+def test_grid_heap_does_not_grow_with_runs(tmp_path, small_config):
+    """The peak heap of a grid is that of one run: a 16-run grid peaks
+    within a small margin of the same grid at 4 runs."""
+    scenario = tmp_path / "small.json"
+    scenario.write_text(json.dumps(small_config.to_flat_dict()))
+
+    def peak(seeds):
+        argv = ["--scenario", str(scenario), "--policy", "leach,eepca",
+                "--seeds", str(seeds), "--max-rounds", "100",
+                "--out", str(tmp_path / f"o{seeds}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm-up: imports and first-call caches
+    assert peak(8) - peak(2) < 64 * 1024
 
 
 class TestSweepSpec:

@@ -449,6 +449,14 @@ def _pts(*xy):
     return np.array(x, dtype=float), np.array(y, dtype=float)
 
 
+def _nearest_heads(xm, ym, xh, yh, radio, bcast):
+    """nearest_heads over the screen operand of the members followed by the
+    heads."""
+    op = eepca.screen_operand(np.concatenate((xm, xh)), np.concatenate((ym, yh)))
+    ops = eepca.screen_operands(op, np.arange(xm.size), np.arange(xm.size, op.shape[1]))
+    return eepca.nearest_heads(xm, ym, xh, yh, radio, bcast, ops)
+
+
 @st.composite
 def _member_head_layouts(draw):
     """Members and heads on a small integer grid (exact ties), with co-located
@@ -499,7 +507,7 @@ class TestNearestHeads:
     def test_equals_argmin_over_ranged_pairs(self, layout):
         xm, ym, xh, yh, radio, bcast = layout
         with np.errstate(all="ignore"):
-            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast)
+            choice, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
             dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                     radio, bcast)
         want = np.argmin(dense, axis=1)
@@ -518,7 +526,7 @@ class TestNearestHeads:
         xm, ym = rng.uniform(0, 400, 3000), rng.uniform(0, 400, 3000)
         xh, yh = rng.uniform(0, 400, 40), rng.uniform(0, 400, 40)
         bcast = tx_energy(2500, 12.0, RADIO)
-        choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, RADIO, bcast)
+        choice, d_est = _nearest_heads(xm, ym, xh, yh, RADIO, bcast)
         dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                 RADIO, bcast)
         assert 3000 * 40 > 2 * eepca._PAIRS_PER_BLOCK
@@ -581,7 +589,7 @@ class TestHeadScreen:
     def _check(cls, xm, ym, xh, yh, radio=RADIO, bcast=None):
         bcast = cls.BCAST if bcast is None else bcast
         with np.errstate(all="ignore"):
-            choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast)
+            choice, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
             dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                     radio, bcast)
         want = np.argmin(dense, axis=1)
@@ -649,15 +657,20 @@ class TestHeadScreen:
         xm, ym = _pts((0, 0), (3, 4), (ulp, 0), (1.5, 2), (ulp / 2, 0), (0, 0))
         self._check(xm + offset, ym + offset, xh + offset, yh + offset)
 
-    def test_caller_operands_equal_built_ones(self):
+    def test_field_operand_equals_argmin(self):
+        # the engine's call: one operand over the whole field, its members and
+        # heads interleaved in it
         rng = np.random.default_rng(11)
         x, y = rng.uniform(0, 400, 500), rng.uniform(0, 400, 500)
         heads = np.sort(rng.choice(500, 30, replace=False))
         members = np.setdiff1d(np.arange(500), heads)
         ops = eepca.screen_operands(eepca.screen_operand(x, y), members, heads)
-        args = (x[members], y[members], x[heads], y[heads], RADIO, self.BCAST)
-        for got, want in zip(eepca.nearest_heads(*args, ops), eepca.nearest_heads(*args)):
-            assert np.array_equal(got, want)
+        xm, ym, xh, yh = x[members], y[members], x[heads], y[heads]
+        choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, RADIO, self.BCAST, ops)
+        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
+                                                RADIO, self.BCAST)
+        assert np.array_equal(choice, np.argmin(dense, axis=1))
+        assert np.array_equal(d_est, dense.min(axis=1))
 
 
 @st.composite
@@ -702,7 +715,7 @@ class TestRankedHeads:
         cpb = cost[members, h_idx[choice]]
 
         xm, ym, xh, yh = x[members], y[members], x[h_idx], y[h_idx]
-        picked, d_est = eepca.nearest_heads(xm, ym, xh, yh, radio, bcast)
+        picked, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
         assert np.array_equal(choice, picked)
         assert np.array_equal(cpb.view(np.int64),
                               eepca.cost_per_bit_matrix(d_est, radio).view(np.int64))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RoundRecord, RunTrace
-from wsncluster.metrics import (CENSORED, MetricsSummary, aggregate,
+from wsncluster.engine import RoundRecord, RunTrace, run
+from wsncluster.metrics import (CENSORED, CURVES_HEADER, MetricsSummary, aggregate,
                                 all_censored, curve_rows, summarize,
                                 summary_row)
+from wsncluster.model import ScenarioConfig
 
 
 def _trace(death_plan, n=10, bs_per_round=2, seed=0):
@@ -46,6 +47,25 @@ class TestSummarize:
         assert s.fnd_round is CENSORED
         assert s.lnd_round is CENSORED
         assert all_censored(s)
+
+    def test_nodes_that_start_dead_are_not_counted(self):
+        # 10 nodes, 4 of them with no energy: the 6 alive at round 0 set the
+        # marks, so 3 deaths are half and 6 are the last
+        trace = _trace({2: (0,), 5: (1, 2), 7: (3, 4, 5)}, n=6)
+        trace.e_init = np.array([1.0] * 6 + [0.0] * 4)
+        s = summarize(trace)
+        assert (s.fnd_round, s.p10_round, s.p50_round, s.lnd_round) == (2, 2, 5, 7)
+
+    def test_run_with_nodes_that_start_dead_reaches_last_death(self):
+        config = ScenarioConfig(frac_energy_heterogeneous=0.5, homogeneous_energy=0.0,
+                                e_min=0.05, e_max=0.1)
+        trace = run(config, "leach")
+        assert trace.termination == "all-dead"
+        assert np.count_nonzero(trace.e_init == 0) == 50
+        s = summarize(trace)
+        # the 50 nodes alive at round 0 are half dead once 25 remain
+        assert s.p50_round == next(rec.r for rec in trace.records if rec.alive_end <= 25)
+        assert s.lnd_round == trace.records[-1].r
 
     def test_bs_accumulation(self):
         s = summarize(_trace({2: (0,)}, bs_per_round=3))
@@ -98,7 +118,13 @@ class TestRows:
 
     def test_curve_rows_align_with_rounds(self):
         s = summarize(_trace({2: (0,)}))
-        rows = curve_rows(s)
+        rows = curve_rows(s, "alpha", 0.7).splitlines()
         assert len(rows) == s.n_rounds
-        assert rows[0]["round"] == 0
-        assert rows[-1]["alive"] == 9
+        assert rows[0] == "leach,0,alpha,0.7,0,10,2"
+        assert rows[-1] == "leach,0,alpha,0.7,2,9,6"
+
+    def test_curve_rows_follow_the_header(self):
+        s = summarize(_trace({}, n=3))
+        text = CURVES_HEADER + curve_rows(s)
+        assert text == ("policy,seed,sweep_var,sweep_value,round,alive,bs_cum\r\n"
+                        "leach,0,none,,0,3,2\r\n")

@@ -53,6 +53,19 @@ class TestValidation:
         ({"epsilon_tol": math.nan}, "epsilon_tol"),
         ({"cost_factor_cap": math.inf}, "cost_factor_cap"),
         ({"n_nodes": math.nan}, "n_nodes"),
+        # a field of the wrong type is named before any other check reads it
+        ({"n_nodes": "100"}, "n_nodes"),
+        ({"n_nodes": 100.5}, "n_nodes"),
+        ({"n_nodes": True}, "n_nodes"),
+        ({"m_field": "100"}, "m_field"),
+        ({"alpha": False, "beta": 1.0}, "alpha"),
+        ({"rda_msgs_range": 5}, "rda_msgs_range"),
+        ({"rda_msgs_range": (3.5, 7)}, "rda_msgs_range"),
+        ({"rda_msgs_range": (3, 5, 7)}, "rda_msgs_range"),
+        ({"malfunction_noise_range": ("0.5", 1.5)}, "malfunction_noise_range"),
+        ({"bs_pos": (1.0,)}, "bs_pos"),
+        ({"disable_suppression": 1}, "disable_suppression"),
+        ({"radio": None}, "radio"),
         # amplifier ratios whose ideal cluster plan leaves the float range:
         # a radius past 1e77 m overflows d**4, an infinite head count divides
         # by a zero cluster size
@@ -80,11 +93,18 @@ class TestValidation:
         ({"d0": math.nan}, "d0"),
         ({"k_rss": math.inf}, "k_rss"),
         ({"alpha_pathloss": math.nan}, "alpha_pathloss"),
+        ({"d0": "75"}, "d0"),
+        ({"e_elec": True}, "e_elec"),
     ])
     def test_invalid_radio_field(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
             RadioParams(**kwargs)
         assert exc.value.field_name == field_name
+
+    def test_numbers_of_either_json_kind_load(self):
+        cfg = scenario_from_dict({"m_field": 100, "bs_pos": [0, 10.5], "d0": 75})
+        assert cfg.bs_xy == (0, 10.5)
+        assert cfg.radio.d0 == 75
 
     def test_one_source_of_positive_energy_suffices(self):
         ScenarioConfig(frac_energy_heterogeneous=0.5, homogeneous_energy=0.0)
