@@ -4,13 +4,13 @@ LEACH and SEP baselines."""
 
 from .baselines import PolicyKind
 from .engine import RunTrace, run
-from .metrics import MetricsSummary, aggregate, summarize
+from .metrics import MetricsSummary, summarize
 from .model import (ConfigError, ContractViolation, RadioParams, ScenarioConfig,
                     deploy, load_scenario, table1_scenario)
 from .planner import IdealPlan, make_plan
 
 __all__ = [
-    "PolicyKind", "RunTrace", "run", "MetricsSummary", "aggregate", "summarize",
+    "PolicyKind", "RunTrace", "run", "MetricsSummary", "summarize",
     "ConfigError", "ContractViolation", "RadioParams", "ScenarioConfig",
     "deploy", "load_scenario", "table1_scenario",
     "IdealPlan", "make_plan",

@@ -14,6 +14,7 @@ import enum
 
 import numpy as np
 
+from .eepca import clamp_probabilities
 from .model import ContractViolation
 
 
@@ -40,6 +41,5 @@ def sep_probabilities(e_init: np.ndarray, p_opt: float) -> np.ndarray:
     total = float(e_init.sum())
     if total <= 0:
         raise ContractViolation("zero total initial energy")
-    p = p_opt * e_init.size * e_init / total
-    return np.clip(p, 1e-12, 1.0 - 1e-12)
+    return clamp_probabilities(p_opt * e_init.size * e_init / total)
 

@@ -22,7 +22,7 @@ from .baselines import PolicyKind
 from .engine import run
 from .model import ConfigError, ScenarioConfig, load_scenario
 
-SWEEP_VARS = ("alpha", "epsilon_tol", "frac_energy_heterogeneous", "none")
+SWEEP_VARS = ("alpha", "epsilon_tol", "frac_energy_heterogeneous")
 
 
 @dataclasses.dataclass
@@ -37,9 +37,12 @@ class SweepSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.sweep_var not in SWEEP_VARS:
+        if self.sweep_var == "none":  # no sweep: a grid of the base scenario
+            if self.values:
+                raise ConfigError("sweep", f"values need a variable, one of {SWEEP_VARS}")
+        elif self.sweep_var not in SWEEP_VARS:
             raise ConfigError("sweep", f"must be one of {SWEEP_VARS}")
-        if self.sweep_var != "none" and not self.values:
+        elif not self.values:
             raise ConfigError("sweep", "value list must be nonempty")
         if self.seeds < 1:
             raise ConfigError("seeds", "must be at least 1")
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated policies: leach,sep,eepca")
     parser.add_argument("--seeds", type=int, default=1, help="number of seeds")
     parser.add_argument("--sweep", default=None, metavar="VAR=V1,V2,...",
-                        help=f"sweep variable, one of {SWEEP_VARS[:-1]}")
+                        help=f"sweep variable, one of {SWEEP_VARS}")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--max-rounds", type=int, default=10000)
     parser.add_argument("--jobs", type=int, default=1,

@@ -122,12 +122,17 @@ def avg_round_energies_all(l_sched: np.ndarray, cost_per_bit: np.ndarray,
     return np.divide(sums, nb.counts, out=out, where=nb.has)
 
 
-def cost_factors_all(e_ideal: float, e_round: np.ndarray, cap: float) -> np.ndarray:
+# The largest communication-cost factor a node can have.
+COST_FACTOR_CAP = 5.0
+
+
+def cost_factors_all(e_ideal: float, e_round: np.ndarray) -> np.ndarray:
     """Ideal per-transmission energy over each node's would-be intra-cluster
-    mean, capped at cap; a node whose mean is not positive gets cap."""
-    out = np.full(e_round.shape, cap, dtype=float)
+    mean, capped at COST_FACTOR_CAP; a node whose mean is not positive gets
+    the cap."""
+    out = np.full(e_round.shape, COST_FACTOR_CAP, dtype=float)
     ok = e_round > 0
-    out[ok] = np.minimum(e_ideal / e_round[ok], cap)
+    out[ok] = np.minimum(e_ideal / e_round[ok], COST_FACTOR_CAP)
     return out
 
 
@@ -136,10 +141,15 @@ def cost_factors_all(e_ideal: float, e_round: np.ndarray, cap: float) -> np.ndar
 _P_EPS = 1e-12
 
 
+def clamp_probabilities(p: np.ndarray) -> np.ndarray:
+    """p clamped into the open interval (0, 1), [_P_EPS, 1 - _P_EPS]."""
+    # np.clip's result, at a fraction of its per-call cost
+    return np.minimum(np.maximum(p, _P_EPS), 1.0 - _P_EPS)
+
+
 def election_probabilities_all(p_opt: float, w: np.ndarray) -> np.ndarray:
     """p_i = p_opt * w_i, clamped into the open interval (0, 1)."""
-    # np.clip's result, at a fraction of its per-call cost
-    return np.minimum(np.maximum(p_opt * w, _P_EPS), 1.0 - _P_EPS)
+    return clamp_probabilities(p_opt * w)
 
 
 def rotation_epochs(p: np.ndarray) -> np.ndarray:
@@ -174,23 +184,18 @@ def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray |
 
 # --- prediction-based broadcast suppression ---------------------------------
 
-def broadcast_suppressed(belief: np.ndarray, e: np.ndarray, epsilon_tol: float,
-                         literal_rule: bool = False) -> np.ndarray:
+def broadcast_suppressed(belief: np.ndarray, e: np.ndarray, epsilon_tol: float) -> np.ndarray:
     """Which nodes may skip their setup broadcast.
 
     belief is the residual energy neighbors compute for each node and e its
     actual residual, which must be positive.  The relative prediction error is
-    gamma = |1 - belief/e|.  Default rule: suppress iff gamma <= 1 - epsilon_tol,
+    gamma = |1 - belief/e|, and a node is suppressed iff gamma <= 1 - epsilon_tol,
     so epsilon_tol = 1 means zero tolerance (any error forces a broadcast) and
-    lower values tolerate larger errors.  literal_rule uses gamma < epsilon_tol
-    instead.
+    lower values tolerate larger errors.
     """
     if np.count_nonzero(e <= 0):
         raise ContractViolation("prediction error is undefined for a dead node (e <= 0)")
-    gamma = np.abs(1.0 - belief / e)
-    if literal_rule:
-        return gamma < epsilon_tol
-    return gamma <= 1.0 - epsilon_tol
+    return np.abs(1.0 - belief / e) <= 1.0 - epsilon_tol
 
 
 # --- ranging -----------------------------------------------------------------

@@ -57,9 +57,7 @@ a non-member's into a dump column.  A non-RDA node that sends in every
 frame (send probability 1) holds frames messages in msg_count, and a
 one-value non-RDA length range is held in msg_len, so a round forms its
 frame counts and lengths with no per-round fill; the send draws that
-probability 1 makes moot are still drawn, to keep the stream.  A per-run
-table of LEACH/SEP thresholds by round was tried and not kept: at n=1600 it
-cost more set-up time and heap than the election time it saved.
+probability 1 makes moot are still drawn, to keep the stream.
 """
 
 from __future__ import annotations
@@ -314,7 +312,7 @@ class _Sim:
             if np.count_nonzero(cand):
                 suppressed = np.zeros(self.n, dtype=bool)
                 suppressed[cand] = eepca.broadcast_suppressed(
-                    self.belief[cand], self.e[cand], cfg.epsilon_tol, cfg.gamma_rule_literal)
+                    self.belief[cand], self.e[cand], cfg.epsilon_tol)
                 senders ^= suppressed
         idx = senders.nonzero()[0]
         sent = self._debit_messages(idx, self.bcast_cost, self.bcast_cost, 1)
@@ -348,7 +346,7 @@ class _Sim:
                        np.where(self.is_rda, self.msg_len, self.nonrda_mean_len))
             e_round = eepca.avg_round_energies_all(l_sched, self.cost_nb, self.src,
                                                    self.dst, neighbors, self.e_ideal)
-            w_c = eepca.cost_factors_all(self.e_ideal, e_round, cfg.cost_factor_cap)
+            w_c = eepca.cost_factors_all(self.e_ideal, e_round)
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
             epoch = eepca.rotation_epochs(p)

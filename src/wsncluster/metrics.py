@@ -1,4 +1,4 @@
-"""Lifetime, stability and monitoring-quality metrics with multi-seed aggregation.
+"""Per-run lifetime, stability and monitoring-quality metrics.
 
 Death milestones are read off the alive-vs-round curve: first node death,
 10% death (the stable period), 50% death and last node death.  Monitoring
@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,22 +26,17 @@ CENSORED = None  # milestone not reached before the round limit
 
 @dataclass
 class MetricsSummary:
-    seed: Optional[int] = None
-    policy: Optional[str] = None
-    fnd_round: Optional[float] = None
-    p10_round: Optional[float] = None
-    p50_round: Optional[float] = None
-    lnd_round: Optional[float] = None
-    bs_messages_total: float = 0.0
-    cumulative_bs_messages: list[int] = field(default_factory=list)
-    alive_curve: list[int] = field(default_factory=list)
-    n_rounds: int = 0
-    # aggregate-only fields
-    n_summaries: int = 0
-    censored_counts: dict[str, int] = field(default_factory=dict)
-    stddev: dict[str, float] = field(default_factory=dict)
-
-    _MILESTONES = ("fnd_round", "p10_round", "p50_round", "lnd_round")
+    """One run's milestones (a round, or CENSORED) and per-round curves."""
+    seed: int
+    policy: str
+    fnd_round: Optional[int]
+    p10_round: Optional[int]
+    p50_round: Optional[int]
+    lnd_round: Optional[int]
+    bs_messages_total: int
+    cumulative_bs_messages: list[int]
+    alive_curve: list[int]
+    n_rounds: int
 
 
 def summarize(trace: RunTrace) -> MetricsSummary:
@@ -79,33 +73,7 @@ def summarize(trace: RunTrace) -> MetricsSummary:
         cumulative_bs_messages=cum,
         alive_curve=alive_curve,
         n_rounds=len(trace.records),
-        n_summaries=1,
     )
-
-
-def aggregate(summaries: list[MetricsSummary]) -> MetricsSummary:
-    """Mean and sample stddev across summaries; censored values are excluded
-    per milestone with the exclusion count reported."""
-    if not summaries:
-        raise ValueError("need at least one summary")
-    out = MetricsSummary(policy=summaries[0].policy, n_summaries=len(summaries))
-    for name in MetricsSummary._MILESTONES:
-        values = [getattr(s, name) for s in summaries]
-        present = [v for v in values if v is not CENSORED]
-        out.censored_counts[name] = len(values) - len(present)
-        if not present:
-            setattr(out, name, CENSORED)
-            continue
-        setattr(out, name, statistics.fmean(present))
-        out.stddev[name] = statistics.stdev(present) if len(present) > 1 else 0.0
-    totals = [s.bs_messages_total for s in summaries]
-    out.bs_messages_total = statistics.fmean(totals)
-    out.stddev["bs_messages_total"] = statistics.stdev(totals) if len(totals) > 1 else 0.0
-    return out
-
-
-def all_censored(summary: MetricsSummary) -> bool:
-    return all(getattr(summary, m) is CENSORED for m in MetricsSummary._MILESTONES)
 
 
 SUMMARY_COLUMNS = ["policy", "seed", "sweep_var", "sweep_value", "config_hash",

@@ -130,10 +130,7 @@ class ScenarioConfig:
     neighbor_radius: float = 12.0
     e_da_per_bit: float = 5e-9
     fused_len_bits: int = 4000
-    cost_factor_cap: float = 5.0
     malfunction_noise_range: tuple[float, float] = (0.5, 1.5)
-    eq20_literal: bool = False
-    gamma_rule_literal: bool = False
     force_unit_factors: bool = False
     disable_suppression: bool = False
     rng_seed: int = 0
@@ -180,8 +177,6 @@ class ScenarioConfig:
             raise ConfigError("neighbor_radius", "must be positive")
         if self.e_da_per_bit < 0:
             raise ConfigError("e_da_per_bit", "must be non-negative")
-        if self.cost_factor_cap <= 0:
-            raise ConfigError("cost_factor_cap", "must be positive")
         self._check_plan()
 
     def _check_plan(self) -> None:

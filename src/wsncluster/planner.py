@@ -22,7 +22,6 @@ class IdealPlan:
     d_cluster: float       # ideal cluster radius, M / sqrt(pi * k_opt)
     k_opt: float
     p_opt: float
-    lambda_ratio: float    # inf when every member is within d0
     m1: float
     m2: float
     e_d1: float
@@ -83,20 +82,14 @@ def expected_member_distances(d_cluster: float, d0: float) -> tuple[float, float
 
 
 def ideal_avg_tx_energy(l_bits: float, n: int, k: float, m1: float, m2: float,
-                        e_d1: float, e_d2: float, radio: RadioParams,
-                        literal_first_power: bool = False) -> float:
+                        e_d1: float, e_d2: float, radio: RadioParams) -> float:
     """Ideal mean energy for one member-to-head transmission.
 
-    By default the amplifier term applies the transmit model's distance
-    exponents (d^2 free-space, d^4 multipath) to the expected distances;
-    literal_first_power uses the distances to the first power instead.
+    The amplifier term applies the transmit model's distance exponents (d^2
+    free-space, d^4 multipath) to the expected distances.
     """
-    if literal_first_power:
-        amp1 = radio.eps_fs * e_d1
-        amp2 = radio.eps_mp * e_d2
-    else:
-        amp1 = radio.eps_fs * e_d1 * e_d1
-        amp2 = radio.eps_mp * e_d2 ** 4
+    amp1 = radio.eps_fs * e_d1 * e_d1
+    amp2 = radio.eps_mp * e_d2 ** 4
     per_cluster = n / k
     total = m1 * (radio.e_elec + amp1) + m2 * (radio.e_elec + amp2)
     return l_bits * total / per_cluster
@@ -118,20 +111,14 @@ def make_plan(config: ScenarioConfig) -> IdealPlan:
     d_cluster = m / math.sqrt(math.pi * k)
     m1, m2 = ideal_member_counts(n, k, d_cluster, radio.d0)
     e_d1, e_d2 = expected_member_distances(d_cluster, radio.d0)
-    if d_cluster > radio.d0:
-        lam = radio.d0 ** 2 / (d_cluster ** 2 - radio.d0 ** 2)
-    else:
-        lam = math.inf
     e_avg = ideal_avg_tx_energy(expected_message_length(config), n, k, m1, m2,
-                                e_d1, e_d2, radio,
-                                literal_first_power=config.eq20_literal)
+                                e_d1, e_d2, radio)
     return IdealPlan(
         d_to_bs=d_to_bs(m),
         d_to_ch=d_to_ch(m, k),
         d_cluster=d_cluster,
         k_opt=k,
         p_opt=p,
-        lambda_ratio=lam,
         m1=m1,
         m2=m2,
         e_d1=e_d1,

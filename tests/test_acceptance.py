@@ -158,15 +158,16 @@ def test_cache_key_covers_every_source_byte(tmp_path):
 # --- the experiment table ------------------------------------------------
 
 def test_table_grids_keep_their_cache_keys():
-    # the keys, without the source hash, of the grids as they were written
-    # before the table held them: a table edit that changes a grid (0 for
-    # 0.0, a dropped seed or value) changes its key
+    # the keys, without the source hash, of the table's grids: a table edit
+    # that changes a grid (0 for 0.0, a dropped seed or value) changes its
+    # key, and so does a change to the scenario fields, which the config
+    # hash covers
     assert {name: cache_key(_params(name), src="") for name in EXPERIMENTS} == {
-        "lifetime": "2da41748fca1",
-        "rda-lifetime": "cd091f863feb",
-        "alpha": "75fcb9c8aba1",
-        "heterogeneity": "c11922173aff",
-        "epsilon": "b122b6f0a3f2",
+        "lifetime": "7798b8c43502",
+        "rda-lifetime": "daf5e88e43c6",
+        "alpha": "a454f879e045",
+        "heterogeneity": "9e0daf90f81f",
+        "epsilon": "0fdf5bd6cf70",
     }
 
 

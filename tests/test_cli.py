@@ -98,10 +98,22 @@ class TestMain:
         assert "eps_mp:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_sweep_var_is_config_error(self, tmp_path, scenario_file):
+    def test_bad_sweep_var_is_config_error(self, tmp_path, scenario_file, capsys):
         rc = main(["--scenario", str(scenario_file), "--sweep", "d0=1,2",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "('alpha', 'epsilon_tol', 'frac_energy_heterogeneous')" in err
+        assert "none" not in err
+
+    def test_sweep_values_without_a_variable_are_config_error(self, tmp_path,
+                                                               scenario_file, capsys):
+        out = tmp_path / "o"
+        rc = main(["--scenario", str(scenario_file), "--sweep", "none=1,2",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "sweep: values need a variable" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rounds", ["0", "-3"])
     def test_no_rounds_is_config_error(self, tmp_path, scenario_file, rounds, capsys):
@@ -139,9 +151,9 @@ class TestMain:
 # seeds 0-1 and alpha 0.6 and 0.8, every run to exhaustion.  Writing the
 # output must not change its bytes, whatever the number of workers.
 OUTPUT_DIGESTS = {
-    "summary.csv": "d98a3a438225a0ebbfe7fea7d517b7955655a5820114e4ca1829884805754500",
+    "summary.csv": "84ac2e0131020ad32e6585cd6fc2f489b3feb60f03d850a75bac31820efc736b",
     "curves.csv": "c2bc916c91ba24da4cd0b100e6466504b6d5775b9626c771bba66b3dcd96d0cc",
-    "metadata.json": "2a87df4a04063d6b187934025df8f9149c56e74c226709a0f867d2cdf949f1ab",
+    "metadata.json": "09de7c24906e0403415c25a7895252757e2f2ea4c7b265bf96286c037179993b",
 }
 
 
@@ -196,6 +208,8 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(base=small_config, policies=[], seeds=1,
                       sweep_var="alpha", values=[])
+        with pytest.raises(ConfigError, match="values need a variable"):
+            SweepSpec(base=small_config, policies=[], seeds=1, values=[1.0])
         with pytest.raises(ConfigError, match="max_rounds"):
             SweepSpec(base=small_config, policies=[], seeds=1, max_rounds=0)
 

@@ -173,8 +173,8 @@ class TestCostFactor:
 
     def test_vectorized_cost_factor_matches_scalar(self):
         e_round = np.array([4e-5, 1e-6, 0.0, 2e-5])
-        out = eepca.cost_factors_all(2e-5, e_round, 5.0)
-        expect = [cost_factor(2e-5, v, 5.0) for v in e_round]
+        out = eepca.cost_factors_all(2e-5, e_round)
+        expect = [cost_factor(2e-5, v, eepca.COST_FACTOR_CAP) for v in e_round]
         assert out == pytest.approx(expect)
 
 

@@ -3,9 +3,7 @@ import pytest
 
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RoundRecord, RunTrace, run
-from wsncluster.metrics import (CENSORED, CURVES_HEADER, MetricsSummary, aggregate,
-                                all_censored, curve_rows, summarize,
-                                summary_row)
+from wsncluster.metrics import CENSORED, CURVES_HEADER, curve_rows, summarize, summary_row
 from wsncluster.model import ScenarioConfig
 
 
@@ -44,9 +42,7 @@ class TestSummarize:
 
     def test_censored_when_no_deaths(self):
         s = summarize(_trace({}, n=10))
-        assert s.fnd_round is CENSORED
-        assert s.lnd_round is CENSORED
-        assert all_censored(s)
+        assert (s.fnd_round, s.p10_round, s.p50_round, s.lnd_round) == (CENSORED,) * 4
 
     def test_nodes_that_start_dead_are_not_counted(self):
         # 10 nodes, 4 of them with no energy: the 6 alive at round 0 set the
@@ -78,33 +74,6 @@ class TestSummarize:
                          e_init=np.ones(3))
         with pytest.raises(ValueError):
             summarize(empty)
-
-
-class TestAggregate:
-    def test_mean_and_sample_stddev(self):
-        a = summarize(_trace({2: (0,), 5: tuple(range(1, 10))}))
-        b = summarize(_trace({4: (0,), 7: tuple(range(1, 10))}))
-        agg = aggregate([a, b])
-        assert agg.fnd_round == pytest.approx(3.0)
-        assert agg.lnd_round == pytest.approx(6.0)
-        assert agg.stddev["fnd_round"] == pytest.approx(np.std([2, 4], ddof=1))
-        assert agg.n_summaries == 2
-
-    def test_censored_excluded_with_counts(self):
-        dead = summarize(_trace({1: tuple(range(10))}))
-        alive = summarize(_trace({}, n=10))
-        agg = aggregate([dead, alive])
-        assert agg.fnd_round == pytest.approx(1.0)
-        assert agg.censored_counts["fnd_round"] == 1
-
-    def test_all_censored_propagates(self):
-        agg = aggregate([summarize(_trace({})), summarize(_trace({}))])
-        assert agg.fnd_round is CENSORED
-        assert agg.censored_counts["fnd_round"] == 2
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
 
 
 class TestRows:

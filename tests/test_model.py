@@ -33,7 +33,6 @@ class TestValidation:
         ({"rda_msgs_range": (7, 3)}, "rda_msgs_range"),
         ({"neighbor_radius": 0.0}, "neighbor_radius"),
         ({"broadcast_bits": -1}, "broadcast_bits"),
-        ({"cost_factor_cap": 0.0}, "cost_factor_cap"),
         ({"broadcast_bits": 0}, "broadcast_bits"),
         ({"e_min": 0.0, "e_max": 0.0, "homogeneous_energy": 0.0}, "e_max"),
         ({"frac_energy_heterogeneous": 0.0, "homogeneous_energy": 0.0},
@@ -51,7 +50,6 @@ class TestValidation:
         ({"homogeneous_energy": math.inf}, "homogeneous_energy"),
         ({"alpha": math.nan}, "alpha"),
         ({"epsilon_tol": math.nan}, "epsilon_tol"),
-        ({"cost_factor_cap": math.inf}, "cost_factor_cap"),
         ({"n_nodes": math.nan}, "n_nodes"),
         # a field of the wrong type is named before any other check reads it
         ({"n_nodes": "100"}, "n_nodes"),
@@ -120,10 +118,14 @@ class TestSerialization:
         rebuilt = scenario_from_dict(default_config.to_flat_dict())
         assert rebuilt == default_config
 
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize("key, value", [
+        ("not_a_field", 1),
+        # retired switches: each formula has one reading
+        ("eq20_literal", False), ("gamma_rule_literal", False), ("cost_factor_cap", 5.0)])
+    def test_unknown_key_rejected(self, default_config, key, value):
         with pytest.raises(ConfigError) as exc:
-            scenario_from_dict({"not_a_field": 1})
-        assert exc.value.field_name == "not_a_field"
+            scenario_from_dict({**default_config.to_flat_dict(), key: value})
+        assert exc.value.field_name == key
 
     def test_load_scenario_file(self, tmp_path, default_config):
         path = tmp_path / "scen.json"

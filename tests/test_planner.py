@@ -1,6 +1,3 @@
-import dataclasses
-import math
-
 import pytest
 
 from wsncluster.model import RadioParams, ScenarioConfig
@@ -66,11 +63,6 @@ class TestIdealEnergy:
                                 e_d1=30.0, e_d2=0.0, radio=RADIO)
         assert e == pytest.approx(1.4e-5, rel=1e-12)
 
-    def test_literal_first_power_variant(self):
-        e = ideal_avg_tx_energy(1000, 10, 1.0, 10.0, 0.0, 30.0, 0.0, RADIO,
-                                literal_first_power=True)
-        assert e == pytest.approx(1000 * (5e-9 + 1e-11 * 30.0), rel=1e-12)
-
     def test_expected_length_blends_populations(self):
         cfg = ScenarioConfig(frac_rda=0.5)
         assert expected_message_length(cfg) == pytest.approx(4000.0)
@@ -86,7 +78,6 @@ class TestPlan:
         assert plan.d_cluster == pytest.approx(11.53685165387997, rel=1e-12)
         assert plan.e_d1 == pytest.approx(7.691234435919979, rel=1e-12)
         assert plan.m2 == 0.0
-        assert math.isinf(plan.lambda_ratio)
         assert plan.e_consume_avg == pytest.approx(2.2366203485931253e-05, rel=1e-12)
 
     def test_plan_with_far_members(self):
@@ -95,10 +86,3 @@ class TestPlan:
         plan = make_plan(cfg)
         assert plan.d_cluster > 10.0
         assert plan.m2 > 0.0
-        assert plan.lambda_ratio == pytest.approx(
-            100.0 / (plan.d_cluster ** 2 - 100.0), rel=1e-12)
-
-    def test_eq_literal_switch_changes_ideal_energy(self):
-        a = make_plan(ScenarioConfig())
-        b = make_plan(dataclasses.replace(ScenarioConfig(), eq20_literal=True))
-        assert a.e_consume_avg != b.e_consume_avg

@@ -18,9 +18,8 @@ from wsncluster.model import ContractViolation
 from wsncluster.radio import tx_energy
 
 
-def _suppressed(belief, e, epsilon_tol, literal_rule=False):
-    return bool(broadcast_suppressed(np.array([belief]), np.array([e]),
-                                     epsilon_tol, literal_rule)[0])
+def _suppressed(belief, e, epsilon_tol):
+    return bool(broadcast_suppressed(np.array([belief]), np.array([e]), epsilon_tol)[0])
 
 
 class TestPrediction:
@@ -44,7 +43,6 @@ class TestGamma:
     def test_exact_prediction_is_zero(self):
         # zero error passes even the zero-tolerance bound
         assert _suppressed(1.5, 1.5, 1.0)
-        assert _suppressed(1.5, 1.5, 1e-9, literal_rule=True)
 
     def test_relative_error(self):
         # gamma 0.1 for an under-prediction, 0.2 for an over-prediction,
@@ -77,10 +75,6 @@ class TestSuppression:
     def test_full_epsilon_still_accepts_exact_prediction(self):
         assert _suppressed(1.0, 1.0, 1.0)
         assert not _suppressed(1.0 - 1e-9, 1.0, 1.0)
-
-    def test_literal_rule_compares_against_epsilon(self):
-        assert _suppressed(0.5, 1.0, 0.93, literal_rule=True)       # gamma 0.5
-        assert not _suppressed(0.05, 1.0, 0.93, literal_rule=True)  # gamma 0.95
 
     @given(g=st.floats(0.0, 2.0), eps=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
