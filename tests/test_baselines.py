@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsncluster.baselines import PolicyKind, sep_probabilities
-from wsncluster.eepca import eepca_thresholds_all, election_probabilities_all
+from wsncluster.eepca import (clamp_probabilities, eepca_thresholds_all,
+                              election_probabilities_all)
 from wsncluster.model import ContractViolation
 
 
@@ -88,6 +89,18 @@ class TestSepProbabilities:
     def test_zero_total_energy_rejected(self):
         with pytest.raises(ContractViolation):
             sep_probabilities(np.zeros(5), 0.2)
+
+    @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20).filter(any),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_clamp_is_the_election_clamp(self, energies, p_opt):
+        # SEP's probabilities are clamped exactly as EEPCA's are, bit for bit
+        # the same as clipping into [1e-12, 1 - 1e-12]
+        e = np.array(energies)
+        raw = p_opt * e.size * e / e.sum()
+        p = sep_probabilities(e, p_opt)
+        assert np.array_equal(p, clamp_probabilities(raw))
+        assert np.array_equal(p, np.clip(raw, 1e-12, 1 - 1e-12))
 
     def test_scalar_form_matches_vector(self):
         e = np.array([1.0, 2.5, 0.5, 2.0])

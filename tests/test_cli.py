@@ -98,6 +98,14 @@ class TestMain:
         assert "eps_mp:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_retired_key_is_config_error(self, tmp_path, small_config, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**small_config.to_flat_dict(), "eq20_literal": False}))
+        out = tmp_path / "o"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 2
+        assert "eq20_literal" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sweep_var_is_config_error(self, tmp_path, scenario_file, capsys):
         rc = main(["--scenario", str(scenario_file), "--sweep", "d0=1,2",
                    "--out", str(tmp_path / "o")])

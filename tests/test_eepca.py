@@ -177,6 +177,13 @@ class TestCostFactor:
         expect = [cost_factor(2e-5, v, eepca.COST_FACTOR_CAP) for v in e_round]
         assert out == pytest.approx(expect)
 
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        # an ablation moves the cap by patching the module constant
+        e_round = np.array([1e-6, 0.0])
+        assert eepca.cost_factors_all(2e-5, e_round).tolist() == [5.0, 5.0]
+        monkeypatch.setattr(eepca, "COST_FACTOR_CAP", 30.0)
+        assert eepca.cost_factors_all(2e-5, e_round) == pytest.approx([20.0, 30.0])
+
 
 class TestElection:
     def test_probability_combines_factors(self):

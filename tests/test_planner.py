@@ -46,6 +46,11 @@ class TestMemberSplit:
         assert m1 + m2 == pytest.approx(50.0, rel=1e-12)
         assert m1 > 0 and m2 > 0
 
+    def test_split_ratio_is_lambda(self):
+        # lambda = d0^2 / (d_cluster^2 - d0^2): near over far members
+        m1, m2 = ideal_member_counts(100, 2.0, d_cluster=120.0, d0=75.0)
+        assert m1 / m2 == pytest.approx(75.0 ** 2 / (120.0 ** 2 - 75.0 ** 2), rel=1e-12)
+
     def test_far_group_distance(self):
         e_d1, e_d2 = expected_member_distances(120.0, 75.0)
         assert e_d1 == pytest.approx(50.0)
@@ -86,3 +91,11 @@ class TestPlan:
         plan = make_plan(cfg)
         assert plan.d_cluster > 10.0
         assert plan.m2 > 0.0
+        assert (plan.m1, plan.m2) == ideal_member_counts(
+            cfg.n_nodes, plan.k_opt, plan.d_cluster, 10.0)
+
+    def test_ideal_energy_is_looked_up_at_call_time(self, monkeypatch):
+        # an ablation replaces the ideal-energy formula by patching the module
+        import wsncluster.planner as planner
+        monkeypatch.setattr(planner, "ideal_avg_tx_energy", lambda *a, **k: 1.25)
+        assert make_plan(ScenarioConfig()).e_consume_avg == 1.25

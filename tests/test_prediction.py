@@ -83,6 +83,19 @@ class TestSuppression:
         if _suppressed(1.0 + g, 1.0, eps):
             assert _suppressed(1.0 + g, 1.0, eps * 0.5)
 
+    def test_engine_applies_the_module_rule(self, rda_config, monkeypatch):
+        # an ablation swaps the rule by patching eepca.broadcast_suppressed:
+        # a rule that suppresses every candidate silences every alive RDA node
+        import wsncluster.eepca as eepca
+        monkeypatch.setattr(eepca, "broadcast_suppressed",
+                            lambda belief, e, eps: np.ones(e.size, dtype=bool))
+        sim = _Sim(rda_config, PolicyKind.EEPCA, detail=True)
+        sim.play_round(0)
+        alive_rda = np.flatnonzero(sim.alive & sim.is_rda)
+        rec = sim.play_round(1)
+        assert alive_rda.size > 0
+        assert sorted(rec.suppressed) == alive_rda.tolist()
+
     def test_mask_is_per_node(self):
         belief = np.array([1.0, 0.9, 1.0, 0.5])
         e = np.array([1.0, 1.0, 2.0, 1.0])
