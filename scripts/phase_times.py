@@ -102,6 +102,12 @@ def timed_phases(pkg, totals):
             setattr(eepca, name, fn)
 
 
+def _round_record(sim, returned):
+    """The round a _Sim just played: play_round adds it to sim.trace, where
+    an older tree's play_round returned its RoundRecord instead."""
+    return sim.trace.records[-1] if returned is None else returned
+
+
 def time_cell(pkgs, configs, policy, rounds, first=0):
     """Up to `rounds` rounds of one run per package, stepped together: round
     r of every run before round r + 1 of any, the package that plays first
@@ -124,7 +130,7 @@ def time_cell(pkgs, configs, policy, rounds, first=0):
                 totals["round"] += time.perf_counter() - t0
                 after = resource.getrusage(resource.RUSAGE_SELF)
                 counts[0] += 1
-                counts[1] += len(rec.head_ids)
+                counts[1] += len(_round_record(sim, rec).head_ids)
                 counts[2] += after.ru_minflt - before.ru_minflt
                 counts[3] += after.ru_stime - before.ru_stime
             if not any(sim.alive.any() for sim in sims):

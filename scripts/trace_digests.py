@@ -10,15 +10,22 @@ sep and eepca, each run to exhaustion; and rda50 at n_nodes=1600 on a 400 m
 field, seeds 0, 1, 1000 and 1001 under leach and eepca, 40 rounds each.
 The CLI's output path is checked too: the summary.csv and curves.csv of one
 CLI grid, rda50 under leach, sep and eepca, seeds 0-1, 400 rounds at most.
+summary.csv is digested without its config_hash column, and that column
+on its own as a separate entry, so a change to the ScenarioConfig fields,
+which moves every config hash, shows in that entry alone.
 --out writes a JSON object from run or file name to digest, sorted by name.
 --check compares the digests with such a file written at another commit,
 names every entry whose digest differs or that one side lacks, and exits 1
-if there is any.  It takes about a minute on one core.
+if there is any.  It takes about a minute on one core.  To write the
+baseline of a commit whose copy of this script digests differently, run
+this copy with PYTHONPATH at that commit's src/.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -47,7 +54,25 @@ def grid():
 
 CLI_ARGS = ["--scenario", str(ROOT / "scenarios" / "rda50.json"),
             "--policy", "leach,sep,eepca", "--seeds", "2", "--max-rounds", "400"]
-CLI_FILES = ("summary.csv", "curves.csv")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_digests(out: Path) -> dict:
+    """Digests of the CLI grid's files in out: curves.csv, summary.csv
+    without its config_hash column, and that column."""
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("config_hash")
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(row[:col] + row[col + 1:] for row in rows)
+    return {
+        "cli/rda50/curves.csv": hashlib.sha256((out / "curves.csv").read_bytes()).hexdigest(),
+        "cli/rda50/summary.csv/runs": _sha256(buf.getvalue()),
+        "cli/rda50/summary.csv/config_hash": _sha256("\n".join(row[col] for row in rows)),
+    }
 
 
 def main() -> None:
@@ -68,8 +93,7 @@ def main() -> None:
         out = Path(tmp) / "cli"
         if cli.main([*CLI_ARGS, "--out", str(out)]) != 0:
             sys.exit("the CLI grid failed")
-        for name in CLI_FILES:
-            digests[f"cli/rda50/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        digests.update(cli_digests(out))
     if args.out:
         Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     if baseline is not None:

@@ -58,13 +58,25 @@ frame (send probability 1) holds frames messages in msg_count, and a
 one-value non-RDA length range is held in msg_len, so a round forms its
 frame counts and lengths with no per-round fill; the send draws that
 probability 1 makes moot are still drawn, to keep the stream.
+
+A run's rounds are kept as typed columns on its RunTrace, which _Sim holds:
+play_round appends the round's BS message count, debits, alive count and
+total energy to one array each, and packs its head, death and suppression
+masks with np.packbits, a death or suppression mask that holds no node as
+the stored all-zero row.  Outside detail, nothing per round is a Python
+object.  trace.records is a read-only sequence view that builds a round's
+RoundRecord, ids as tuples, when it is read; metrics.summarize reads the
+columns.  A run with detail keeps its five per-round arrays in a side list
+that only it fills.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,25 +122,135 @@ class RoundRecord:
         return d
 
 
+# set bits of each byte value: deaths per round from the packed masks
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 @dataclass
 class RunTrace:
+    """A run's metadata and its rounds, kept as typed columns.
+
+    Entry i of each column is round i.  bs_messages and alive_end are int64
+    and debits and e_total_end float64 array.array columns; head_bits,
+    death_bits and suppressed_bits hold each round's node mask packed by
+    np.packbits, mask_bytes bytes a round.  records views the columns as
+    RoundRecords, built on access.  A run with detail keeps each round's
+    (e_start, e_end, assignment, data_energy, data_energy_predicted) in
+    details, which stays empty otherwise.
+    """
     seed: int
     policy: PolicyKind
     config_hash: str
-    records: list[RoundRecord] = field(default_factory=list)
+    e_init: np.ndarray
     termination: str = "round-limit"  # "all-dead" | "round-limit"
-    e_init: Optional[np.ndarray] = None
     e_final: Optional[np.ndarray] = None
     total_debits: float = 0.0
 
+    def __post_init__(self):
+        self.mask_bytes = -(-self.e_init.size // 8)
+        self._no_node = bytes(self.mask_bytes)
+        self.bs_messages = array("q")
+        self.debits = array("d")
+        self.alive_end = array("q")
+        self.e_total_end = array("d")
+        self.head_bits = bytearray()
+        self.death_bits = bytearray()
+        self.suppressed_bits = bytearray()
+        self.details = []
+
+    @classmethod
+    def from_rounds(cls, rounds, **fields) -> RunTrace:
+        """A trace of RoundRecords, the k-th of which must be round k;
+        fields are RunTrace's, e_init among them.  Detail arrays are not
+        kept."""
+        trace = cls(**fields)
+        for k, rec in enumerate(rounds):
+            if rec.r != k:
+                raise ValueError(f"round {rec.r} given as round {k}")
+            trace.add_round(trace._mask(rec.head_ids), rec.bs_messages,
+                            trace._mask(rec.deaths), trace._mask(rec.suppressed),
+                            rec.debits, rec.alive_end, rec.e_total_end)
+        return trace
+
+    def _mask(self, ids) -> np.ndarray:
+        mask = np.zeros(self.e_init.size, dtype=bool)
+        mask[list(ids)] = True
+        return mask
+
+    def add_round(self, heads, bs_messages, deaths, suppressed, debits,
+                  alive_end, e_total_end, detail=None) -> None:
+        """Append the next round.  heads, deaths and suppressed are boolean
+        node masks, deaths and suppressed None for a round without such
+        nodes; detail is the round's detail arrays in a run with detail."""
+        self.head_bits.extend(np.packbits(heads))
+        self.death_bits.extend(self._no_node if deaths is None else np.packbits(deaths))
+        self.suppressed_bits.extend(
+            self._no_node if suppressed is None else np.packbits(suppressed))
+        self.bs_messages.append(bs_messages)
+        self.debits.append(debits)
+        self.alive_end.append(alive_end)
+        self.e_total_end.append(e_total_end)
+        if detail is not None:
+            self.details.append(detail)
+
     @property
     def n_rounds(self) -> int:
-        return len(self.records)
+        return len(self.bs_messages)
+
+    @property
+    def records(self) -> RoundRecords:
+        return RoundRecords(self)
+
+    def death_counts(self) -> np.ndarray:
+        """The number of nodes that died in each round."""
+        rows = np.frombuffer(self.death_bits, np.uint8).reshape(-1, self.mask_bytes)
+        return _POPCOUNT[rows].sum(axis=1, dtype=np.int64)
+
+    def _ids(self, bits: bytearray, k: int) -> tuple[int, ...]:
+        row = bits[k * self.mask_bytes:(k + 1) * self.mask_bytes]
+        if row == self._no_node:
+            return ()
+        mask = np.unpackbits(np.frombuffer(row, np.uint8), count=self.e_init.size)
+        return tuple(mask.nonzero()[0].tolist())
+
+    def _record(self, k: int) -> RoundRecord:
+        """Round k, 0 <= k < n_rounds, as a RoundRecord."""
+        rec = RoundRecord(k, self._ids(self.head_bits, k), self.bs_messages[k],
+                          self._ids(self.death_bits, k),
+                          self._ids(self.suppressed_bits, k), self.debits[k],
+                          self.alive_end[k], self.e_total_end[k])
+        if self.details:
+            (rec.e_start, rec.e_end, rec.assignment, rec.data_energy,
+             rec.data_energy_predicted) = self.details[k]
+        return rec
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec.to_json_dict()) + "\n")
+
+
+class RoundRecords(Sequence):
+    """Read-only sequence of a RunTrace's rounds as RoundRecords, each built
+    from the columns when it is read."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: RunTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.n_rounds
+
+    def __getitem__(self, k):
+        # range indexing gives Python's index and slice rules and errors
+        rounds = range(len(self))[k]
+        if isinstance(rounds, range):
+            return [self._trace._record(i) for i in rounds]
+        return self._trace._record(rounds)
+
+    def __iter__(self):
+        return map(self._trace._record, range(len(self)))
 
 
 # Fields of at most this many nodes pick each member's head from per-run
@@ -229,6 +351,9 @@ class _Sim:
         # whether the last _debit_messages delivered every message asked for
         # and killed no node, so its caller need not re-mask
         self.rich = True
+        # the columns each round is added to, made after the set-up peak
+        self.trace = RunTrace(seed=config.rng_seed, policy=policy,
+                              config_hash=config.config_hash(), e_init=self.e_init.copy())
 
     # --- energy accounting helpers ---------------------------------------
 
@@ -545,9 +670,12 @@ class _Sim:
 
     # --- one round ---------------------------------------------------------
 
-    def play_round(self, r: int) -> RoundRecord:
+    def play_round(self, r: int) -> None:
+        """Play round r and add it to self.trace, which numbers its rounds
+        by position: rounds are played from 0 in order."""
         cfg = self.cfg
         alive_before = self.alive.copy()
+        n_before = np.count_nonzero(alive_before)
         e_start = self.e.copy() if self.detail else None
         self.debits = 0.0
 
@@ -575,24 +703,14 @@ class _Sim:
             data_spent = np.zeros(self.n)
             data_pred = np.zeros(self.n)
 
-        deaths = (alive_before ^ self.alive).nonzero()[0]  # no node revives
-        rec = RoundRecord(
-            r=r,
-            head_ids=tuple(elected.nonzero()[0].tolist()),
-            bs_messages=bs_msgs,
-            deaths=tuple(deaths.tolist()),
-            suppressed=tuple(suppressed.nonzero()[0].tolist()),
-            debits=self.debits,
-            alive_end=int(np.count_nonzero(self.alive)),
-            e_total_end=float(np.add.reduce(self.e)),
-        )
-        if self.detail:
-            rec.e_start = e_start
-            rec.e_end = self.e.copy()
-            rec.assignment = assignment.copy()
-            rec.data_energy = data_spent
-            rec.data_energy_predicted = data_pred
-        return rec
+        alive_end = np.count_nonzero(self.alive)
+        self.trace.add_round(
+            elected, bs_msgs,
+            alive_before ^ self.alive if alive_end < n_before else None,  # no node revives
+            None if suppressed is self.nobody else suppressed,
+            self.debits, alive_end, np.add.reduce(self.e),
+            (e_start, self.e.copy(), assignment.copy(), data_spent, data_pred)
+            if self.detail else None)
 
 
 def run(config: ScenarioConfig, policy: PolicyKind | str,
@@ -601,18 +719,15 @@ def run(config: ScenarioConfig, policy: PolicyKind | str,
     if isinstance(policy, str):
         policy = PolicyKind.parse(policy)
     sim = _Sim(config, policy, detail)
-    trace = RunTrace(seed=config.rng_seed, policy=policy,
-                     config_hash=config.config_hash(), e_init=sim.e_init.copy())
+    trace = sim.trace
     total = 0.0
     for r in range(max_rounds):
         if not np.count_nonzero(sim.alive):
             break
-        rec = sim.play_round(r)
-        total += rec.debits
-        trace.records.append(rec)
+        sim.play_round(r)
+        total += sim.debits
     if not sim.alive.any():
         trace.termination = "all-dead"
     trace.e_final = sim.e.copy()
     trace.total_debits = total
     return trace
-

@@ -34,34 +34,22 @@ class MetricsSummary:
     p50_round: Optional[int]
     lnd_round: Optional[int]
     bs_messages_total: int
-    cumulative_bs_messages: list[int]
-    alive_curve: list[int]
+    cumulative_bs_messages: np.ndarray
+    alive_curve: np.ndarray
     n_rounds: int
 
 
 def summarize(trace: RunTrace) -> MetricsSummary:
-    """Per-run metrics from a trace."""
-    if not trace.records:
+    """Per-run metrics from a trace's columns."""
+    rounds = trace.n_rounds
+    if not rounds:
         raise ValueError("cannot summarize an empty trace")
     n = int(np.count_nonzero(trace.e_init > 0))  # a node that starts dead never dies
-    dead = 0
-    fnd = p10 = p50 = lnd = CENSORED
-    cum = []
-    alive_curve = []
-    total = 0
-    for rec in trace.records:
-        dead += len(rec.deaths)
-        total += rec.bs_messages
-        cum.append(total)
-        alive_curve.append(rec.alive_end)
-        if fnd is CENSORED and dead >= 1:
-            fnd = rec.r
-        if p10 is CENSORED and dead >= math.ceil(0.1 * n):
-            p10 = rec.r
-        if p50 is CENSORED and dead >= math.ceil(0.5 * n):
-            p50 = rec.r
-        if lnd is CENSORED and dead >= n:
-            lnd = rec.r
+    dead = np.cumsum(trace.death_counts())
+    # round k is entry k: a milestone is the first round whose dead count reaches it
+    marks = np.searchsorted(dead, [1, math.ceil(0.1 * n), math.ceil(0.5 * n), n])
+    fnd, p10, p50, lnd = (int(k) if k < rounds else CENSORED for k in marks)
+    cum = np.cumsum(trace.bs_messages)
     return MetricsSummary(
         seed=trace.seed,
         policy=trace.policy.value,
@@ -69,10 +57,10 @@ def summarize(trace: RunTrace) -> MetricsSummary:
         p10_round=p10,
         p50_round=p50,
         lnd_round=lnd,
-        bs_messages_total=total,
+        bs_messages_total=int(cum[-1]),
         cumulative_bs_messages=cum,
-        alive_curve=alive_curve,
-        n_rounds=len(trace.records),
+        alive_curve=np.array(trace.alive_end),
+        n_rounds=rounds,
     )
 
 
@@ -131,5 +119,5 @@ def curve_rows(summary: MetricsSummary, sweep_var: str = "none", sweep_value="")
     CURVE_COLUMNS order and no header."""
     key = (summary.policy, summary.seed, sweep_var, sweep_value)
     return _csv_text((*key, r, alive, bs)
-                     for r, (alive, bs) in enumerate(zip(summary.alive_curve,
-                                                         summary.cumulative_bs_messages)))
+                     for r, (alive, bs) in enumerate(zip(summary.alive_curve.tolist(),
+                                                         summary.cumulative_bs_messages.tolist())))

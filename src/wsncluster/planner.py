@@ -17,15 +17,9 @@ from .model import RadioParams, ScenarioConfig
 
 @dataclass(frozen=True)
 class IdealPlan:
-    d_to_bs: float
-    d_to_ch: float
     d_cluster: float       # ideal cluster radius, M / sqrt(pi * k_opt)
     k_opt: float
     p_opt: float
-    m1: float
-    m2: float
-    e_d1: float
-    e_d2: float
     e_consume_avg: float   # ideal mean per-node per-transmission energy
 
 
@@ -113,15 +107,4 @@ def make_plan(config: ScenarioConfig) -> IdealPlan:
     e_d1, e_d2 = expected_member_distances(d_cluster, radio.d0)
     e_avg = ideal_avg_tx_energy(expected_message_length(config), n, k, m1, m2,
                                 e_d1, e_d2, radio)
-    return IdealPlan(
-        d_to_bs=d_to_bs(m),
-        d_to_ch=d_to_ch(m, k),
-        d_cluster=d_cluster,
-        k_opt=k,
-        p_opt=p,
-        m1=m1,
-        m2=m2,
-        e_d1=e_d1,
-        e_d2=e_d2,
-        e_consume_avg=e_avg,
-    )
+    return IdealPlan(d_cluster=d_cluster, k_opt=k, p_opt=p, e_consume_avg=e_avg)

@@ -466,6 +466,66 @@ def test_large_field_round_allocates_under_a_mebibyte(rda_config):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("n_nodes,policy,max_rounds,measured", [
+    (1600, PolicyKind.EEPCA, 40, 1421),   # about 800 suppressed nodes a round
+    (100, PolicyKind.SEP, 10000, 78),     # to exhaustion, 2,761 rounds
+])
+def test_trace_memory_per_round(rda_config, n_nodes, policy, max_rounds, measured):
+    """A trace holds its rounds as columns and bit masks: the heap a run's
+    trace keeps, e_init and e_final included, stays within 1.5x of the
+    bytes per round measured for it.  Per-round RoundRecords of id tuples
+    held 29,715 and 391 B a round on these runs."""
+    side = 100.0 * math.sqrt(n_nodes / 100.0)
+    cfg = dataclasses.replace(rda_config, n_nodes=n_nodes, m_field=side)
+    run(cfg, policy, max_rounds=2)  # warm-up: first-call caches
+    tracemalloc.start()
+    try:
+        trace = run(cfg, policy, max_rounds=max_rounds)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / trace.n_rounds < 1.5 * measured
+
+
+class TestRoundView:
+    """trace.records builds each RoundRecord from the trace's columns."""
+
+    def test_length_indexing_slicing_and_order(self, small_config):
+        trace = run(small_config, PolicyKind.EEPCA, max_rounds=12)
+        recs = trace.records
+        listed = list(recs)
+        assert len(recs) == trace.n_rounds == len(listed) == 12
+        assert [rec.r for rec in listed] == list(range(12))
+        assert recs[-1] == listed[11] and recs[-12] == listed[0]
+        assert recs[3:9:2] == listed[3:9:2]
+        assert recs[::-1] == listed[::-1]
+        for k in (12, -13):
+            with pytest.raises(IndexError):
+                recs[k]
+
+    def test_json_values_are_plain_python(self, small_config):
+        cfg = dataclasses.replace(small_config, frac_rda=0.5)
+        trace = run(cfg, PolicyKind.EEPCA)
+        assert trace.termination == "all-dead"
+        rows = [rec.to_json_dict() for rec in trace.records]
+        for d in rows:
+            assert [type(d[k]) for k in ("r", "bs_messages", "alive")] == [int] * 3
+            assert [type(d[k]) for k in ("debits", "e_total")] == [float] * 2
+            for k in ("heads", "deaths", "suppressed"):
+                assert type(d[k]) is list and all(type(i) is int for i in d[k])
+                assert d[k] == sorted(d[k])
+        assert any(d["deaths"] for d in rows) and any(d["suppressed"] for d in rows)
+
+    def test_rounds_rebuild_the_same_trace(self, small_config):
+        trace = run(small_config, PolicyKind.SEP)
+        fields = dict(seed=trace.seed, policy=trace.policy,
+                      config_hash=trace.config_hash, e_init=trace.e_init)
+        again = RunTrace.from_rounds(trace.records, **fields)
+        assert list(again.records) == list(trace.records)
+        with pytest.raises(ValueError, match="round 1 given as round 0"):
+            RunTrace.from_rounds(trace.records[1:], **fields)
+
+
 @st.composite
 def _scenarios(draw):
     """Valid finite scenarios of up to 60 nodes; invalid draws are rejected."""
@@ -568,8 +628,8 @@ def test_cluster_formation_ranges_about_one_pair_per_member(rda_config, monkeypa
     monkeypatch.setattr(eepca, "estimated_distance_matrix", counting)
     for r in range(5):
         before = ranged[0]
-        rec = sim.play_round(r)
-        assert len(rec.head_ids) > 10
+        sim.play_round(r)
+        assert len(sim.trace.records[-1].head_ids) > 10
         assert 0 < ranged[0] - before <= 2 * cfg.n_nodes, f"round {r}"
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from wsncluster.metrics import CENSORED, CURVES_HEADER, curve_rows, summarize, s
 from wsncluster.model import ScenarioConfig
 
 
-def _trace(death_plan, n=10, bs_per_round=2, seed=0):
+def _trace(death_plan, n=10, bs_per_round=2, seed=0, e_init=None):
     """Hand-built trace: death_plan maps round -> node ids that die there."""
     records = []
     alive = n
@@ -17,9 +19,10 @@ def _trace(death_plan, n=10, bs_per_round=2, seed=0):
         records.append(RoundRecord(
             r=r, head_ids=(0,), bs_messages=bs_per_round, deaths=deaths,
             suppressed=(), debits=0.01, alive_end=alive, e_total_end=float(alive)))
-    return RunTrace(seed=seed, policy=PolicyKind.LEACH, config_hash="x" * 16,
-                    records=records, e_init=np.ones(n),
-                    termination="all-dead" if alive == 0 else "round-limit")
+    return RunTrace.from_rounds(
+        records, seed=seed, policy=PolicyKind.LEACH, config_hash="x" * 16,
+        e_init=np.ones(n) if e_init is None else e_init,
+        termination="all-dead" if alive == 0 else "round-limit")
 
 
 class TestSummarize:
@@ -32,6 +35,12 @@ class TestSummarize:
         assert s.p10_round == 3
         assert s.p50_round == 6
         assert s.lnd_round == 9
+
+    def test_one_round_crosses_three_milestones(self):
+        # 10 nodes: round 4 takes the dead count from 0 to 5, past the
+        # first death, 10% (1 dead) and half (5 dead) at once
+        s = summarize(_trace({4: (0, 1, 2, 3, 4), 7: (5, 6, 7, 8, 9)}))
+        assert (s.fnd_round, s.p10_round, s.p50_round, s.lnd_round) == (4, 4, 4, 7)
 
     def test_half_milestone_uses_ceiling(self):
         # 5 nodes: 50% death needs ceil(2.5) = 3 dead
@@ -47,8 +56,8 @@ class TestSummarize:
     def test_nodes_that_start_dead_are_not_counted(self):
         # 10 nodes, 4 of them with no energy: the 6 alive at round 0 set the
         # marks, so 3 deaths are half and 6 are the last
-        trace = _trace({2: (0,), 5: (1, 2), 7: (3, 4, 5)}, n=6)
-        trace.e_init = np.array([1.0] * 6 + [0.0] * 4)
+        trace = _trace({2: (0,), 5: (1, 2), 7: (3, 4, 5)}, n=6,
+                       e_init=np.array([1.0] * 6 + [0.0] * 4))
         s = summarize(trace)
         assert (s.fnd_round, s.p10_round, s.p50_round, s.lnd_round) == (2, 2, 5, 7)
 
@@ -66,14 +75,50 @@ class TestSummarize:
     def test_bs_accumulation(self):
         s = summarize(_trace({2: (0,)}, bs_per_round=3))
         assert s.bs_messages_total == 9
-        assert s.cumulative_bs_messages == [3, 6, 9]
-        assert s.alive_curve[-1] == 9
+        assert s.cumulative_bs_messages.tolist() == [3, 6, 9]
+        assert s.alive_curve.tolist() == [10, 10, 9]
 
     def test_empty_trace_rejected(self):
         empty = RunTrace(seed=0, policy=PolicyKind.LEACH, config_hash="",
                          e_init=np.ones(3))
         with pytest.raises(ValueError):
             summarize(empty)
+
+
+def _summarize_by_loop(trace):
+    """summarize's milestones and curves by a loop over trace.records, the
+    reference for its reading of the columns."""
+    n = int(np.count_nonzero(trace.e_init > 0))
+    marks = {"fnd": 1, "p10": math.ceil(0.1 * n), "p50": math.ceil(0.5 * n), "lnd": n}
+    got = dict.fromkeys(marks, CENSORED)
+    dead = total = 0
+    cum, alive = [], []
+    for rec in trace.records:
+        dead += len(rec.deaths)
+        total += rec.bs_messages
+        cum.append(total)
+        alive.append(rec.alive_end)
+        for name, need in marks.items():
+            if got[name] is CENSORED and dead >= need:
+                got[name] = rec.r
+    return got, cum, alive
+
+
+@pytest.mark.parametrize("policy", ["leach", "sep", "eepca"])
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(n_nodes=30, frac_rda=0.5),
+    ScenarioConfig(n_nodes=30, frac_energy_heterogeneous=0.5, homogeneous_energy=0.0,
+                   e_min=0.05, e_max=0.1),
+], ids=["rda", "half-start-dead"])
+@pytest.mark.parametrize("max_rounds", [40, 10000])
+def test_summarize_equals_a_loop_over_records(config, policy, max_rounds):
+    trace = run(config, policy, max_rounds=max_rounds)
+    s = summarize(trace)
+    marks, cum, alive = _summarize_by_loop(trace)
+    assert {"fnd": s.fnd_round, "p10": s.p10_round, "p50": s.p50_round,
+            "lnd": s.lnd_round} == marks
+    assert s.cumulative_bs_messages.tolist() == cum and s.alive_curve.tolist() == alive
+    assert s.bs_messages_total == cum[-1] and s.n_rounds == len(cum)
 
 
 class TestRows:

@@ -79,10 +79,13 @@ class TestIdealEnergy:
 
 class TestPlan:
     def test_default_plan_values(self):
-        plan = make_plan(ScenarioConfig())
+        cfg = ScenarioConfig()
+        plan = make_plan(cfg)
         assert plan.d_cluster == pytest.approx(11.53685165387997, rel=1e-12)
-        assert plan.e_d1 == pytest.approx(7.691234435919979, rel=1e-12)
-        assert plan.m2 == 0.0
+        e_d1, _ = expected_member_distances(plan.d_cluster, cfg.radio.d0)
+        assert e_d1 == pytest.approx(7.691234435919979, rel=1e-12)
+        _, m2 = ideal_member_counts(cfg.n_nodes, plan.k_opt, plan.d_cluster, cfg.radio.d0)
+        assert m2 == 0.0
         assert plan.e_consume_avg == pytest.approx(2.2366203485931253e-05, rel=1e-12)
 
     def test_plan_with_far_members(self):
@@ -90,9 +93,13 @@ class TestPlan:
         cfg = ScenarioConfig(radio=RadioParams(d0=10.0))
         plan = make_plan(cfg)
         assert plan.d_cluster > 10.0
-        assert plan.m2 > 0.0
-        assert (plan.m1, plan.m2) == ideal_member_counts(
-            cfg.n_nodes, plan.k_opt, plan.d_cluster, 10.0)
+        m1, m2 = ideal_member_counts(cfg.n_nodes, plan.k_opt, plan.d_cluster, 10.0)
+        assert m2 > 0.0
+        # the plan's ideal energy weighs in the far group
+        e_d1, e_d2 = expected_member_distances(plan.d_cluster, 10.0)
+        assert plan.e_consume_avg == ideal_avg_tx_energy(
+            expected_message_length(cfg), cfg.n_nodes, plan.k_opt, m1, m2, e_d1, e_d2,
+            cfg.radio)
 
     def test_ideal_energy_is_looked_up_at_call_time(self, monkeypatch):
         # an ablation replaces the ideal-energy formula by patching the module

@@ -27,7 +27,8 @@ class TestPrediction:
         # an RDA member's predicted data energy for the round is its message
         # count times the cost of one scheduled message to its head
         sim = _Sim(rda_config, PolicyKind.EEPCA, detail=True)
-        rec = sim.play_round(0)
+        sim.play_round(0)
+        rec = sim.trace.records[0]
         members = np.flatnonzero(sim.is_rda & (rec.assignment >= 0))
         assert members.size > 10
         heads = rec.assignment[members]
@@ -92,7 +93,8 @@ class TestSuppression:
         sim = _Sim(rda_config, PolicyKind.EEPCA, detail=True)
         sim.play_round(0)
         alive_rda = np.flatnonzero(sim.alive & sim.is_rda)
-        rec = sim.play_round(1)
+        sim.play_round(1)
+        rec = sim.trace.records[1]
         assert alive_rda.size > 0
         assert sorted(rec.suppressed) == alive_rda.tolist()
 
