@@ -38,6 +38,7 @@ import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import math
 import resource
 import statistics
@@ -102,6 +103,14 @@ def timed_phases(pkg, totals):
             setattr(eepca, name, fn)
 
 
+def _new_sim(sim_cls, config, policy):
+    """A _Sim of config and policy, with detail=False for an older tree's
+    _Sim, which takes it."""
+    if "detail" in inspect.signature(sim_cls).parameters:
+        return sim_cls(config, policy, detail=False)
+    return sim_cls(config, policy)
+
+
 def _round_record(sim, returned):
     """The round a _Sim just played: play_round adds it to sim.trace, where
     an older tree's play_round returned its RoundRecord instead."""
@@ -115,8 +124,8 @@ def time_cell(pkgs, configs, policy, rounds, first=0):
     seconds per phase, round count, heads, minor faults and kernel seconds."""
     cells = [(defaultdict(float), [0, 0, 0, 0.0]) for _ in pkgs]
     with contextlib.ExitStack() as stack:
-        sims = [stack.enter_context(timed_phases(pkg, totals))(
-                    config, pkg.PolicyKind.parse(policy), detail=False)
+        sims = [_new_sim(stack.enter_context(timed_phases(pkg, totals)),
+                         config, pkg.PolicyKind.parse(policy))
                 for pkg, config, (totals, _) in zip(pkgs, configs, cells)]
         for r in range(rounds):
             start = (first + r) % len(pkgs)

@@ -27,12 +27,11 @@ each node's live-neighbour count and its positive mask and floor of 1, and
 whether every neighbour is alive) is kept until a node dies.  The election's
 factors read it, and skip the live weights while every node lives; in a
 round where every alive node broadcasts and none dies sending (every LEACH
-and SEP round; EEPCA's round 0, and its rounds with suppression off or no
-alive RDA node) the counts are the setup-broadcast reception counts; any
-other round counts its senders' edges.  A message debit of every node works
-on views of the energy and belief arrays, and a debit that every node
-affords tells its caller (_Sim.rich) to skip re-masking the nodes it sent
-for.
+and SEP round; EEPCA's round 0, and its rounds with no alive RDA node) the
+counts are the setup-broadcast reception counts; any other round counts its
+senders' edges.  A message debit of every node works on views of the energy
+and belief arrays, and a debit that every node affords tells its caller
+(_Sim.rich) to skip re-masking the nodes it sent for.
 
 In cluster formation each member picks this round's nearest head, the one
 ranging every head would give.  On a field of at most RANK_MAX_NODES nodes
@@ -63,17 +62,18 @@ A run's rounds are kept as typed columns on its RunTrace, which _Sim holds:
 play_round appends the round's BS message count, debits, alive count and
 total energy to one array each, and packs its head, death and suppression
 masks with np.packbits, a death or suppression mask that holds no node as
-the stored all-zero row.  Outside detail, nothing per round is a Python
-object.  trace.records is a read-only sequence view that builds a round's
+the stored all-zero row, so nothing per round is a Python object.
+trace.records is a read-only sequence view that builds a round's
 RoundRecord, ids as tuples, when it is read; metrics.summarize reads the
-columns.  A run with detail keeps its five per-round arrays in a side list
-that only it fills.
+columns, and total_debits sums the debits column.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -98,15 +98,9 @@ class RoundRecord:
     debits: float
     alive_end: int
     e_total_end: float
-    # populated only when the run records full detail
-    e_start: Optional[np.ndarray] = None
-    e_end: Optional[np.ndarray] = None
-    assignment: Optional[np.ndarray] = None
-    data_energy: Optional[np.ndarray] = None
-    data_energy_predicted: Optional[np.ndarray] = None
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "r": self.r,
             "heads": list(self.head_ids),
             "bs_messages": self.bs_messages,
@@ -116,10 +110,6 @@ class RoundRecord:
             "alive": self.alive_end,
             "e_total": self.e_total_end,
         }
-        if self.e_end is not None:
-            d["e_end"] = self.e_end.tolist()
-            d["assignment"] = self.assignment.tolist()
-        return d
 
 
 # set bits of each byte value: deaths per round from the packed masks
@@ -134,9 +124,7 @@ class RunTrace:
     and debits and e_total_end float64 array.array columns; head_bits,
     death_bits and suppressed_bits hold each round's node mask packed by
     np.packbits, mask_bytes bytes a round.  records views the columns as
-    RoundRecords, built on access.  A run with detail keeps each round's
-    (e_start, e_end, assignment, data_energy, data_energy_predicted) in
-    details, which stays empty otherwise.
+    RoundRecords, built on access.
     """
     seed: int
     policy: PolicyKind
@@ -144,7 +132,6 @@ class RunTrace:
     e_init: np.ndarray
     termination: str = "round-limit"  # "all-dead" | "round-limit"
     e_final: Optional[np.ndarray] = None
-    total_debits: float = 0.0
 
     def __post_init__(self):
         self.mask_bytes = -(-self.e_init.size // 8)
@@ -156,13 +143,11 @@ class RunTrace:
         self.head_bits = bytearray()
         self.death_bits = bytearray()
         self.suppressed_bits = bytearray()
-        self.details = []
 
     @classmethod
     def from_rounds(cls, rounds, **fields) -> RunTrace:
         """A trace of RoundRecords, the k-th of which must be round k;
-        fields are RunTrace's, e_init among them.  Detail arrays are not
-        kept."""
+        fields are RunTrace's, e_init among them."""
         trace = cls(**fields)
         for k, rec in enumerate(rounds):
             if rec.r != k:
@@ -178,10 +163,10 @@ class RunTrace:
         return mask
 
     def add_round(self, heads, bs_messages, deaths, suppressed, debits,
-                  alive_end, e_total_end, detail=None) -> None:
+                  alive_end, e_total_end) -> None:
         """Append the next round.  heads, deaths and suppressed are boolean
         node masks, deaths and suppressed None for a round without such
-        nodes; detail is the round's detail arrays in a run with detail."""
+        nodes."""
         self.head_bits.extend(np.packbits(heads))
         self.death_bits.extend(self._no_node if deaths is None else np.packbits(deaths))
         self.suppressed_bits.extend(
@@ -190,12 +175,15 @@ class RunTrace:
         self.debits.append(debits)
         self.alive_end.append(alive_end)
         self.e_total_end.append(e_total_end)
-        if detail is not None:
-            self.details.append(detail)
 
     @property
     def n_rounds(self) -> int:
         return len(self.bs_messages)
+
+    @property
+    def total_debits(self) -> float:
+        """The debits column summed left to right, in round order."""
+        return functools.reduce(operator.add, self.debits, 0.0)
 
     @property
     def records(self) -> RoundRecords:
@@ -215,14 +203,10 @@ class RunTrace:
 
     def _record(self, k: int) -> RoundRecord:
         """Round k, 0 <= k < n_rounds, as a RoundRecord."""
-        rec = RoundRecord(k, self._ids(self.head_bits, k), self.bs_messages[k],
-                          self._ids(self.death_bits, k),
-                          self._ids(self.suppressed_bits, k), self.debits[k],
-                          self.alive_end[k], self.e_total_end[k])
-        if self.details:
-            (rec.e_start, rec.e_end, rec.assignment, rec.data_energy,
-             rec.data_energy_predicted) = self.details[k]
-        return rec
+        return RoundRecord(k, self._ids(self.head_bits, k), self.bs_messages[k],
+                           self._ids(self.death_bits, k),
+                           self._ids(self.suppressed_bits, k), self.debits[k],
+                           self.alive_end[k], self.e_total_end[k])
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -269,9 +253,8 @@ RANK_MAX_NODES = 200
 class _Sim:
     """Mutable per-run state; strictly single-threaded and deterministic."""
 
-    def __init__(self, config: ScenarioConfig, policy: PolicyKind, detail: bool):
+    def __init__(self, config: ScenarioConfig, policy: PolicyKind):
         self.cfg = config
-        self.detail = detail
         radio = config.radio
         n = config.n_nodes
         self.n = n
@@ -336,16 +319,14 @@ class _Sim:
         else:
             self.static_p = eepca.election_probabilities_all(self.p_opt, np.ones(n))
         self.static_epoch = eepca.rotation_epochs(self.static_p)
-        # EEPCA's factors make p, and so the rotation epochs, change by round
-        self.dynamic_p = policy is PolicyKind.EEPCA and not config.force_unit_factors
+        # EEPCA keeps the belief ledger, suppresses broadcasts by it, and its
+        # factors make p, and so the rotation epochs, change by round
+        self.is_eepca = policy is PolicyKind.EEPCA
         # live neighbours (eepca.live_neighbors) as of the alive count they
         # were taken at; no node revives, so an equal count is an equal set
         self.live_count, self.neighbors = -1, None
-        self.suppresses = policy is PolicyKind.EEPCA and not config.disable_suppression
         self.nobody = np.zeros(n, dtype=bool)
         self.nobody.flags.writeable = False
-        # the belief ledger only matters where suppression/factors consume it
-        self.track_belief = policy is PolicyKind.EEPCA
 
         self.debits = 0.0
         # whether the last _debit_messages delivered every message asked for
@@ -390,7 +371,7 @@ class _Sim:
             e -= cost
             self.e[idx] = e
             self.debits += float(np.add.reduce(cost))
-            if self.track_belief:
+            if self.is_eepca:
                 spent = cost if per_msg_belief is per_msg else counts * per_msg_belief
                 b = self.belief[idx]
                 b -= spent
@@ -408,7 +389,7 @@ class _Sim:
         applied = np.where(failed, e, cost)
         self.e[idx] = e - applied
         self.debits += float(applied.sum())
-        if self.track_belief:
+        if self.is_eepca:
             b_new = np.maximum(self.belief[idx] - delivered * per_msg_belief, 0.0)
             if failed.any():
                 b_new[failed] = 0.0
@@ -432,7 +413,7 @@ class _Sim:
         cfg = self.cfg
         suppressed = self.nobody
         senders = self.alive.copy()
-        if self.suppresses and r > 0:
+        if self.is_eepca and r > 0:
             cand = senders & self.is_rda
             if np.count_nonzero(cand):
                 suppressed = np.zeros(self.n, dtype=bool)
@@ -456,7 +437,7 @@ class _Sim:
             heard = heard[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
-        if self.track_belief:
+        if self.is_eepca:
             np.copyto(self.belief, self.e,
                       where=senders if no_death and self.rich else senders & self.alive)
         return suppressed
@@ -464,7 +445,7 @@ class _Sim:
     def _election(self, r: int) -> np.ndarray:
         cfg = self.cfg
         alive = self.alive
-        if self.dynamic_p:
+        if self.is_eepca:
             neighbors = self._live_neighbors()
             w_e = eepca.energy_factors_all(self.e, self.belief, self.src, self.dst, neighbors)
             l_sched = (self.msg_len if self.fixed_len else
@@ -475,7 +456,7 @@ class _Sim:
             w = cfg.alpha * w_e + cfg.beta * w_c
             p = eepca.election_probabilities_all(self.p_opt, w)
             epoch = eepca.rotation_epochs(p)
-        else:  # LEACH, SEP, or EEPCA with factors forced to 1
+        else:  # LEACH or SEP
             p, w, epoch = self.static_p, None, self.static_epoch
 
         phase = r % epoch
@@ -553,9 +534,8 @@ class _Sim:
     # --- steady phase ------------------------------------------------------
 
     def _steady(self, assignment: np.ndarray, heads: np.ndarray,
-                noise: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-        """TDMA frames; returns (bs message count, actual and predicted
-        per-node data-send energy for the round)."""
+                noise: np.ndarray) -> int:
+        """TDMA frames; returns the bs message count."""
         cfg = self.cfg
         frames = cfg.frames_per_round
         # a node with c = q * frames + rem >= 0 messages sends
@@ -595,7 +575,6 @@ class _Sim:
 
         msg_cost_nf = lengths * self.cpb_head              # per message, per frame row
         data_nf = np.add.reduce(counts * msg_cost_nf) * member
-        data_act = data_nf * noise
 
         bits = counts * lengths                            # (frames, n)
         # bits each alive head receives per frame, as (frames, heads); whole
@@ -614,25 +593,23 @@ class _Sim:
         bs_frames = np.add.reduce(total_bits > 0)
         bs_spend = bs_frames * self.bs_cost[h_idx]
 
-        spend = data_act.copy()
-        spend[h_idx] = data_act[h_idx] + rx_spend + agg_spend + bs_spend
+        spend = data_nf * noise
+        spend[h_idx] = spend[h_idx] + rx_spend + agg_spend + bs_spend
         if np.count_nonzero(self.e >= spend) < spend.size:
             return None
         self.e -= spend
         self.debits += float(np.add.reduce(spend))
-        if self.track_belief:
+        if self.is_eepca:
             spend_belief = data_nf.copy()
             spend_belief[h_idx] = data_nf[h_idx] + rx_spend + agg_spend + bs_spend
             self.belief = np.maximum(self.belief - spend_belief, 0.0)
         self.alive = self.e > 0.0
-        return int(np.add.reduce(bs_frames)), data_act, data_nf
+        return int(np.add.reduce(bs_frames))
 
     def _steady_slow(self, assignment, heads, noise, counts, lengths):
         """Per-frame granular evaluation handling mid-round deaths."""
         lengths = np.broadcast_to(lengths, counts.shape)
         bs_msgs = 0
-        data_spent = np.zeros(self.n)
-        data_pred = np.zeros(self.n)
         for f in range(counts.shape[0]):
             head_alive = heads & self.alive
             bad = (assignment >= 0) & ~head_alive[assignment]
@@ -644,8 +621,6 @@ class _Sim:
                 per_msg = per_msg_nf * noise[tx_idx]
                 delivered = self._debit_messages(tx_idx, per_msg, per_msg_nf,
                                                  counts[f, tx_idx])
-                data_spent[tx_idx] += delivered * per_msg
-                data_pred[tx_idx] += delivered * per_msg_nf
                 bits_rx = np.bincount(assignment[tx_idx],
                                       weights=delivered * lengths[f, tx_idx],
                                       minlength=self.n)
@@ -666,7 +641,7 @@ class _Sim:
                 sent = self._debit_messages(tx_bs, self.bs_cost[tx_bs],
                                             self.bs_cost[tx_bs], 1)
                 bs_msgs += int(sent.sum())
-        return bs_msgs, data_spent, data_pred
+        return bs_msgs
 
     # --- one round ---------------------------------------------------------
 
@@ -676,7 +651,6 @@ class _Sim:
         cfg = self.cfg
         alive_before = self.alive.copy()
         n_before = np.count_nonzero(alive_before)
-        e_start = self.e.copy() if self.detail else None
         self.debits = 0.0
 
         # per-round RDA schedules (fixed within the round); draws are made for
@@ -696,38 +670,28 @@ class _Sim:
         noise_draw = self.rng.uniform(lo, hi, self.n)
         noise = np.where(self.is_malf, noise_draw, 1.0)
 
-        if np.count_nonzero(heads):
-            bs_msgs, data_spent, data_pred = self._steady(assignment, heads, noise)
-        else:
-            bs_msgs = 0
-            data_spent = np.zeros(self.n)
-            data_pred = np.zeros(self.n)
+        bs_msgs = self._steady(assignment, heads, noise) if np.count_nonzero(heads) else 0
 
         alive_end = np.count_nonzero(self.alive)
         self.trace.add_round(
             elected, bs_msgs,
             alive_before ^ self.alive if alive_end < n_before else None,  # no node revives
             None if suppressed is self.nobody else suppressed,
-            self.debits, alive_end, np.add.reduce(self.e),
-            (e_start, self.e.copy(), assignment.copy(), data_spent, data_pred)
-            if self.detail else None)
+            self.debits, alive_end, np.add.reduce(self.e))
 
 
 def run(config: ScenarioConfig, policy: PolicyKind | str,
-        max_rounds: int = 10000, detail: bool = False) -> RunTrace:
+        max_rounds: int = 10000) -> RunTrace:
     """Execute one full simulation run; deterministic in (config, policy)."""
     if isinstance(policy, str):
         policy = PolicyKind.parse(policy)
-    sim = _Sim(config, policy, detail)
+    sim = _Sim(config, policy)
     trace = sim.trace
-    total = 0.0
     for r in range(max_rounds):
         if not np.count_nonzero(sim.alive):
             break
         sim.play_round(r)
-        total += sim.debits
     if not sim.alive.any():
         trace.termination = "all-dead"
     trace.e_final = sim.e.copy()
-    trace.total_debits = total
     return trace

@@ -50,7 +50,6 @@ def _is_pair(v, item) -> bool:
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
     "float": ("a number", _is_number),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "tuple[int, int]": ("a pair of integers", lambda v: _is_pair(v, _is_int)),
     "tuple[float, float]": ("a pair of numbers", lambda v: _is_pair(v, _is_number)),
     "Optional[tuple[float, float]]": (
@@ -131,8 +130,6 @@ class ScenarioConfig:
     e_da_per_bit: float = 5e-9
     fused_len_bits: int = 4000
     malfunction_noise_range: tuple[float, float] = (0.5, 1.5)
-    force_unit_factors: bool = False
-    disable_suppression: bool = False
     rng_seed: int = 0
     radio: RadioParams = field(default_factory=RadioParams)
 

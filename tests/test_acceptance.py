@@ -13,7 +13,6 @@ on a 2-vCPU Xeon).  With a warm cache the whole module runs in seconds.
 """
 
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -24,11 +23,12 @@ import numpy as np
 import pytest
 
 import wsncluster
+from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.cli import SweepSpec, run_grid
 from wsncluster.eepca import eepca_thresholds_all
-from wsncluster.engine import run
-from wsncluster.model import deploy, load_scenario
+from wsncluster.engine import _Sim, run
+from wsncluster.model import load_scenario
 from wsncluster.planner import d_to_bs, expected_member_distances
 from wsncluster.radio import tx_energy
 
@@ -163,11 +163,11 @@ def test_table_grids_keep_their_cache_keys():
     # key, and so does a change to the scenario fields, which the config
     # hash covers
     assert {name: cache_key(_params(name), src="") for name in EXPERIMENTS} == {
-        "lifetime": "7798b8c43502",
-        "rda-lifetime": "daf5e88e43c6",
-        "alpha": "a454f879e045",
-        "heterogeneity": "9e0daf90f81f",
-        "epsilon": "0fdf5bd6cf70",
+        "lifetime": "b5734fe637f6",
+        "rda-lifetime": "f8fa4c49e14b",
+        "alpha": "ab5c3568f55f",
+        "heterogeneity": "e3b170b85008",
+        "epsilon": "21abf65e123c",
     }
 
 
@@ -257,21 +257,32 @@ def test_c06_bs_messages_exceed_baselines(rda_lifetime_data):
 # --- criterion 7: prediction exactness -----------------------------------
 
 def test_c07_prediction_exact_for_healthy_rda_nodes():
-    trace = run(RDA, PolicyKind.EEPCA, max_rounds=400, detail=True)
-    dep = deploy(RDA)
-    healthy_rda = dep.is_rda & ~dep.is_malf
-    checked = 0
-    for rec in trace.records:
-        sent = healthy_rda & (rec.data_energy > 0)
-        actual = rec.data_energy[sent]
-        predicted = rec.data_energy_predicted[sent]
-        assert np.allclose(predicted, actual, rtol=1e-12, atol=0.0)
-        checked += int(sent.sum())
-        if rec.r >= 1:
-            alive_start = np.flatnonzero(healthy_rda & (rec.e_start > 0))
-            assert set(alive_start) <= set(rec.suppressed), \
-                f"round {rec.r}: healthy RDA node broadcast despite exact prediction"
-    assert checked > 1000  # the property must have been exercised
+    # the belief ledger charges a member's steady-phase data at its predicted
+    # cost; for a healthy RDA member that is what the data costs
+    sim = _Sim(RDA, PolicyKind.EEPCA)
+    healthy_rda = sim.is_rda & ~sim.is_malf
+    steady = sim._steady
+    checked = [0]
+
+    def compared(assignment, heads, noise):
+        member = healthy_rda & (assignment >= 0)
+        e, belief = sim.e[member], sim.belief[member]
+        out = steady(assignment, heads, noise)
+        e_drop, belief_drop = e - sim.e[member], belief - sim.belief[member]
+        assert np.allclose(belief_drop, e_drop, rtol=1e-12, atol=0.0)
+        checked[0] += np.count_nonzero(e_drop > 0)
+        return out
+
+    sim._steady = compared
+    for r in range(400):
+        if not sim.alive.any():
+            break
+        alive_start = np.flatnonzero(healthy_rda & (sim.e > 0))
+        sim.play_round(r)
+        if r >= 1:
+            assert set(alive_start) <= set(sim.trace.records[r].suppressed), \
+                f"round {r}: healthy RDA node broadcast despite exact prediction"
+    assert checked[0] > 1000  # the property must have been exercised
 
 
 # --- criterion 8: energy conservation ------------------------------------
@@ -317,11 +328,13 @@ def test_c10_uniform_disc_mean_radius():
 
 # --- criterion 11: reduction to the classic rotation ---------------------
 
-def test_c11_unit_factors_reduce_to_leach():
-    forced = dataclasses.replace(BASE, force_unit_factors=True,
-                                 disable_suppression=True)
+def test_c11_unit_factors_reduce_to_leach(monkeypatch):
+    # EEPCA with both factors 1 elects as LEACH does; table1 has no RDA node,
+    # so no broadcast is suppressed
     a = run(BASE, PolicyKind.LEACH, max_rounds=2000)
-    b = run(forced, PolicyKind.EEPCA, max_rounds=2000)
+    monkeypatch.setattr(eepca, "energy_factors_all", lambda e, *args: np.ones_like(e))
+    monkeypatch.setattr(eepca, "cost_factors_all", lambda e_ideal, e_round: np.ones_like(e_round))
+    b = run(BASE, PolicyKind.EEPCA, max_rounds=2000)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra.head_ids == rb.head_ids

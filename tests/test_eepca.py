@@ -264,7 +264,7 @@ class TestElection:
 
 def _setup_spend(config, dead=()):
     """Energy each node spends in round 0's info broadcasts."""
-    sim = _Sim(config, PolicyKind.LEACH, detail=False)
+    sim = _Sim(config, PolicyKind.LEACH)
     sim.e[list(dead)] = 0.0
     sim.alive[list(dead)] = False
     before = sim.e.copy()
@@ -309,7 +309,7 @@ class TestNeighborTables:
         assert spent == pytest.approx(_expected_setup_spend(cfg, sim), rel=1e-9)
 
     def test_dead_node_neither_pays_nor_appears(self, default_config):
-        hub = int(np.argmax(np.bincount(_Sim(default_config, PolicyKind.LEACH, False).src)))
+        hub = int(np.argmax(np.bincount(_Sim(default_config, PolicyKind.LEACH).src)))
         sim, spent = _setup_spend(default_config, dead=[hub])
         assert spent[hub] == 0.0
         assert (sim.src == hub).sum() >= 3

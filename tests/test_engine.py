@@ -95,33 +95,49 @@ def test_eepca_suppresses_rda_broadcasts(small_config):
     assert any(rec.suppressed for rec in trace.records[1:])
 
 
-def test_suppression_switch(small_config):
-    cfg = dataclasses.replace(small_config, frac_rda=0.5, disable_suppression=True)
-    trace = run(cfg, PolicyKind.EEPCA, max_rounds=20)
-    assert all(rec.suppressed == () for rec in trace.records)
-
-
-def test_forced_unit_factors_reduce_to_classic_rotation(small_config):
-    forced = dataclasses.replace(small_config, force_unit_factors=True,
-                                 disable_suppression=True)
+def test_forced_unit_factors_reduce_to_classic_rotation(small_config, monkeypatch):
+    # small_config has no RDA node, so EEPCA suppresses no broadcast
     a = run(small_config, PolicyKind.LEACH, max_rounds=50)
-    b = run(forced, PolicyKind.EEPCA, max_rounds=50)
+    monkeypatch.setattr(eepca, "energy_factors_all", lambda e, *args: np.ones_like(e))
+    monkeypatch.setattr(eepca, "cost_factors_all", lambda e_ideal, e_round: np.ones_like(e_round))
+    b = run(small_config, PolicyKind.EEPCA, max_rounds=50)
     assert _records_equal(a, b)
 
 
-def test_detail_arrays_track_round_debits(small_config):
-    trace = run(small_config, PolicyKind.EEPCA, max_rounds=30, detail=True)
-    for rec in trace.records:
-        assert (rec.e_end >= 0.0).all()
-        assert (rec.e_start - rec.e_end).sum() == pytest.approx(rec.debits, rel=1e-9)
-        assert rec.e_end.sum() == pytest.approx(rec.e_total_end, rel=1e-12)
+def test_round_debits_equal_energy_drop(small_config):
+    sim = _Sim(small_config, PolicyKind.EEPCA)
+    for r in range(30):
+        if not sim.alive.any():
+            break
+        e_start = sim.e.copy()
+        sim.play_round(r)
+        rec = sim.trace.records[r]
+        assert (sim.e >= 0.0).all()
+        assert (e_start - sim.e).sum() == pytest.approx(sim.debits, rel=1e-9)
+        assert rec.debits == sim.debits
+        assert sim.e.sum() == pytest.approx(rec.e_total_end, rel=1e-12)
 
 
-def test_detail_assignment_points_to_heads(small_config):
-    trace = run(small_config, PolicyKind.LEACH, max_rounds=30, detail=True)
-    for rec in trace.records:
-        assigned = rec.assignment[rec.assignment >= 0]
-        assert set(assigned).issubset(set(rec.head_ids))
+def test_assignment_points_to_heads(small_config):
+    sim = _Sim(small_config, PolicyKind.LEACH)
+    form_clusters = sim._form_clusters
+    formed = []
+
+    def recorded(elected):
+        assignment, heads = form_clusters(elected)
+        formed.append((assignment.copy(), heads.copy()))
+        return assignment, heads
+
+    sim._form_clusters = recorded
+    for r in range(30):
+        if not sim.alive.any():
+            break
+        sim.play_round(r)
+        assignment, heads = formed[r]
+        assigned = assignment[assignment >= 0]
+        assert heads[assigned].all()
+        assert set(assigned.tolist()) <= set(sim.trace.records[r].head_ids)
+    assert any((assignment >= 0).any() for assignment, _ in formed)
 
 
 def test_trace_jsonl_round_structure(tmp_path, small_config):
@@ -145,7 +161,7 @@ class TestScalarDebit:
     """One-message debits of an aggregate amount, one node at a time."""
 
     def _sim(self, small_config, e):
-        sim = _Sim(small_config, PolicyKind.EEPCA, detail=False)
+        sim = _Sim(small_config, PolicyKind.EEPCA)
         sim.e[0] = e
         sim.alive[0] = e > 0.0
         return sim
@@ -264,7 +280,7 @@ class TestDebitMessages:
     def test_equals_floor_divide(self, case):
         e, belief, per_msg, per_msg_belief, counts = case
         sim = _Sim(dataclasses.replace(ScenarioConfig(), n_nodes=e.size),
-                   PolicyKind.EEPCA, detail=False)
+                   PolicyKind.EEPCA)
         sim.e, sim.belief, sim.alive = e.copy(), belief.copy(), e > 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             got = sim._debit_messages(np.arange(e.size), per_msg, per_msg_belief, counts)
@@ -296,7 +312,7 @@ class TestDebitMessages:
         results = []
         for extra in ((), (e_extra,)):
             sim = _Sim(dataclasses.replace(ScenarioConfig(), n_nodes=n + len(extra)),
-                       PolicyKind.EEPCA, detail=False)
+                       PolicyKind.EEPCA)
             sim.e, sim.belief = np.append(e, extra), np.append(belief, extra)
             sim.alive = sim.e > 0.0
             with np.errstate(over="ignore", invalid="ignore"):
@@ -320,7 +336,7 @@ class TestSteadyPaths:
                                               frac_rda, frac_malfunction, r):
         cfg = dataclasses.replace(small_config, frac_rda=frac_rda,
                                   frac_malfunction=frac_malfunction, rng_seed=seed)
-        sim = _Sim(cfg, policy, detail=False)
+        sim = _Sim(cfg, policy)
         for k in range(r):
             sim.play_round(k)
         assume(sim.alive.any())
@@ -338,11 +354,10 @@ class TestSteadyPaths:
         sim._steady_fast = both_paths
         sim.play_round(r)
         assume(seen)
-        (bs_f, act_f, pred_f), (bs_s, act_s, pred_s), slow_sim = seen[0]
+        bs_f, bs_s, slow_sim = seen[0]
         assert bs_f == bs_s
         assert np.array_equal(sim.alive, slow_sim.alive)
-        for a, b in ((sim.e, slow_sim.e), (sim.belief, slow_sim.belief),
-                     (act_f, act_s), (pred_f, pred_s)):
+        for a, b in ((sim.e, slow_sim.e), (sim.belief, slow_sim.belief)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
     @given(seed=st.integers(0, 10_000), frames=st.integers(1, 5),
@@ -355,7 +370,7 @@ class TestSteadyPaths:
         # nodes drained near empty, so both the fast path and its refusal run
         cfg = dataclasses.replace(ScenarioConfig(), n_nodes=40, frames_per_round=frames,
                                   frac_rda=0.5, frac_malfunction=0.2, rng_seed=seed)
-        sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+        sim = _Sim(cfg, PolicyKind.EEPCA)
         for k in range(r):
             sim.play_round(k)
         seen = []
@@ -389,11 +404,7 @@ class TestSteadyPaths:
         a, b = copy.deepcopy(state), copy.deepcopy(state)
         got = _Sim._steady_fast(a, *(x.copy() for x in args))
         want = _dense_steady_fast(b, *(x.copy() for x in args))
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2].tobytes() == want[2].tobytes()
+        assert got == want
         assert a.e.tobytes() == b.e.tobytes()
         assert a.belief.tobytes() == b.belief.tobytes()
         assert np.float64(a.debits).tobytes() == np.float64(b.debits).tobytes()
@@ -402,7 +413,7 @@ class TestSteadyPaths:
 
 def _dense_steady_spends(sim, assignment, heads, noise, counts, lengths):
     """_Sim._steady_fast's sums with the head-side terms over every node's
-    column: (bs count, data_act, data_nf, spend, belief spend)."""
+    column: (bs count, spend, belief spend)."""
     head_alive = heads & sim.alive
     member = (assignment >= 0) & sim.alive & head_alive[np.maximum(assignment, 0)]
     data_nf = (counts * (lengths * sim.cpb_head[None, :])).sum(axis=0) * member
@@ -418,28 +429,28 @@ def _dense_steady_spends(sim, assignment, heads, noise, counts, lengths):
     agg_spend = total_bits.sum(axis=0) * sim.e_da * head_alive
     bs_frames = ((total_bits > 0) & head_alive[None, :]).sum(axis=0)
     bs_spend = bs_frames * sim.bs_cost * head_alive
-    return (int(bs_frames[head_alive].sum()), data_act, data_nf,
+    return (int(bs_frames[head_alive].sum()),
             data_act + rx_spend + agg_spend + bs_spend,
             data_nf + rx_spend + agg_spend + bs_spend)
 
 
 def _dense_steady_fast(sim, *args):
-    bs, data_act, data_nf, spend, spend_belief = _dense_steady_spends(sim, *args)
+    bs, spend, spend_belief = _dense_steady_spends(sim, *args)
     if not (sim.e >= spend).all():
         return None
     sim.e -= spend
     sim.debits += float(spend.sum())
-    if sim.track_belief:
+    if sim.is_eepca:
         sim.belief = np.maximum(sim.belief - spend_belief, 0.0)
     sim.alive = sim.e > 0.0
-    return bs, data_act, data_nf
+    return bs
 
 def test_large_field_memory_stays_linear():
     # 4000 nodes at table1 density: one dense n x n float matrix alone is 128 MB
     cfg = table1_scenario(n_nodes=4000, m_field=100.0 * math.sqrt(40.0))
     tracemalloc.start()
     try:
-        sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+        sim = _Sim(cfg, PolicyKind.EEPCA)
         for r in range(2):
             sim.play_round(r)
         peak = tracemalloc.get_traced_memory()[1]
@@ -454,7 +465,7 @@ def test_large_field_round_allocates_under_a_mebibyte(rda_config):
     cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
     tracemalloc.start()
     try:
-        sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+        sim = _Sim(cfg, PolicyKind.EEPCA)
         sim.play_round(0)
         for r in range(1, 6):
             tracemalloc.reset_peak()
@@ -582,7 +593,7 @@ def test_alive_is_positive_energy_after_every_phase(cfg):
     # a debit every node affords skips its alive write on the strength of
     # this invariant
     for policy in POLICIES:
-        sim = _Sim(cfg, policy, detail=False)
+        sim = _Sim(cfg, policy)
         for name in PHASES:
             setattr(sim, name, _checked_phase(sim, name, getattr(sim, name)))
         for r in range(60):
@@ -604,7 +615,7 @@ def _checked_phase(sim, name, phase):
 def test_healthy_nodes_belief_is_exact(cfg):
     # gamma = 0 for every node whose debits the ledger can predict: the belief
     # neighbours compute equals the node's energy, bit for bit
-    sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+    sim = _Sim(cfg, PolicyKind.EEPCA)
     for r in range(60):
         if not sim.alive.any():
             break
@@ -617,7 +628,7 @@ def test_cluster_formation_ranges_about_one_pair_per_member(rda_config, monkeypa
     # members pick their head by squared distance and range only that head,
     # so a round ranges O(n) pairs, not members x heads
     cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
-    sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+    sim = _Sim(cfg, PolicyKind.EEPCA)
     ranged = [0]
     real = eepca.estimated_distance_matrix
 
@@ -658,7 +669,7 @@ def test_live_neighbors_follow_deaths():
     # holds; a count that holds means the same set, since no node revives
     cfg = dataclasses.replace(ScenarioConfig(), n_nodes=30, e_min=0.01, e_max=0.05,
                               homogeneous_energy=0.03)
-    sim = _Sim(cfg, PolicyKind.EEPCA, detail=False)
+    sim = _Sim(cfg, PolicyKind.EEPCA)
     election = sim._election
     refreshed = []
 
@@ -685,7 +696,7 @@ def test_heard_counts_follow_deaths(policy):
     # counts are the live-neighbour counts, reused while no node dies
     cfg = dataclasses.replace(ScenarioConfig(), n_nodes=30, e_min=0.01, e_max=0.05,
                               homogeneous_energy=0.03)
-    sim = _Sim(cfg, policy, detail=False)
+    sim = _Sim(cfg, policy)
     setup, debit = sim._setup_broadcasts, sim._debit_messages
     calls, refreshed = [], []
 

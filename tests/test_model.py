@@ -62,7 +62,6 @@ class TestValidation:
         ({"rda_msgs_range": (3, 5, 7)}, "rda_msgs_range"),
         ({"malfunction_noise_range": ("0.5", 1.5)}, "malfunction_noise_range"),
         ({"bs_pos": (1.0,)}, "bs_pos"),
-        ({"disable_suppression": 1}, "disable_suppression"),
         ({"radio": None}, "radio"),
         # amplifier ratios whose ideal cluster plan leaves the float range:
         # a radius past 1e77 m overflows d**4, an infinite head count divides
@@ -120,8 +119,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("not_a_field", 1),
-        # retired switches: each formula has one reading
-        ("eq20_literal", False), ("gamma_rule_literal", False), ("cost_factor_cap", 5.0)])
+        # retired switches: each formula has one reading, and the reduction
+        # to LEACH patches eepca's factor functions
+        ("eq20_literal", False), ("gamma_rule_literal", False), ("cost_factor_cap", 5.0),
+        ("force_unit_factors", True), ("disable_suppression", True)])
     def test_unknown_key_rejected(self, default_config, key, value):
         with pytest.raises(ConfigError) as exc:
             scenario_from_dict({**default_config.to_flat_dict(), key: value})
@@ -204,7 +205,7 @@ class TestDeploy:
         # every round redraws each RDA node's message count and length from
         # the configured ranges; other nodes, which send every frame at one
         # length here, hold that round's count and length throughout
-        sim = _Sim(rda_config, PolicyKind.LEACH, detail=False)
+        sim = _Sim(rda_config, PolicyKind.LEACH)
         rda = sim.is_rda
         lengths = set()
         for r in range(3):

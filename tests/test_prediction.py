@@ -24,20 +24,29 @@ def _suppressed(belief, e, epsilon_tol):
 
 class TestPrediction:
     def test_schedule_times_unit_cost(self, rda_config):
-        # an RDA member's predicted data energy for the round is its message
-        # count times the cost of one scheduled message to its head
-        sim = _Sim(rda_config, PolicyKind.EEPCA, detail=True)
+        # the belief ledger charges an RDA member's steady phase at its
+        # message count times the cost of one scheduled message to its head
+        sim = _Sim(rda_config, PolicyKind.EEPCA)
+        steady = sim._steady
+        seen = []
+
+        def recorded(assignment, heads, noise):
+            members = np.flatnonzero(sim.is_rda & (assignment >= 0))
+            their_heads, belief = assignment[members], sim.belief[members]
+            out = steady(assignment, heads, noise)
+            seen.append((members, their_heads, belief - sim.belief[members]))
+            return out
+
+        sim._steady = recorded
         sim.play_round(0)
-        rec = sim.trace.records[0]
-        members = np.flatnonzero(sim.is_rda & (rec.assignment >= 0))
+        [(members, heads, drop)] = seen
         assert members.size > 10
-        heads = rec.assignment[members]
         d_est = estimated_distance_matrix(sim.x[members] - sim.x[heads],
                                           sim.y[members] - sim.y[heads],
                                           rda_config.radio, sim.bcast_cost)
-        for i, d in zip(members, d_est):
+        for i, d, spent in zip(members, d_est, drop):
             expect = sim.msg_count[i] * tx_energy(int(sim.msg_len[i]), d, rda_config.radio)
-            assert rec.data_energy_predicted[i] == pytest.approx(expect, rel=1e-12)
+            assert spent == pytest.approx(expect, rel=1e-12)
 
 
 class TestGamma:
@@ -90,7 +99,7 @@ class TestSuppression:
         import wsncluster.eepca as eepca
         monkeypatch.setattr(eepca, "broadcast_suppressed",
                             lambda belief, e, eps: np.ones(e.size, dtype=bool))
-        sim = _Sim(rda_config, PolicyKind.EEPCA, detail=True)
+        sim = _Sim(rda_config, PolicyKind.EEPCA)
         sim.play_round(0)
         alive_rda = np.flatnonzero(sim.alive & sim.is_rda)
         sim.play_round(1)

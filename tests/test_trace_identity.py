@@ -111,8 +111,8 @@ def test_small_fields_pick_heads_alike_either_side_of_the_gate(key, gate, small_
 def test_large_field_builds_no_rank_table():
     # above the gate only the screen operand is built; at or below it only
     # the tables
-    big = engine._Sim(FIELD1600, PolicyKind.EEPCA, detail=False)
+    big = engine._Sim(FIELD1600, PolicyKind.EEPCA)
     assert FIELD1600.n_nodes > engine.RANK_MAX_NODES
     assert big.rank is None and not hasattr(big, "cpb_pair") and big.screen is not None
-    small = engine._Sim(RDA50, PolicyKind.EEPCA, detail=False)
+    small = engine._Sim(RDA50, PolicyKind.EEPCA)
     assert small.screen is None and small.rank.shape == small.cpb_pair.shape == (100, 100)
