@@ -13,8 +13,10 @@ the lifetime experiments, whose late rounds have deaths, sparse grids and the
 per-frame steady path.  It prints one markdown table row per cell:
 heads per round, then microseconds per round for the whole round, each
 engine phase (setup broadcasts, election, cluster formation, steady phase)
-and the nearest-head pick inside cluster formation, then minor page faults
-and kernel microseconds per round from resource.getrusage.  The pick is
+and the nearest-head pick inside cluster formation, then "other", the round
+less its four phases (the round's draws outside the phases, the trace
+recording and per-round bookkeeping), then minor page faults and kernel
+microseconds per round from resource.getrusage.  The pick is
 eepca.nearest_heads, the float32 screen, above engine.RANK_MAX_NODES nodes
 and eepca.ranked_heads, the lookup in the per-run rank table, at or below
 it.  Timers wrap the phase methods of engine._Sim and both pick functions
@@ -149,7 +151,8 @@ def time_cell(pkgs, configs, policy, rounds, first=0):
 
 def _row(label, policy, cells):
     """One table row: the median of each column over the runs in cells."""
-    per_run = [[h / p, *(t[k] / p * 1e6 for k in COLUMNS), f / p, kern / p * 1e6]
+    per_run = [[h / p, *(t[k] / p * 1e6 for k in COLUMNS),
+                (t["round"] - sum(t[k] for k in PHASES)) / p * 1e6, f / p, kern / p * 1e6]
                for t, p, h, f, kern in cells]
     heads, *us, faults, kernel = map(statistics.median, zip(*per_run))
     print(f"| {label} | {policy} | {heads:.1f} | "
@@ -191,8 +194,8 @@ def main() -> None:
     time_cell(pkgs, [pkg.load_scenario(ROOT / "scenarios" / "rda50.json") for pkg in pkgs],
               "eepca", 2)
     print("| n (field) | policy | heads/round | round | setup bcasts | election "
-          "| clusters | nearest heads | steady | minor faults | kernel µs |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+          "| clusters | nearest heads | steady | other | minor faults | kernel µs |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     for cells in zip(*(_configs(pkg, args.sizes) for pkg in pkgs)):
         configs = [config for _, config, _, _ in cells]
         label, _, policy, rounds = cells[-1]

@@ -217,10 +217,14 @@ def estimated_distance_matrix(dx: np.ndarray, dy: np.ndarray,
 
 
 # Members are matched to heads in blocks of about this many member-head pairs:
-# 16,384 float32 pairs make each temporary 64 KB, which stays in cache and
-# stops the per-round page-fault churn that larger blocks cause.  A round at
-# n=100 (about 85 members x 15 heads) is still one block.
-_PAIRS_PER_BLOCK = 1 << 14
+# 65,536 float32 pairs make each temporary 256 KB.  A round of rda50 roles at
+# n=1600 (about 1,560 members x 24 LEACH or 41 EEPCA heads) is then mostly
+# one block: scripts/phase_times.py --against 1 << 14, median µs per round of
+# nearest heads, leach 107 -> 93 and eepca 144 -> 128 at n=1600, leach
+# 171 -> 156 and eepca 298 -> 259 at n=3200, with no page faults.  Larger
+# blocks fault on every round at n=3200 (eepca, 76 heads: 46 minor page
+# faults a round at 1 << 17 and 99 at 3 << 15, against none at 1 << 16).
+_PAIRS_PER_BLOCK = 1 << 16
 # Squared distances within this relative gap of a row's minimum count as a
 # near-tie: rounding in the ranging chain could swap their order.
 _TIE_GAP = 1e-9

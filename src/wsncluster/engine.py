@@ -55,8 +55,14 @@ heads only; one bincount sums every node's bits into (frame, head) columns,
 a non-member's into a dump column.  A non-RDA node that sends in every
 frame (send probability 1) holds frames messages in msg_count, and a
 one-value non-RDA length range is held in msg_len, so a round forms its
-frame counts and lengths with no per-round fill; the send draws that
-probability 1 makes moot are still drawn, to keep the stream.
+frame counts and lengths with no per-round fill.  Each frame's counts are
+read from a per-run table of frame_counts over the counts a node can hold
+(float, so the steady sums need no cast).  The send draws that probability
+1 makes moot are not drawn: skip_doubles advances the bit generator past
+them, which leaves the stream where drawing them would.  When the counts
+are the table's and the lengths one per node, the bincount sums each
+node's length into a (count, head) column instead, and one small product
+with the table spreads those sums over the frames.
 
 A run's rounds are kept as typed columns on its RunTrace, which _Sim holds:
 play_round appends the round's BS message count, debits, alive count and
@@ -237,6 +243,32 @@ class RoundRecords(Sequence):
         return map(self._trace._record, range(len(self)))
 
 
+def frame_counts(counts: np.ndarray, frames: int) -> np.ndarray:
+    """The messages a node holding c >= 0 of them sends in each frame, as
+    (frames, counts.size): ceil((c - f) / frames) in frame f, which is
+    q + (f < rem) for c = q * frames + rem."""
+    q, rem = np.divmod(counts, frames)
+    return q + (np.arange(frames)[:, None] < rem)
+
+
+def skip_doubles(rng: np.random.Generator, count: int) -> None:
+    """Leave rng's stream where rng.random(count) would, without drawing.
+
+    rng is a PCG64 Generator (np.random.default_rng), each of whose doubles
+    is one 64-bit step, so advancing the bit generator count steps moves the
+    stream alike.  advance() also drops the 32-bit half of a step that
+    integers() holds for its next draw after an odd count of 32-bit draws,
+    which random() keeps; it is put back.
+    """
+    bg = rng.bit_generator
+    state = bg.state
+    bg.advance(count)
+    if state["has_uint32"]:
+        moved = bg.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bg.state = moved
+
+
 # Fields of at most this many nodes pick each member's head from per-run
 # n x n tables (eepca.nearest_ranks), larger ones through the float32 screen
 # of eepca.nearest_heads.  scripts/phase_times.py --against the screen,
@@ -335,6 +367,11 @@ class _Sim:
         # the columns each round is added to, made after the set-up peak
         self.trace = RunTrace(seed=config.rng_seed, policy=policy,
                               config_hash=config.config_hash(), e_init=self.e_init.copy())
+        # column c: the frame counts of c messages, for every count msg_count
+        # can hold, unless the table would outgrow a round's counts (_steady)
+        max_count = max(config.rda_msgs_range[1], frames)
+        self.count_table = (frame_counts(np.arange(max_count + 1), frames).astype(float)
+                            if max_count <= n else None)
 
     # --- energy accounting helpers ---------------------------------------
 
@@ -432,14 +469,14 @@ class _Sim:
             # the senders are the alive nodes: heard counts are live ones
             heard = self._live_neighbors().counts
         else:
-            heard = np.bincount(self.src[senders[self.dst]], minlength=self.n)
+            heard = np.bincount(self.src, weights=senders[self.dst], minlength=self.n)
         if hearers.size < self.n:
             heard = heard[hearers]
         self._debit_messages(hearers, self.rx_bcast, self.rx_bcast, heard)
         # a heard broadcast carries the sender's current energy
         if self.is_eepca:
-            np.copyto(self.belief, self.e,
-                      where=senders if no_death and self.rich else senders & self.alive)
+            np.putmask(self.belief, senders if no_death and self.rich else senders & self.alive,
+                       self.e)
         return suppressed
 
     def _election(self, r: int) -> np.ndarray:
@@ -538,13 +575,13 @@ class _Sim:
         """TDMA frames; returns the bs message count."""
         cfg = self.cfg
         frames = cfg.frames_per_round
-        # a node with c = q * frames + rem >= 0 messages sends
-        # ceil((c - f) / frames) of them in frame f, which is q + (f < rem)
-        q, rem = np.divmod(self.msg_count, frames)
-        counts = q + (self.frame_col < rem)
+        if self.count_table is not None:
+            counts = self.count_table.take(self.msg_count, axis=1)
+        else:
+            counts = frame_counts(self.msg_count, frames)
         if self.sends_every_frame:
-            # every draw is a send, as msg_count holds; drawn to keep the stream
-            self.rng.random((frames, self.n))
+            # every draw is a send, as msg_count holds: skipped, not drawn
+            skip_doubles(self.rng, frames * self.n)
         else:
             sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
             counts = np.where(self.is_rda, counts, sends)
@@ -576,7 +613,6 @@ class _Sim:
         msg_cost_nf = lengths * self.cpb_head              # per message, per frame row
         data_nf = np.add.reduce(counts * msg_cost_nf) * member
 
-        bits = counts * lengths                            # (frames, n)
         # bits each alive head receives per frame, as (frames, heads); whole
         # numbers, so exact in any order.  Every node's bits go to its head's
         # column, or to a dump column n_h past them if it is no member.
@@ -584,10 +620,22 @@ class _Sim:
         frames, n_h = counts.shape[0], h_idx.size
         rank = np.empty(self.n, dtype=np.int64)  # each alive head's column
         rank[h_idx] = np.arange(n_h)
-        slot = self.frame_col * (n_h + 1) + np.where(member, rank[assignment], n_h)
-        bits_rx = np.bincount(slot.ravel(), weights=bits.ravel(),
-                              minlength=frames * (n_h + 1)).reshape(frames, n_h + 1)[:, :n_h]
-        total_bits = bits_rx + bits[:, h_idx]              # heads sense their own
+        col = np.where(member, rank[assignment], n_h)
+        table = self.count_table
+        if (self.sends_every_frame and lengths.ndim == 1 and table is not None
+                and table.shape[1] * (n_h + 1) <= counts.size):
+            # counts are the table's columns of msg_count and lengths one per
+            # node: sum the lengths per (count, column), then weight each
+            # count's sums by its frame counts, in one small product
+            per_count = np.bincount(self.msg_count * (n_h + 1) + col, weights=lengths,
+                                    minlength=table.shape[1] * (n_h + 1))
+            bits_rx = (table @ per_count.reshape(-1, n_h + 1))[:, :n_h]
+        else:
+            bits = counts * lengths                        # (frames, n)
+            slot = self.frame_col * (n_h + 1) + col
+            bits_rx = np.bincount(slot.ravel(), weights=bits.ravel(),
+                                  minlength=frames * (n_h + 1)).reshape(frames, n_h + 1)[:, :n_h]
+        total_bits = bits_rx + counts[:, h_idx] * lengths[..., h_idx]  # heads sense their own
         rx_spend = np.add.reduce(bits_rx) * self.e_elec
         agg_spend = np.add.reduce(total_bits) * self.e_da
         bs_frames = np.add.reduce(total_bits > 0)
@@ -659,8 +707,8 @@ class _Sim:
         l1, l2 = cfg.msg_len_range_bits
         nc = self.rng.integers(n1, n2 + 1, self.n)
         lc = self.rng.integers(l1, l2 + 1, self.n)
-        np.copyto(self.msg_count, nc, where=self.is_rda)
-        np.copyto(self.msg_len, lc, where=self.is_rda)
+        np.putmask(self.msg_count, self.is_rda, nc)
+        np.putmask(self.msg_len, self.is_rda, lc)
 
         suppressed = self._setup_broadcasts(r)
         elected = self._election(r)

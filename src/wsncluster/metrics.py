@@ -114,10 +114,24 @@ def summary_row(summary: MetricsSummary, trace: RunTrace,
     }
 
 
+# curve rows are formed this many rounds at a time
+_CURVE_CHUNK = 256
+
+
 def curve_rows(summary: MetricsSummary, sweep_var: str = "none", sweep_value="") -> str:
     """One run's rows of curves.csv as CSV text, one line per round in
-    CURVE_COLUMNS order and no header."""
-    key = (summary.policy, summary.seed, sweep_var, sweep_value)
-    return _csv_text((*key, r, alive, bs)
-                     for r, (alive, bs) in enumerate(zip(summary.alive_curve.tolist(),
-                                                         summary.cumulative_bs_messages.tolist())))
+    CURVE_COLUMNS order and no header.
+
+    The key fields are quoted as the csv module quotes them, once; the
+    round and both curves are integers, which it writes as str() does.  The
+    rows are joined _CURVE_CHUNK rounds at a time, so the text is held as
+    no more than its chunks and itself.
+    """
+    key = _csv_text([(summary.policy, summary.seed, sweep_var, sweep_value)]).removesuffix("\r\n")
+    alive, bs = summary.alive_curve, summary.cumulative_bs_messages
+    chunks = []
+    for start in range(0, alive.size, _CURVE_CHUNK):
+        stop = start + _CURVE_CHUNK
+        chunks.append("".join([f"{key},{r},{a},{b}\r\n" for r, a, b in zip(
+            range(start, stop), alive[start:stop].tolist(), bs[start:stop].tolist())]))
+    return "".join(chunks)

@@ -38,6 +38,14 @@ def rx_energy(l_bits: float, radio: RadioParams) -> float:
 
 def tx_energy_per_bit(d, radio: RadioParams):
     """Vectorized per-bit transmit cost, e_elec + eps_fs*d^2 or
-    e_elec + eps_mp*d^4, over a float or an array of distances."""
+    e_elec + eps_mp*d^4, over a float or an array of distances.
+
+    The multipath term is evaluated only at the distances d >= d0 that
+    take it.
+    """
     d = np.asarray(d, dtype=float)
-    return radio.e_elec + np.where(d < radio.d0, radio.eps_fs * d * d, radio.eps_mp * d ** 4)
+    amp = np.asarray(radio.eps_fs * d * d)
+    far = d >= radio.d0
+    if np.count_nonzero(far):
+        amp[far] = radio.eps_mp * d[far] ** 4
+    return radio.e_elec + amp

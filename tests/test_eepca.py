@@ -529,14 +529,16 @@ class TestNearestHeads:
         self.test_equals_argmin_over_ranged_pairs()
 
     def test_blocks_cover_every_member(self):
+        # three whole blocks of 40-head rows and a partial fourth
+        m = 3 * (eepca._PAIRS_PER_BLOCK // 40) + 17
         rng = np.random.default_rng(5)
-        xm, ym = rng.uniform(0, 400, 3000), rng.uniform(0, 400, 3000)
+        xm, ym = rng.uniform(0, 400, m), rng.uniform(0, 400, m)
         xh, yh = rng.uniform(0, 400, 40), rng.uniform(0, 400, 40)
         bcast = tx_energy(2500, 12.0, RADIO)
         choice, d_est = _nearest_heads(xm, ym, xh, yh, RADIO, bcast)
         dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                 RADIO, bcast)
-        assert 3000 * 40 > 2 * eepca._PAIRS_PER_BLOCK
+        assert m * 40 > 3 * eepca._PAIRS_PER_BLOCK
         assert np.array_equal(choice, np.argmin(dense, axis=1))
         assert np.array_equal(d_est, dense.min(axis=1))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RunTrace, _Sim, run
+from wsncluster.engine import RunTrace, _Sim, frame_counts, run, skip_doubles
 from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
@@ -155,6 +155,61 @@ def test_config_hash_recorded(small_config):
     trace = run(small_config, PolicyKind.LEACH, max_rounds=1)
     assert trace.config_hash == small_config.config_hash()
     assert isinstance(trace, RunTrace)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("frames", range(1, 9))
+def test_count_table_equals_frame_counts_of_msg_count(rda_config, policy, frames):
+    # a round reads its frame counts from _Sim.count_table, column c of which
+    # is divmod's q + (f < rem) for c messages; with the table dropped it
+    # forms them from msg_count, and every round is the same
+    cfg = dataclasses.replace(rda_config, n_nodes=30, frames_per_round=frames,
+                              rda_msgs_range=(0, 9))
+    sim, plain = _Sim(cfg, policy), _Sim(cfg, policy)
+    q, rem = np.divmod(np.arange(10), frames)
+    assert sim.count_table.dtype == np.float64
+    assert np.array_equal(sim.count_table, q + (np.arange(frames)[:, None] < rem))
+    plain.count_table = None
+    for r in range(30):
+        sim.play_round(r)
+        plain.play_round(r)
+    assert sim.trace.records[:] == plain.trace.records[:]
+    assert np.array_equal(sim.e, plain.e)
+
+
+def test_count_table_is_not_built_past_the_node_count(small_config):
+    # a message-count range wider than the field keeps no table: it would
+    # outgrow the counts of a round
+    cfg = dataclasses.replace(small_config, frac_rda=0.5, rda_msgs_range=(0, 10**12))
+    sim = _Sim(cfg, PolicyKind.EEPCA)
+    assert sim.count_table is None
+    for r in range(3):
+        sim.play_round(r)
+    assert sim.trace.n_rounds == 3
+
+
+def _stream_state(rng):
+    """What of rng's bit_generator.state its next draws read: the held
+    32-bit half only while has_uint32 is set."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["has_uint32"] and state["uinteger"]
+
+
+@pytest.mark.parametrize("before", [0, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 5, 8000])
+def test_skip_doubles_leaves_the_stream_of_random(before, count):
+    # integers(0, 5, k) takes k 32-bit halves: after an odd k the bit
+    # generator holds half a 64-bit step, which random() keeps and a bare
+    # advance() would drop
+    drawn, skipped = np.random.default_rng(7), np.random.default_rng(7)
+    for rng in (drawn, skipped):
+        rng.integers(0, 5, before)
+    assert drawn.bit_generator.state["has_uint32"] == before % 2
+    drawn.random(count)
+    skip_doubles(skipped, count)
+    assert _stream_state(skipped) == _stream_state(drawn)
+    assert np.array_equal(skipped.integers(0, 5, 3), drawn.integers(0, 5, 3))
+    assert np.array_equal(skipped.random(4), drawn.random(4))
 
 
 class TestScalarDebit:
@@ -362,12 +417,14 @@ class TestSteadyPaths:
 
     @given(seed=st.integers(0, 10_000), frames=st.integers(1, 5),
            r=st.integers(0, 30), kill=st.floats(0.0, 1.0), extra=st.floats(0.0, 1.0),
-           drain=st.floats(0.0, 0.2), tight=st.booleans())
+           drain=st.floats(0.0, 0.2), tight=st.booleans(), table=st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_head_only_sums_equal_dense_formula(self, seed, frames, r, kill, extra,
-                                                drain, tight):
+                                                drain, tight, table):
         # real rounds, then some heads killed, memberless heads added and some
-        # nodes drained near empty, so both the fast path and its refusal run
+        # nodes drained near empty, so both the fast path and its refusal run;
+        # without its count table the fast path sums every node's bits per
+        # frame, with it each count's lengths
         cfg = dataclasses.replace(ScenarioConfig(), n_nodes=40, frames_per_round=frames,
                                   frac_rda=0.5, frac_malfunction=0.2, rng_seed=seed)
         sim = _Sim(cfg, PolicyKind.EEPCA)
@@ -392,6 +449,8 @@ class TestSteadyPaths:
         assignment[new_heads] = -1
         low = rng.random(cfg.n_nodes) < drain
         state.e[low] *= 1e-4
+        if not table:
+            state.count_table = None
         args = (assignment, heads, noise, counts, lengths)
         if tight:
             # energies between 1 and 2 times each node's spend: then e - spend
@@ -460,7 +519,7 @@ def test_large_field_memory_stays_linear():
 
 
 def test_large_field_round_allocates_under_a_mebibyte(rda_config):
-    # head selection in 64 KB blocks and head-only steady sums keep every
+    # head selection in 256 KB blocks and head-only steady sums keep every
     # round's temporaries small at n=1600 (rda_config is scenarios/rda50.json)
     cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
     tracemalloc.start()
@@ -475,6 +534,25 @@ def test_large_field_round_allocates_under_a_mebibyte(rda_config):
             assert grown < 1 << 20, f"round {r}: peak {grown} B above its start"
     finally:
         tracemalloc.stop()
+
+
+def test_large_field_rounds_peak_below_set_up(rda_config):
+    # the set-up peak, not a round's temporaries, bounds a large field's heap:
+    # 40 EEPCA rounds of rda50 at n=1600 (about 41 heads: most rounds screen
+    # every member in one block) peak lower than the _Sim set-up before them
+    cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
+    run(cfg, PolicyKind.EEPCA, max_rounds=2)  # warm-up: first-call caches
+    tracemalloc.start()
+    try:
+        sim = _Sim(cfg, PolicyKind.EEPCA)
+        set_up = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for r in range(40):
+            sim.play_round(r)
+        rounds = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds < set_up
 
 
 @pytest.mark.parametrize("n_nodes,policy,max_rounds,measured", [
@@ -657,11 +735,12 @@ def test_one_value_length_range_draws_no_bits(lo, shape):
 
 @given(c=st.integers(0, 10**6), frames=st.integers(1, 9))
 def test_frame_counts_from_divmod(c, frames):
-    # an RDA node's messages in frame f: q + (f < rem) with q, rem = divmod(c,
-    # frames) equals ceil((c - f) / frames) = (c + frames - 1 - f) // frames
-    q, rem = divmod(c, frames)
-    assert [q + (f < rem) for f in range(frames)] == \
-        [(c + frames - 1 - f) // frames for f in range(frames)]
+    # an RDA node's messages in frame f, frame_counts' q + (f < rem) with
+    # q, rem = divmod(c, frames), equal ceil((c - f) / frames) =
+    # (c + frames - 1 - f) // frames, and all c of them are sent
+    got = frame_counts(np.array([c]), frames)[:, 0].tolist()
+    assert got == [(c + frames - 1 - f) // frames for f in range(frames)]
+    assert sum(got) == c
 
 
 def test_live_neighbors_follow_deaths():

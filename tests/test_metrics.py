@@ -1,8 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from wsncluster import metrics
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RoundRecord, RunTrace, run
 from wsncluster.metrics import CENSORED, CURVES_HEADER, curve_rows, summarize, summary_row
@@ -136,6 +139,19 @@ class TestRows:
         assert len(rows) == s.n_rounds
         assert rows[0] == "leach,0,alpha,0.7,0,10,2"
         assert rows[-1] == "leach,0,alpha,0.7,2,9,6"
+
+    @pytest.mark.parametrize("sweep_var, sweep_value", [
+        ("none", ""), ("alpha", 0.1 + 0.2), ('eps,"x"', "a\nb"), ("e\r", None)])
+    def test_curve_rows_equal_the_csv_writer(self, sweep_var, sweep_value):
+        # 600 rounds cross two chunk boundaries; the key fields need quoting
+        s = summarize(_trace({599: (0,)}))
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(
+            (s.policy, s.seed, sweep_var, sweep_value, r, alive, bs)
+            for r, (alive, bs) in enumerate(zip(s.alive_curve.tolist(),
+                                                s.cumulative_bs_messages.tolist())))
+        assert s.n_rounds == 600 > 2 * metrics._CURVE_CHUNK
+        assert curve_rows(s, sweep_var, sweep_value) == buf.getvalue()
 
     def test_curve_rows_follow_the_header(self):
         s = summarize(_trace({}, n=3))

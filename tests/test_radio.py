@@ -91,12 +91,45 @@ class TestRanging:
         assert _ranged(d, e, radio) == pytest.approx(d, rel=1e-9)
 
 
+@st.composite
+def _crossover_distances(draw):
+    """(d0, distances), the distances drawn from 0, d0, the floats on either
+    side of it, inf and the floats up to 1e100."""
+    d0 = draw(st.sampled_from([RADIO.d0, 1e-3, 1e6]))
+    edge = st.sampled_from([0.0, d0, np.nextafter(d0, -np.inf), np.nextafter(d0, np.inf),
+                            np.inf])
+    return d0, draw(st.lists(edge | st.floats(0.0, 1e100), max_size=40))
+
+
 class TestVectorizedForms:
     def test_matches_scalar_model(self):
         ds = np.array([0.0, 10.0, 74.999, 75.0, 120.0])
         per_bit = tx_energy_per_bit(ds, RADIO)
         for d, pb in zip(ds, per_bit):
             assert pb * 1000 == pytest.approx(tx_energy(1000, d, RADIO), rel=1e-12)
+
+    @given(case=_crossover_distances())
+    @settings(max_examples=200, deadline=None)
+    def test_near_only_form_equals_the_where_form(self, case):
+        # the multipath term, evaluated only where d >= d0, has the bits of
+        # np.where over both terms, for arrays and scalars alike
+        d0, d = case
+        radio = RadioParams(d0=d0)
+
+        def where_form(d):
+            d = np.asarray(d, dtype=float)
+            with np.errstate(over="ignore"):
+                return radio.e_elec + np.where(d < radio.d0, radio.eps_fs * d * d,
+                                               radio.eps_mp * d ** 4)
+
+        d = np.array(d)
+        with np.errstate(over="ignore"):
+            got = tx_energy_per_bit(d, radio)
+            scalars = [tx_energy_per_bit(v, radio) for v in d.tolist()]
+        want = where_form(d)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                          want.view(np.int64))
+        assert [np.float64(v).view(np.int64) for v in scalars] == want.view(np.int64).tolist()
 
     def test_amplifier_term_only(self):
         amp = tx_energy_per_bit(np.array([50.0]), RADIO) - RADIO.e_elec

@@ -7,7 +7,11 @@ per-frame steady path (small_config to exhaustion), prediction suppression
 for 5 rounds).  Two small_config variants keep the non-RDA draws that the
 scenarios leave out: a send probability below 1 (one uniform draw compared
 per node and frame) and a length range of more than one value (one integer
-draw per node and frame).  The small fields run again with their member-head
+draw per node and frame).  A third, of 21 nodes with a one-value RDA
+message-count range, which draws no bits, draws 21 lengths a round, 32 bits
+each: every other round then ends its length draws with half of a 64-bit
+step held for the next 32-bit draw, which the skipped send draws of the
+steady phase must leave in place.  The small fields run again with their member-head
 pick forced onto the float32 screen of large fields, and must give the same
 bytes as with their rank tables.  scripts/trace_digests.py checks a larger
 grid by hand.
@@ -49,6 +53,12 @@ DIGESTS = {
         "a0e435c866088765518443eab297d0d96d2f1ef89958432a269a6e549669165e",
     "small-len2000-6000/eepca":
         "45089633d49d0d8b9977d18544f8ee432446a981ba4c99279551c42a701f6ef4",
+    "small-n21-rda4/leach":
+        "c59770362f68b4426e4d85ca27bebdf3ccada3cc36d6c04c65a2e0fbc9ba48ba",
+    "small-n21-rda4/sep":
+        "c2b06aa64b7a609bbbbdaef86fab06a349bed0bdd1f943debec0853bf6867ea0",
+    "small-n21-rda4/eepca":
+        "331224926bf94ddd16e8a4098b761c2504d2057d54cd5f17b6894481eb19782c",
     "rda50/leach":
         "b07e3ec59d8bea3930cd034cfe70aa51aacae90a60f04a9a45ad750da826f729",
     "rda50/sep":
@@ -66,6 +76,8 @@ SMALL_VARIANTS = {
     "small": {},
     "small-tx0.6": {"nonrda_tx_prob_per_frame": 0.6},
     "small-len2000-6000": {"nonrda_len_range_bits": (2000, 6000)},
+    "small-n21-rda4": {"n_nodes": 21, "frac_rda": 0.5, "frac_malfunction": 0.1,
+                       "rda_msgs_range": (4, 4)},
 }
 
 
