@@ -7,20 +7,24 @@
 
 Runs scenarios/rda50.json roles at the table1 density (100 nodes per
 100 m x 100 m) for n = 100, 400, 1600 and 3200 under leach and eepca,
-scenario seed 0, 40 rounds each; then scenarios/rda50.json itself (n = 100)
-under leach, sep and eepca, scenario seed 0, run to exhaustion, the shape of
-the lifetime experiments, whose late rounds have deaths, sparse grids and the
-per-frame steady path.  It prints one markdown table row per cell:
+scenario seed 0, 40 rounds each, and under eepca once more with non-RDA
+nodes sending in a frame with probability 0.6 (rows marked "tx 0.6"), whose
+whole-round steady phase sums bits with its per-frame bincount, which
+rda50's every-frame senders never reach; then scenarios/rda50.json itself
+(n = 100) under leach, sep and eepca, scenario seed 0, run to exhaustion,
+the shape of the lifetime experiments, whose late rounds have deaths, sparse
+grids and the per-frame steady path.  It prints one markdown table row per cell:
 heads per round, then microseconds per round for the whole round, each
 engine phase (setup broadcasts, election, cluster formation, steady phase)
 and the nearest-head pick inside cluster formation, then "other", the round
 less its four phases (the round's draws outside the phases, the trace
 recording and per-round bookkeeping), then minor page faults and kernel
 microseconds per round from resource.getrusage.  The pick is
-eepca.nearest_heads, the float32 screen, above engine.RANK_MAX_NODES nodes
+eepca.nearest_heads, the float32 screen, above eepca.RANK_MAX_NODES nodes
 and eepca.ranked_heads, the lookup in the per-run rank table, at or below
 it.  Timers wrap the phase methods of engine._Sim and both pick functions
-from outside for the duration of the run; the engine itself is unchanged
+from outside for the duration of the run, from before each _Sim is built,
+so the pick it is given is the timed one; the engine itself is unchanged
 and the traces are the ones an untimed run gives.  _Sim set-up is not
 counted.
 
@@ -40,7 +44,6 @@ import contextlib
 import dataclasses
 import importlib
 import importlib.util
-import inspect
 import math
 import resource
 import statistics
@@ -105,20 +108,6 @@ def timed_phases(pkg, totals):
             setattr(eepca, name, fn)
 
 
-def _new_sim(sim_cls, config, policy):
-    """A _Sim of config and policy, with detail=False for an older tree's
-    _Sim, which takes it."""
-    if "detail" in inspect.signature(sim_cls).parameters:
-        return sim_cls(config, policy, detail=False)
-    return sim_cls(config, policy)
-
-
-def _round_record(sim, returned):
-    """The round a _Sim just played: play_round adds it to sim.trace, where
-    an older tree's play_round returned its RoundRecord instead."""
-    return sim.trace.records[-1] if returned is None else returned
-
-
 def time_cell(pkgs, configs, policy, rounds, first=0):
     """Up to `rounds` rounds of one run per package, stepped together: round
     r of every run before round r + 1 of any, the package that plays first
@@ -126,8 +115,8 @@ def time_cell(pkgs, configs, policy, rounds, first=0):
     seconds per phase, round count, heads, minor faults and kernel seconds."""
     cells = [(defaultdict(float), [0, 0, 0, 0.0]) for _ in pkgs]
     with contextlib.ExitStack() as stack:
-        sims = [_new_sim(stack.enter_context(timed_phases(pkg, totals)),
-                         config, pkg.PolicyKind.parse(policy))
+        sims = [stack.enter_context(timed_phases(pkg, totals))(
+                    config, pkg.PolicyKind.parse(policy))
                 for pkg, config, (totals, _) in zip(pkgs, configs, cells)]
         for r in range(rounds):
             start = (first + r) % len(pkgs)
@@ -137,11 +126,11 @@ def time_cell(pkgs, configs, policy, rounds, first=0):
                     continue
                 before = resource.getrusage(resource.RUSAGE_SELF)
                 t0 = time.perf_counter()
-                rec = sim.play_round(r)
+                sim.play_round(r)
                 totals["round"] += time.perf_counter() - t0
                 after = resource.getrusage(resource.RUSAGE_SELF)
                 counts[0] += 1
-                counts[1] += len(_round_record(sim, rec).head_ids)
+                counts[1] += len(sim.trace.records[-1].head_ids)
                 counts[2] += after.ru_minflt - before.ru_minflt
                 counts[3] += after.ru_stime - before.ru_stime
             if not any(sim.alive.any() for sim in sims):
@@ -168,6 +157,8 @@ def _configs(pkg, sizes):
         config = dataclasses.replace(rda50, n_nodes=n, m_field=side)
         for policy in ("leach", "eepca"):
             yield f"{n} ({side:.0f} m)", config, policy, ROUNDS
+        yield (f"{n} ({side:.0f} m), tx 0.6",
+               dataclasses.replace(config, nonrda_tx_prob_per_frame=0.6), "eepca", ROUNDS)
     if 100 in sizes:
         for policy in ("leach", "sep", "eepca"):
             yield "100 (100 m), to exhaustion", rda50, policy, EXHAUSTION

@@ -29,8 +29,9 @@ ranged from stay float64.  Positions never change within a run, so a small
 field instead ranges every pair once: nearest_ranks gives each node's rank
 of every node by estimated distance and the per-bit cost to it, and
 ranked_heads picks each member's head of lowest rank, the same head with
-the same cost bits.  The tables are n x n, so the engine keeps them to
-fields where their one-off cost is soon repaid (engine.RANK_MAX_NODES).
+the same cost bits.  The tables are n x n, so head_picker, which makes a
+run's pick, keeps them to fields where their one-off cost is soon repaid
+(RANK_MAX_NODES).
 
 Per-node arrays are indexed by node id.  Neighborhoods are directed edge
 lists built once by neighbor_edges: edge k makes dst[k] a neighbor of
@@ -48,6 +49,7 @@ its edges.  The estimate is symmetric: x[i] - x[j] is exactly
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -157,10 +159,10 @@ def rotation_epochs(p: np.ndarray) -> np.ndarray:
     return np.ceil(1.0 / p).astype(np.int64)
 
 
-def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray | None,
-                         in_g: np.ndarray, epoch: np.ndarray | None = None,
-                         phase: np.ndarray | None = None) -> np.ndarray:
-    """Election threshold of every node in round r.
+def eepca_thresholds_all(p: np.ndarray, r_s: np.ndarray, w: np.ndarray | None,
+                         in_g: np.ndarray, epoch: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Election threshold of every node in round r, where epoch is
+    rotation_epochs(p) and phase is r % epoch.
 
     The classic rotation threshold p/(1 - p*(r mod epoch)), or 1 where the
     denominator is not positive, is scaled by the bracket w + k*max(1 - w, 0),
@@ -170,12 +172,9 @@ def eepca_thresholds_all(p: np.ndarray, r: int, r_s: np.ndarray, w: np.ndarray |
     epoch and passes it after more.  With w == 1 this is the classic
     threshold, and w=None stands for unit weights: the bracket is then 1.0
     exactly and is skipped.  Clamped into [0, 1], and 0 for nodes outside the
-    eligible set in_g.  epoch is rotation_epochs(p) and phase is r % epoch,
-    for a caller that has them already.
+    eligible set in_g.
     """
-    if epoch is None:
-        epoch = rotation_epochs(p)
-    denom = 1.0 - p * (r % epoch if phase is None else phase)
+    denom = 1.0 - p * phase
     t = np.divide(p, denom, out=np.ones(p.shape), where=denom > 0)
     if w is not None:
         t *= w + (r_s // epoch) * np.maximum(1.0 - w, 0.0)
@@ -272,8 +271,7 @@ def screen_operand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the first h columns are the tally [1; head index] of h heads, exact for h
     up to 2**24.  The member and head rows share the row of ones, so each is
     one contiguous block that a single take gathers.  A caller running many
-    rounds over the same nodes builds this once and hands nearest_heads its
-    screen_operands.
+    rounds over the same nodes builds this once for nearest_heads.
     """
     op = np.empty((9, x.size), dtype=np.float32)
     q = x * x + y * y
@@ -286,15 +284,6 @@ def screen_operand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     op[5], op[6] = x * -2.0, y * -2.0
     op[8] = np.arange(x.size)
     return op
-
-
-def screen_operands(op: np.ndarray, members: np.ndarray, heads: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(err per member, member operand 4 x members, head operand heads x 4,
-    tally 2 x heads) of the nodes members and heads, from their
-    screen_operand op."""
-    m_op = op[:5].take(members, axis=1)
-    return m_op[0], m_op[1:], op[4:8].take(heads, axis=1).T, op[4::4, :heads.size]
 
 
 def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, float]:
@@ -320,10 +309,12 @@ def ranging_window(radio: RadioParams, broadcast_energy: float) -> tuple[float, 
     return 2.0 ** lo, 2.0 ** hi
 
 
-def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray,
-                  radio: RadioParams, broadcast_energy: float,
-                  operands: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's nearest head by estimated distance: (head index, distance).
+def nearest_heads(x: np.ndarray, y: np.ndarray, op: np.ndarray, members: np.ndarray,
+                  heads: np.ndarray, radio: RadioParams,
+                  broadcast_energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's nearest head by estimated distance: (index into heads,
+    distance), of the nodes members and heads, ids of the nodes at x, y
+    whose screen_operand op is.
 
     Equal, bit for bit, to argmin over estimated_distance_matrix of every
     member-head pair (lowest head index on ties) and that argmin's distance.
@@ -344,11 +335,11 @@ def nearest_heads(xm: np.ndarray, ym: np.ndarray, xh: np.ndarray, yh: np.ndarray
     other member (near-ties, co-located heads, estimates that saturate to 0
     or inf, norms too large for the bound) ranges every head and takes the
     argmin.  Only the pair chosen is ranged for a settled member.
-
-    operands is screen_operands(screen_operand(x, y), members, heads) for
-    the nodes whose float64 coordinates xm, ym, xh, yh are.
     """
-    err, m_op, h_op, tally = operands
+    m_op = op[:5].take(members, axis=1)
+    err, m_op = m_op[0], m_op[1:]
+    h_op, tally = op[4:8].take(heads, axis=1).T, op[4::4, :heads.size]
+    xm, ym, xh, yh = x[members], y[members], x[heads], y[heads]
     # near heads and their index sum, per member
     found = np.empty((2, xm.size), dtype=np.float32)
     step = max(1, _PAIRS_PER_BLOCK // xh.size)
@@ -402,12 +393,51 @@ def nearest_ranks(x: np.ndarray, y: np.ndarray, radio: RadioParams,
     return rank, cost_per_bit_matrix(d, radio)
 
 
-def ranked_heads(rank: np.ndarray, members: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Each member's nearest head as an index into heads, from the rank of
-    nearest_ranks: the head of lowest rank, which is the argmin over
-    estimated_distance_matrix of every member-head pair, the lowest head id
-    on ties, as nearest_heads picks it."""
-    return rank.take(members, axis=0).take(heads, axis=1).argmin(axis=1)
+def ranked_heads(rank: np.ndarray, cost: np.ndarray, members: np.ndarray,
+                 heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's nearest head, from the tables of nearest_ranks: (index
+    into heads, per-bit cost to it).  The head of lowest rank is the argmin
+    over estimated_distance_matrix of every member-head pair, the lowest
+    head id on ties, as nearest_heads picks it."""
+    choice = rank.take(members, axis=0).take(heads, axis=1).argmin(axis=1)
+    return choice, cost[members, heads[choice]]
+
+
+def _screened_heads(x: np.ndarray, y: np.ndarray, op: np.ndarray, radio: RadioParams,
+                    broadcast_energy: float, members: np.ndarray,
+                    heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_heads with the per-bit cost to each member's head."""
+    choice, d_est = nearest_heads(x, y, op, members, heads, radio, broadcast_energy)
+    return choice, cost_per_bit_matrix(d_est, radio)
+
+
+# Fields of at most this many nodes pick each member's head from per-run
+# n x n tables (nearest_ranks), larger ones through the float32 screen of
+# nearest_heads.  scripts/phase_times.py --against the screen, rda50 roles
+# at table1 density, median µs per round over 5 runs, screen -> tables:
+# leach 294 -> 232 and eepca 437 -> 362 at n=100 run to exhaustion; over 40
+# rounds leach 249 -> 200 and eepca 349 -> 288 at 150, leach 233 -> 190 and
+# eepca 465 -> 390 at 200, and leach 405 -> 341 and eepca 551 -> 499 at
+# 300.  But the tables take 0.65 ms to build at n=100, 3.4 ms at 200 and
+# 8.7 ms at 300: a run repays them after 45 to 80 rounds at 200 and 140 to
+# 170 at 300, while the n^2 set-up keeps growing.
+RANK_MAX_NODES = 200
+
+
+def head_picker(x: np.ndarray, y: np.ndarray, radio: RadioParams,
+                broadcast_energy: float) -> functools.partial:
+    """A run's pick of each member's head, for the nodes at x, y, whose
+    positions never change within it: (members, heads) -> (index into
+    heads, per-bit cost to it), members and heads being node ids.  It is
+    ranked_heads over nearest_ranks' tables for at most RANK_MAX_NODES
+    nodes, and nearest_heads over their screen_operand, then
+    cost_per_bit_matrix, above.  Both give every member the head, and the
+    cost bits, of the argmin over every ranged member-head pair.
+    """
+    if x.size <= RANK_MAX_NODES:
+        return functools.partial(ranked_heads, *nearest_ranks(x, y, radio, broadcast_energy))
+    return functools.partial(_screened_heads, x, y, screen_operand(x, y), radio,
+                             broadcast_energy)
 
 
 # Cells are a little wider than the radius, so that rounding in the cell

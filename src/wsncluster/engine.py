@@ -33,19 +33,10 @@ senders' edges.  A message debit of every node works on views of the energy
 and belief arrays, and a debit that every node affords tells its caller
 (_Sim.rich) to skip re-masking the nodes it sent for.
 
-In cluster formation each member picks this round's nearest head, the one
-ranging every head would give.  On a field of at most RANK_MAX_NODES nodes
-it is the alive head of lowest rank in the member's row of a per-run table
-of every pair's distance rank, and its per-bit cost is read from a per-run
-table of every pair's cost (eepca.nearest_ranks, eepca.ranked_heads).  On a
-larger field the member picks its head by squared distance and ranges only
-that head, unless a near-tie or a distance at the edge of the float range
-needs every head ranged (eepca.nearest_heads).  The squared distances come
-from one float32 matrix product per block of members, whose per-node
-operand (eepca.screen_operand) is built once per run beside the float64
-coordinates the choice is ranged from.  Each member's per-bit cost to its
-chosen head is kept in one per-node vector, which the join and both steady
-paths read.
+In cluster formation each member joins this round's nearest head, the one
+ranging every head would give, as the run's eepca.head_picker picks it
+(eepca's docstring says how).  Each member's per-bit cost to its chosen head
+is kept in one per-node vector, which the join and both steady paths read.
 
 The steady phase has two equivalent evaluation paths: a vectorized
 whole-round path used when every participating node can afford its full
@@ -150,24 +141,6 @@ class RunTrace:
         self.death_bits = bytearray()
         self.suppressed_bits = bytearray()
 
-    @classmethod
-    def from_rounds(cls, rounds, **fields) -> RunTrace:
-        """A trace of RoundRecords, the k-th of which must be round k;
-        fields are RunTrace's, e_init among them."""
-        trace = cls(**fields)
-        for k, rec in enumerate(rounds):
-            if rec.r != k:
-                raise ValueError(f"round {rec.r} given as round {k}")
-            trace.add_round(trace._mask(rec.head_ids), rec.bs_messages,
-                            trace._mask(rec.deaths), trace._mask(rec.suppressed),
-                            rec.debits, rec.alive_end, rec.e_total_end)
-        return trace
-
-    def _mask(self, ids) -> np.ndarray:
-        mask = np.zeros(self.e_init.size, dtype=bool)
-        mask[list(ids)] = True
-        return mask
-
     def add_round(self, heads, bs_messages, deaths, suppressed, debits,
                   alive_end, e_total_end) -> None:
         """Append the next round.  heads, deaths and suppressed are boolean
@@ -232,12 +205,9 @@ class RoundRecords(Sequence):
     def __len__(self) -> int:
         return self._trace.n_rounds
 
-    def __getitem__(self, k):
-        # range indexing gives Python's index and slice rules and errors
-        rounds = range(len(self))[k]
-        if isinstance(rounds, range):
-            return [self._trace._record(i) for i in rounds]
-        return self._trace._record(rounds)
+    def __getitem__(self, k: int) -> RoundRecord:
+        # range indexing gives Python's index rules and errors
+        return self._trace._record(range(len(self))[operator.index(k)])
 
     def __iter__(self):
         return map(self._trace._record, range(len(self)))
@@ -267,19 +237,6 @@ def skip_doubles(rng: np.random.Generator, count: int) -> None:
         moved = bg.state
         moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
         bg.state = moved
-
-
-# Fields of at most this many nodes pick each member's head from per-run
-# n x n tables (eepca.nearest_ranks), larger ones through the float32 screen
-# of eepca.nearest_heads.  scripts/phase_times.py --against the screen,
-# rda50 roles at table1 density, median µs per round over 5 runs, screen ->
-# tables: leach 294 -> 232 and eepca 437 -> 362 at n=100 run to exhaustion;
-# over 40 rounds leach 249 -> 200 and eepca 349 -> 288 at 150, leach
-# 233 -> 190 and eepca 465 -> 390 at 200, and leach 405 -> 341 and eepca
-# 551 -> 499 at 300.  But the tables take 0.65 ms to build at n=100,
-# 3.4 ms at 200 and 8.7 ms at 300: a run repays them after 45 to 80 rounds
-# at 200 and 140 to 170 at 300, while the n^2 set-up keeps growing.
-RANK_MAX_NODES = 200
 
 
 class _Sim:
@@ -334,15 +291,8 @@ class _Sim:
         self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
         self.bs_cost = tx_energy(config.fused_len_bits, np.hypot(self.x - bx, self.y - by), radio)
-        # how members pick their head: a small field's per-run tables of
-        # every pair's distance rank and per-bit cost, or a large field's
-        # float32 screen operand, built after the set-up peak
-        if n <= RANK_MAX_NODES:
-            self.rank, self.cpb_pair = eepca.nearest_ranks(self.x, self.y, radio, bcast_e)
-            self.screen = None
-        else:
-            self.rank = None
-            self.screen = eepca.screen_operand(self.x, self.y)
+        # how members pick their head, built after the set-up peak
+        self.pick_heads = eepca.head_picker(self.x, self.y, radio, bcast_e)
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
 
@@ -498,7 +448,7 @@ class _Sim:
 
         phase = r % epoch
         self.in_g |= phase == 0
-        t = eepca.eepca_thresholds_all(p, r, self.r_s, w, self.in_g, epoch, phase)
+        t = eepca.eepca_thresholds_all(p, self.r_s, w, self.in_g, epoch, phase)
         u = self.rng.random(self.n)
         elected = alive & (u < t)
         if not np.count_nonzero(elected) and np.count_nonzero(alive):
@@ -514,11 +464,7 @@ class _Sim:
         """Advertisements, joins; returns (assignment, surviving head mask).
 
         Each member joins the head whose advertisement it ranges nearest,
-        the lowest head id on ties.  A small field looks that head up in its
-        per-run rank table (eepca.ranked_heads) and ranges nothing; on a
-        larger one eepca.nearest_heads picks it by squared distance and
-        ranges only the pair it picked, so a round ranges about one pair per
-        member instead of members x heads.
+        the lowest head id on ties, as self.pick_heads picks it.
         """
         cfg = self.cfg
         assignment = np.full(self.n, -1, dtype=np.int64)
@@ -542,15 +488,7 @@ class _Sim:
             return assignment, ok_heads
         members = (self.alive ^ ok_heads).nonzero()[0]
         if members.size:
-            if self.rank is not None:
-                choice = eepca.ranked_heads(self.rank, members, ok_heads_idx)
-                cpb = self.cpb_pair[members, ok_heads_idx[choice]]
-            else:
-                ops = eepca.screen_operands(self.screen, members, ok_heads_idx)
-                choice, d_head = eepca.nearest_heads(
-                    self.x[members], self.y[members], self.x[ok_heads_idx],
-                    self.y[ok_heads_idx], cfg.radio, self.bcast_cost, ops)
-                cpb = eepca.cost_per_bit_matrix(d_head, cfg.radio)
+            choice, cpb = self.pick_heads(members, ok_heads_idx)
             self.cpb_head[members] = cpb
             join_cost = cfg.broadcast_bits * cpb
             joined = self._debit_messages(members, join_cost, join_cost, 1)

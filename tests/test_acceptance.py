@@ -26,7 +26,7 @@ import wsncluster
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.cli import SweepSpec, run_grid
-from wsncluster.eepca import eepca_thresholds_all
+from wsncluster.eepca import eepca_thresholds_all, rotation_epochs
 from wsncluster.engine import _Sim, run
 from wsncluster.model import load_scenario
 from wsncluster.planner import d_to_bs, expected_member_distances
@@ -307,8 +307,10 @@ def test_c09_formula_golden_values():
     assert expected_member_distances(100.0, 75.0)[0] == \
         pytest.approx(50.0, rel=1e-12)
     # 0.1 / (1 - 0.1 * 5): the LEACH threshold is the EEPCA one with w = 1
-    t = eepca_thresholds_all(np.array([0.1]), 5, np.zeros(1, dtype=np.int64),
-                             np.ones(1), np.ones(1, dtype=bool))
+    p = np.array([0.1])
+    epoch = rotation_epochs(p)
+    t = eepca_thresholds_all(p, np.zeros(1, dtype=np.int64), np.ones(1),
+                             np.ones(1, dtype=bool), epoch, 5 % epoch)
     assert t[0] == pytest.approx(0.2, rel=1e-12)
 
 

@@ -5,15 +5,17 @@ from hypothesis import strategies as st
 
 from wsncluster.baselines import PolicyKind, sep_probabilities
 from wsncluster.eepca import (clamp_probabilities, eepca_thresholds_all,
-                              election_probabilities_all)
+                              election_probabilities_all, rotation_epochs)
 from wsncluster.model import ContractViolation
 
 
 def leach_threshold(p_opt: float, r: int, in_g: bool) -> float:
     """Classic rotation threshold as the engine computes it for LEACH: the
     EEPCA threshold with unit weight and no unelected epochs."""
-    t = eepca_thresholds_all(np.array([p_opt]), r, np.zeros(1, dtype=np.int64),
-                             np.ones(1), np.array([in_g]))
+    p = np.array([p_opt])
+    epoch = rotation_epochs(p)
+    t = eepca_thresholds_all(p, np.zeros(1, dtype=np.int64), np.ones(1), np.array([in_g]),
+                             epoch, r % epoch)
     return float(t[0])
 
 

@@ -224,8 +224,9 @@ class TestElection:
         p = np.array(data.draw(st.lists(st.floats(1e-12, 1 - 1e-12), min_size=n, max_size=n)))
         r_s = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
         in_g = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        got = eepca.eepca_thresholds_all(p, r, r_s, None, in_g)
-        want = eepca.eepca_thresholds_all(p, r, r_s, np.ones(n), in_g)
+        epoch = eepca.rotation_epochs(p)
+        got = eepca.eepca_thresholds_all(p, r_s, None, in_g, epoch, r % epoch)
+        want = eepca.eepca_thresholds_all(p, r_s, np.ones(n), in_g, epoch, r % epoch)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_threshold_clamped_to_one(self):
@@ -236,8 +237,9 @@ class TestElection:
     def test_threshold_non_decreasing_in_unelected_rounds(self, p, r, w):
         r_s = np.arange(0, 201)
         n = r_s.size
-        vec = eepca.eepca_thresholds_all(np.full(n, p), r, r_s, np.full(n, w),
-                                         np.ones(n, dtype=bool))
+        epoch = eepca.rotation_epochs(np.full(n, p))
+        vec = eepca.eepca_thresholds_all(np.full(n, p), r_s, np.full(n, w),
+                                         np.ones(n, dtype=bool), epoch, r % epoch)
         scalar = np.array([eepca_threshold(p, r, int(k), w, True) for k in r_s])
         for t in (vec, scalar):
             assert np.all(np.diff(t) >= 0.0)
@@ -256,7 +258,8 @@ class TestElection:
             st.floats(0.0, 3.0), min_size=n, max_size=n)))
         in_g = np.array(data.draw(st.lists(
             st.booleans(), min_size=n, max_size=n)))
-        out = eepca.eepca_thresholds_all(p, r, r_s, w, in_g)
+        epoch = eepca.rotation_epochs(p)
+        out = eepca.eepca_thresholds_all(p, r_s, w, in_g, epoch, r % epoch)
         for i in range(n):
             expect = eepca_threshold(p[i], r, int(r_s[i]), w[i], bool(in_g[i]))
             assert out[i] == pytest.approx(expect, rel=1e-12, abs=1e-15)
@@ -457,11 +460,10 @@ def _pts(*xy):
 
 
 def _nearest_heads(xm, ym, xh, yh, radio, bcast):
-    """nearest_heads over the screen operand of the members followed by the
-    heads."""
-    op = eepca.screen_operand(np.concatenate((xm, xh)), np.concatenate((ym, yh)))
-    ops = eepca.screen_operands(op, np.arange(xm.size), np.arange(xm.size, op.shape[1]))
-    return eepca.nearest_heads(xm, ym, xh, yh, radio, bcast, ops)
+    """nearest_heads on the field of the members followed by the heads."""
+    x, y = np.concatenate((xm, xh)), np.concatenate((ym, yh))
+    return eepca.nearest_heads(x, y, eepca.screen_operand(x, y), np.arange(xm.size),
+                               np.arange(xm.size, x.size), radio, bcast)
 
 
 @st.composite
@@ -668,18 +670,24 @@ class TestHeadScreen:
 
     def test_field_operand_equals_argmin(self):
         # the engine's call: one operand over the whole field, its members and
-        # heads interleaved in it
+        # heads interleaved in it, and the run's pick on a field past the
+        # rank tables' gate
         rng = np.random.default_rng(11)
         x, y = rng.uniform(0, 400, 500), rng.uniform(0, 400, 500)
         heads = np.sort(rng.choice(500, 30, replace=False))
         members = np.setdiff1d(np.arange(500), heads)
-        ops = eepca.screen_operands(eepca.screen_operand(x, y), members, heads)
+        choice, d_est = eepca.nearest_heads(x, y, eepca.screen_operand(x, y), members,
+                                            heads, RADIO, self.BCAST)
         xm, ym, xh, yh = x[members], y[members], x[heads], y[heads]
-        choice, d_est = eepca.nearest_heads(xm, ym, xh, yh, RADIO, self.BCAST, ops)
         dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
                                                 RADIO, self.BCAST)
         assert np.array_equal(choice, np.argmin(dense, axis=1))
         assert np.array_equal(d_est, dense.min(axis=1))
+        assert x.size > eepca.RANK_MAX_NODES
+        picked, cpb = eepca.head_picker(x, y, RADIO, self.BCAST)(members, heads)
+        assert np.array_equal(picked, choice)
+        assert np.array_equal(cpb.view(np.int64),
+                              eepca.cost_per_bit_matrix(d_est, RADIO).view(np.int64))
 
 
 @st.composite
@@ -719,9 +727,8 @@ class TestRankedHeads:
     @staticmethod
     def _check(x, y, heads, radio, bcast):
         members, h_idx = (~heads).nonzero()[0], heads.nonzero()[0]
-        rank, cost = eepca.nearest_ranks(x, y, radio, bcast)
-        choice = eepca.ranked_heads(rank, members, h_idx)
-        cpb = cost[members, h_idx[choice]]
+        choice, cpb = eepca.ranked_heads(*eepca.nearest_ranks(x, y, radio, bcast),
+                                         members, h_idx)
 
         xm, ym, xh, yh = x[members], y[members], x[h_idx], y[h_idx]
         picked, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
@@ -751,8 +758,9 @@ class TestRankedHeads:
         # the member at the origin is 1 from four heads and 0 from none
         x, y = _pts((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))
         heads = np.array([False, True, True, True, True, False])
-        rank, _ = eepca.nearest_ranks(x, y, RADIO, 1e-5)
-        assert eepca.ranked_heads(rank, np.array([0, 5]), heads.nonzero()[0]).tolist() == [0, 0]
+        choice, _ = eepca.ranked_heads(*eepca.nearest_ranks(x, y, RADIO, 1e-5),
+                                       np.array([0, 5]), heads.nonzero()[0])
+        assert choice.tolist() == [0, 0]
         self._check(x, y, heads, RADIO, 1e-5)
 
     def test_both_branches_of_the_radio_model(self):

@@ -92,7 +92,7 @@ def test_eepca_suppresses_rda_broadcasts(small_config):
     cfg = dataclasses.replace(small_config, frac_rda=0.5)
     trace = run(cfg, PolicyKind.EEPCA, max_rounds=10)
     assert trace.records[0].suppressed == ()  # no prediction exists yet
-    assert any(rec.suppressed for rec in trace.records[1:])
+    assert any(rec.suppressed for rec in list(trace.records)[1:])
 
 
 def test_forced_unit_factors_reduce_to_classic_rotation(small_config, monkeypatch):
@@ -173,7 +173,7 @@ def test_count_table_equals_frame_counts_of_msg_count(rda_config, policy, frames
     for r in range(30):
         sim.play_round(r)
         plain.play_round(r)
-    assert sim.trace.records[:] == plain.trace.records[:]
+    assert list(sim.trace.records) == list(plain.trace.records)
     assert np.array_equal(sim.e, plain.e)
 
 
@@ -579,18 +579,18 @@ def test_trace_memory_per_round(rda_config, n_nodes, policy, max_rounds, measure
 class TestRoundView:
     """trace.records builds each RoundRecord from the trace's columns."""
 
-    def test_length_indexing_slicing_and_order(self, small_config):
+    def test_length_indexing_and_order(self, small_config):
         trace = run(small_config, PolicyKind.EEPCA, max_rounds=12)
         recs = trace.records
         listed = list(recs)
         assert len(recs) == trace.n_rounds == len(listed) == 12
         assert [rec.r for rec in listed] == list(range(12))
-        assert recs[-1] == listed[11] and recs[-12] == listed[0]
-        assert recs[3:9:2] == listed[3:9:2]
-        assert recs[::-1] == listed[::-1]
+        assert recs[-1] == listed[11] and recs[-12] == listed[0] and recs[3] == listed[3]
         for k in (12, -13):
             with pytest.raises(IndexError):
                 recs[k]
+        with pytest.raises(TypeError):
+            recs[3:9]
 
     def test_json_values_are_plain_python(self, small_config):
         cfg = dataclasses.replace(small_config, frac_rda=0.5)
@@ -604,15 +604,6 @@ class TestRoundView:
                 assert type(d[k]) is list and all(type(i) is int for i in d[k])
                 assert d[k] == sorted(d[k])
         assert any(d["deaths"] for d in rows) and any(d["suppressed"] for d in rows)
-
-    def test_rounds_rebuild_the_same_trace(self, small_config):
-        trace = run(small_config, PolicyKind.SEP)
-        fields = dict(seed=trace.seed, policy=trace.policy,
-                      config_hash=trace.config_hash, e_init=trace.e_init)
-        again = RunTrace.from_rounds(trace.records, **fields)
-        assert list(again.records) == list(trace.records)
-        with pytest.raises(ValueError, match="round 1 given as round 0"):
-            RunTrace.from_rounds(trace.records[1:], **fields)
 
 
 @st.composite

@@ -7,25 +7,25 @@ import pytest
 
 from wsncluster import metrics
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RoundRecord, RunTrace, run
+from wsncluster.engine import RunTrace, run
 from wsncluster.metrics import CENSORED, CURVES_HEADER, curve_rows, summarize, summary_row
 from wsncluster.model import ScenarioConfig
 
 
 def _trace(death_plan, n=10, bs_per_round=2, seed=0, e_init=None):
-    """Hand-built trace: death_plan maps round -> node ids that die there."""
-    records = []
+    """Hand-built trace: death_plan maps round -> node ids that die there;
+    node 0 heads every round."""
+    trace = RunTrace(seed=seed, policy=PolicyKind.LEACH, config_hash="x" * 16,
+                     e_init=np.ones(n) if e_init is None else e_init)
+    heads = np.arange(trace.e_init.size) == 0
     alive = n
     for r in range(max(death_plan, default=-1) + 1 or 1):
-        deaths = tuple(death_plan.get(r, ()))
-        alive -= len(deaths)
-        records.append(RoundRecord(
-            r=r, head_ids=(0,), bs_messages=bs_per_round, deaths=deaths,
-            suppressed=(), debits=0.01, alive_end=alive, e_total_end=float(alive)))
-    return RunTrace.from_rounds(
-        records, seed=seed, policy=PolicyKind.LEACH, config_hash="x" * 16,
-        e_init=np.ones(n) if e_init is None else e_init,
-        termination="all-dead" if alive == 0 else "round-limit")
+        deaths = np.zeros(trace.e_init.size, dtype=bool)
+        deaths[list(death_plan.get(r, ()))] = True
+        alive -= np.count_nonzero(deaths)
+        trace.add_round(heads, bs_per_round, deaths, None, 0.01, alive, float(alive))
+    trace.termination = "all-dead" if alive == 0 else "round-limit"
+    return trace
 
 
 class TestSummarize:

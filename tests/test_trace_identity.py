@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wsncluster import eepca, engine
@@ -115,16 +116,19 @@ def test_small_fields_pick_heads_alike_either_side_of_the_gate(key, gate, small_
     def refuse(*args):
         raise AssertionError(f"{unused} called")
 
-    monkeypatch.setattr(engine, "RANK_MAX_NODES", gate)
+    monkeypatch.setattr(eepca, "RANK_MAX_NODES", gate)
     monkeypatch.setattr(eepca, unused, refuse)
     assert _digest(config, policy, max_rounds, tmp_path) == DIGESTS[key]
 
 
 def test_large_field_builds_no_rank_table():
-    # above the gate only the screen operand is built; at or below it only
-    # the tables
-    big = engine._Sim(FIELD1600, PolicyKind.EEPCA)
-    assert FIELD1600.n_nodes > engine.RANK_MAX_NODES
-    assert big.rank is None and not hasattr(big, "cpb_pair") and big.screen is not None
-    small = engine._Sim(RDA50, PolicyKind.EEPCA)
-    assert small.screen is None and small.rank.shape == small.cpb_pair.shape == (100, 100)
+    # above the gate the pick holds the screen operand and no n x n table;
+    # at or below it, the rank and cost tables alone
+    big = engine._Sim(FIELD1600, PolicyKind.EEPCA).pick_heads
+    assert FIELD1600.n_nodes > eepca.RANK_MAX_NODES
+    assert big.func is eepca._screened_heads
+    shapes = [a.shape for a in big.args if isinstance(a, np.ndarray)]
+    assert shapes == [(1600,), (1600,), (9, 1600)]
+    small = engine._Sim(RDA50, PolicyKind.EEPCA).pick_heads
+    assert small.func is eepca.ranked_heads
+    assert [a.shape for a in small.args] == [(100, 100), (100, 100)]
