@@ -605,6 +605,30 @@ class TestRoundView:
                 assert d[k] == sorted(d[k])
         assert any(d["deaths"] for d in rows) and any(d["suppressed"] for d in rows)
 
+    def test_rounds_rebuild_the_same_trace(self, small_config):
+        # add_round on each round's masks rebuilds the columns; a round with no
+        # deaths or suppressions packs alike from None or an all-False mask
+        cfg = dataclasses.replace(small_config, frac_rda=0.5)
+        trace = run(cfg, PolicyKind.EEPCA)
+        n = trace.e_init.size
+
+        def mask(ids):
+            m = np.zeros(n, dtype=bool)
+            m[list(ids)] = True
+            return m
+
+        again = RunTrace(seed=trace.seed, policy=trace.policy,
+                         config_hash=trace.config_hash, e_init=trace.e_init)
+        for rec in trace.records:
+            again.add_round(mask(rec.head_ids), rec.bs_messages,
+                            mask(rec.deaths) if rec.deaths else None, mask(rec.suppressed),
+                            rec.debits, rec.alive_end, rec.e_total_end)
+        assert list(again.records) == list(trace.records)
+        for col in ("head_bits", "death_bits", "suppressed_bits", "bs_messages",
+                    "debits", "alive_end", "e_total_end"):
+            assert getattr(again, col) == getattr(trace, col)
+        assert any(not rec.suppressed for rec in trace.records)
+
 
 @st.composite
 def _scenarios(draw):
