@@ -17,9 +17,10 @@ grids and the per-frame steady path.  It prints one markdown table row per cell:
 heads per round, then microseconds per round for the whole round, each
 engine phase (setup broadcasts, election, cluster formation, steady phase)
 and the nearest-head pick inside cluster formation, then "other", the round
-less its four phases (the round's draws outside the phases, the trace
-recording and per-round bookkeeping), then minor page faults and kernel
-microseconds per round from resource.getrusage.  The pick is
+less its four phases (every draw of the round, which play_round makes and
+passes to the phases, the trace recording and per-round bookkeeping), then
+minor page faults and kernel microseconds per round from
+resource.getrusage.  The pick is
 eepca.nearest_heads, the float32 screen, above eepca.RANK_MAX_NODES nodes
 and eepca.ranked_heads, the lookup in the per-run rank table, at or below
 it.  Timers wrap the phase methods of engine._Sim and both pick functions
@@ -34,7 +35,10 @@ under another package name, and steps a run of each tree in one loop, round
 by round, alternating which tree plays a round first; each cell then gets a
 row for PATH's tree (marked "against") above the row for this one.  Host
 speed that drifts between processes, minutes or even runs then hits both
-rows alike.  --sizes picks the node counts to run, any n >= 2 at the
+rows alike.  Against a tree that drew inside the election and steady
+phases (before play_round made every draw), compare the "round" column: the
+draws then moved from those phases to "other".  --sizes picks the node
+counts to run, any n >= 2 at the
 same density (the rows run to exhaustion come with 100), so a one-size
 comparison such as --sizes 1600 takes seconds.
 """

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """sha256 of the JSONL trace of every run in a fixed identity grid.
 
+    PYTHONPATH=src python scripts/trace_digests.py --check
     PYTHONPATH=src python scripts/trace_digests.py --out digests.json
     PYTHONPATH=src python scripts/trace_digests.py --check digests.json
 
@@ -15,8 +16,10 @@ on its own as a separate entry, so a change to the ScenarioConfig fields,
 which moves every config hash, shows in that entry alone.
 --out writes a JSON object from run or file name to digest, sorted by name.
 --check compares the digests with such a file written at another commit,
-names every entry whose digest differs or that one side lacks, and exits 1
-if there is any.  It takes about a minute on one core.  To write the
+by default the committed scripts/trace_digests.json, names every entry
+whose digest differs or that one side lacks, and exits 1 if there is any.
+It takes about a minute on one core.  A change that alters traces on
+purpose rewrites scripts/trace_digests.json with --out.  To write the
 baseline of a commit whose copy of this script digests differently, run
 this copy with PYTHONPATH at that commit's src/.
 """
@@ -36,6 +39,7 @@ from wsncluster.engine import run
 from wsncluster.model import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+BASELINE = Path(__file__).resolve().with_suffix(".json")
 
 
 def grid():
@@ -78,8 +82,8 @@ def cli_digests(out: Path) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--check", metavar="BASELINE", type=Path,
-                        help="JSON file of digests to compare with")
+    parser.add_argument("--check", metavar="BASELINE", type=Path, nargs="?", const=BASELINE,
+                        help=f"JSON file of digests to compare with (default {BASELINE.name})")
     args = parser.parse_args()
     if args.out is None and args.check is None:
         parser.error("give --out, --check or both")

@@ -44,6 +44,10 @@ class SweepSpec:
             raise ConfigError("sweep", f"must be one of {SWEEP_VARS}")
         elif not self.values:
             raise ConfigError("sweep", "value list must be nonempty")
+        # a repeated policy or value would run its cells twice
+        for field, named in (("policy", self.policies), ("sweep", self.values)):
+            if len(set(named)) < len(named):
+                raise ConfigError(field, "names one entry twice")
         if self.seeds < 1:
             raise ConfigError("seeds", "must be at least 1")
         if self.max_rounds < 1:

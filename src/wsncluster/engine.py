@@ -48,12 +48,17 @@ frame (send probability 1) holds frames messages in msg_count, and a
 one-value non-RDA length range is held in msg_len, so a round forms its
 frame counts and lengths with no per-round fill.  Each frame's counts are
 read from a per-run table of frame_counts over the counts a node can hold
-(float, so the steady sums need no cast).  The send draws that probability
-1 makes moot are not drawn: skip_doubles advances the bit generator past
-them, which leaves the stream where drawing them would.  When the counts
-are the table's and the lengths one per node, the bincount sums each
-node's length into a (count, head) column instead, and one small product
-with the table spreads those sums over the frames.
+(float, so the steady sums need no cast).  When the counts are the table's
+and the lengths one per node, the bincount sums each node's length into a
+(count, head) column instead, and one small product with the table spreads
+those sums over the frames.
+
+Every policy makes the same draws each round, so the order of the rng calls
+is part of the model.  play_round makes them all, and the phases take them
+as arguments: before the phases, the RDA message counts and lengths, the
+election's uniforms and the malfunction noise; after cluster formation,
+only when a head survived it, the non-RDA send doubles (drawn even when a
+send probability of 1 makes each a send), then the non-RDA lengths.
 
 A run's rounds are kept as typed columns on its RunTrace, which _Sim holds:
 play_round appends the round's BS message count, debits, alive count and
@@ -219,24 +224,6 @@ def frame_counts(counts: np.ndarray, frames: int) -> np.ndarray:
     q + (f < rem) for c = q * frames + rem."""
     q, rem = np.divmod(counts, frames)
     return q + (np.arange(frames)[:, None] < rem)
-
-
-def skip_doubles(rng: np.random.Generator, count: int) -> None:
-    """Leave rng's stream where rng.random(count) would, without drawing.
-
-    rng is a PCG64 Generator (np.random.default_rng), each of whose doubles
-    is one 64-bit step, so advancing the bit generator count steps moves the
-    stream alike.  advance() also drops the 32-bit half of a step that
-    integers() holds for its next draw after an odd count of 32-bit draws,
-    which random() keeps; it is put back.
-    """
-    bg = rng.bit_generator
-    state = bg.state
-    bg.advance(count)
-    if state["has_uint32"]:
-        moved = bg.state
-        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-        bg.state = moved
 
 
 class _Sim:
@@ -429,7 +416,8 @@ class _Sim:
                        self.e)
         return suppressed
 
-    def _election(self, r: int) -> np.ndarray:
+    def _election(self, r: int, u: np.ndarray) -> np.ndarray:
+        """Elect heads by threshold over u, the round's random(n) draw."""
         cfg = self.cfg
         alive = self.alive
         if self.is_eepca:
@@ -449,7 +437,6 @@ class _Sim:
         phase = r % epoch
         self.in_g |= phase == 0
         t = eepca.eepca_thresholds_all(p, self.r_s, w, self.in_g, epoch, phase)
-        u = self.rng.random(self.n)
         elected = alive & (u < t)
         if not np.count_nonzero(elected) and np.count_nonzero(alive):
             # zero-head repair: draft the alive node with the largest p
@@ -508,28 +495,18 @@ class _Sim:
 
     # --- steady phase ------------------------------------------------------
 
-    def _steady(self, assignment: np.ndarray, heads: np.ndarray,
-                noise: np.ndarray) -> int:
-        """TDMA frames; returns the bs message count."""
+    def _steady(self, assignment: np.ndarray, heads: np.ndarray, noise: np.ndarray,
+                send_draws: np.ndarray, lengths: np.ndarray) -> int:
+        """TDMA frames over the round's send doubles and non-RDA lengths
+        (msg_len for a one-value range); returns the bs message count."""
         cfg = self.cfg
-        frames = cfg.frames_per_round
         if self.count_table is not None:
             counts = self.count_table.take(self.msg_count, axis=1)
         else:
-            counts = frame_counts(self.msg_count, frames)
-        if self.sends_every_frame:
-            # every draw is a send, as msg_count holds: skipped, not drawn
-            skip_doubles(self.rng, frames * self.n)
-        else:
-            sends = self.rng.random((frames, self.n)) < cfg.nonrda_tx_prob_per_frame
-            counts = np.where(self.is_rda, counts, sends)
-        if self.fixed_len:
-            # integers() draws no bits for a one-value range, so the length
-            # held in msg_len keeps the stream; one row, broadcast over frames
-            lengths = self.msg_len
-        else:
-            lo_n, hi_n = cfg.nonrda_len_range_bits
-            lengths = self.rng.integers(lo_n, hi_n + 1, (frames, self.n))
+            counts = frame_counts(self.msg_count, cfg.frames_per_round)
+        if not self.sends_every_frame:  # else every draw is a send, as msg_count holds
+            counts = np.where(self.is_rda, counts, send_draws < cfg.nonrda_tx_prob_per_frame)
+        if not self.fixed_len:
             np.copyto(lengths, self.msg_len, where=self.is_rda)
 
         fast = self._steady_fast(assignment, heads, noise, counts, lengths)
@@ -633,30 +610,43 @@ class _Sim:
 
     def play_round(self, r: int) -> None:
         """Play round r and add it to self.trace, which numbers its rounds
-        by position: rounds are played from 0 in order."""
-        cfg = self.cfg
+        by position: rounds are played from 0 in order.
+
+        The round's draws, for every node whatever the policy, with f frames:
+          1. rng.integers(n1, n2 + 1, n), the RDA counts (rda_msgs_range);
+          2. rng.integers(l1, l2 + 1, n), the RDA lengths (msg_len_range_bits);
+          3. rng.random(n), the election's uniforms;
+          4. rng.uniform(lo, hi, n), the noise (malfunction_noise_range);
+        then, only when a head survives cluster formation:
+          5. rng.random((f, n)), the non-RDA send doubles;
+          6. rng.integers(lo, hi + 1, (f, n)), the non-RDA lengths, only
+             when nonrda_len_range_bits holds more than one value (for one,
+             integers() draws no bits and msg_len holds the length).
+        """
+        cfg, rng, n = self.cfg, self.rng, self.n
         alive_before = self.alive.copy()
         n_before = np.count_nonzero(alive_before)
         self.debits = 0.0
 
-        # per-round RDA schedules (fixed within the round); draws are made for
-        # every node so the stream stays aligned across policies
         n1, n2 = cfg.rda_msgs_range
         l1, l2 = cfg.msg_len_range_bits
-        nc = self.rng.integers(n1, n2 + 1, self.n)
-        lc = self.rng.integers(l1, l2 + 1, self.n)
-        np.putmask(self.msg_count, self.is_rda, nc)
-        np.putmask(self.msg_len, self.is_rda, lc)
+        np.putmask(self.msg_count, self.is_rda, rng.integers(n1, n2 + 1, n))
+        np.putmask(self.msg_len, self.is_rda, rng.integers(l1, l2 + 1, n))
+        u = rng.random(n)
+        lo, hi = cfg.malfunction_noise_range
+        noise = np.where(self.is_malf, rng.uniform(lo, hi, n), 1.0)
 
         suppressed = self._setup_broadcasts(r)
-        elected = self._election(r)
+        elected = self._election(r, u)
         assignment, heads = self._form_clusters(elected)
 
-        lo, hi = cfg.malfunction_noise_range
-        noise_draw = self.rng.uniform(lo, hi, self.n)
-        noise = np.where(self.is_malf, noise_draw, 1.0)
-
-        bs_msgs = self._steady(assignment, heads, noise) if np.count_nonzero(heads) else 0
+        bs_msgs = 0
+        if np.count_nonzero(heads):
+            frames = cfg.frames_per_round
+            send_draws = rng.random((frames, n))
+            lo_n, hi_n = cfg.nonrda_len_range_bits
+            lengths = self.msg_len if self.fixed_len else rng.integers(lo_n, hi_n + 1, (frames, n))
+            bs_msgs = self._steady(assignment, heads, noise, send_draws, lengths)
 
         alive_end = np.count_nonzero(self.alive)
         self.trace.add_round(

@@ -8,7 +8,7 @@ JSON under tests/_cache, keyed by the scenario hash, the sweep parameters
 and a hash of the simulator source (src/wsncluster/*.py).  Any change to
 the source therefore recomputes every experiment: a cold run is about 1,650
 simulations, which the fixtures spread over every usable CPU through
-cli.run_grid, about 20 CPU-minutes (10.2 minutes wall in one pytest process
+cli.run_grid, about 21 CPU-minutes (10.8 minutes wall in one pytest process
 on a 2-vCPU Xeon).  With a warm cache the whole module runs in seconds.
 """
 
@@ -264,10 +264,10 @@ def test_c07_prediction_exact_for_healthy_rda_nodes():
     steady = sim._steady
     checked = [0]
 
-    def compared(assignment, heads, noise):
+    def compared(assignment, heads, noise, *draws):
         member = healthy_rda & (assignment >= 0)
         e, belief = sim.e[member], sim.belief[member]
-        out = steady(assignment, heads, noise)
+        out = steady(assignment, heads, noise, *draws)
         e_drop, belief_drop = e - sim.e[member], belief - sim.belief[member]
         assert np.allclose(belief_drop, e_drop, rtol=1e-12, atol=0.0)
         checked[0] += np.count_nonzero(e_drop > 0)

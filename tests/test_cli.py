@@ -137,6 +137,9 @@ class TestMain:
         (["--sweep", "epsilon_tol=0.9,2"], "epsilon_tol: must lie in [0, 1]"),
         (["--sweep", "alpha=0.5,1.5"], "alpha: must lie in [0, 1]"),
         (["--jobs", "0"], "jobs: must be at least 1"),
+        # a repeated cell would run twice and write duplicate summary rows
+        (["--sweep", "alpha=0.6,0.6"], "sweep: names one entry twice"),
+        (["--policy", "leach,LEACH"], "policy: names one entry twice"),
     ])
     def test_bad_sweep_value_or_jobs_is_config_error(self, tmp_path, scenario_file,
                                                      args, field, capsys):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
-from wsncluster.engine import RunTrace, _Sim, frame_counts, run, skip_doubles
+from wsncluster.engine import RunTrace, _Sim, frame_counts, run
 from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
+from test_trace_identity import SMALL_VARIANTS
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
 
@@ -195,21 +196,41 @@ def _stream_state(rng):
     return state["state"], state["has_uint32"], state["has_uint32"] and state["uinteger"]
 
 
-@pytest.mark.parametrize("before", [0, 3, 4])
-@pytest.mark.parametrize("count", [0, 1, 5, 8000])
-def test_skip_doubles_leaves_the_stream_of_random(before, count):
-    # integers(0, 5, k) takes k 32-bit halves: after an odd k the bit
-    # generator holds half a 64-bit step, which random() keeps and a bare
-    # advance() would drop
-    drawn, skipped = np.random.default_rng(7), np.random.default_rng(7)
-    for rng in (drawn, skipped):
-        rng.integers(0, 5, before)
-    assert drawn.bit_generator.state["has_uint32"] == before % 2
-    drawn.random(count)
-    skip_doubles(skipped, count)
-    assert _stream_state(skipped) == _stream_state(drawn)
-    assert np.array_equal(skipped.integers(0, 5, 3), drawn.integers(0, 5, 3))
-    assert np.array_equal(skipped.random(4), drawn.random(4))
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("variant", sorted(SMALL_VARIANTS))
+def test_play_round_draws_what_its_docstring_lists(variant, policy, small_config):
+    # a fresh stream fed the calls play_round's docstring lists stands where
+    # the run's stream does after every round; the steady-phase block is
+    # drawn only in rounds where a head survives cluster formation
+    cfg = dataclasses.replace(small_config, **SMALL_VARIANTS[variant])
+    sim = _Sim(cfg, policy)
+    form, survived = sim._form_clusters, []
+
+    def recorded(elected):
+        out = form(elected)
+        survived.append(bool(np.count_nonzero(out[1])))
+        return out
+
+    sim._form_clusters = recorded
+    replay = np.random.default_rng([cfg.rng_seed, 1])
+    n, frames = cfg.n_nodes, cfg.frames_per_round
+    (n1, n2), (l1, l2) = cfg.rda_msgs_range, cfg.msg_len_range_bits
+    lo, hi = cfg.malfunction_noise_range
+    lo_n, hi_n = cfg.nonrda_len_range_bits
+    for r in range(10000):
+        if not sim.alive.any():
+            break
+        sim.play_round(r)
+        replay.integers(n1, n2 + 1, n)
+        replay.integers(l1, l2 + 1, n)
+        replay.random(n)
+        replay.uniform(lo, hi, n)
+        if survived[r]:
+            replay.random((frames, n))
+            if lo_n != hi_n:
+                replay.integers(lo_n, hi_n + 1, (frames, n))
+        assert _stream_state(sim.rng) == _stream_state(replay), f"round {r}"
+    assert not sim.alive.any() and not all(survived)
 
 
 class TestScalarDebit:
@@ -739,7 +760,7 @@ def test_cluster_formation_ranges_about_one_pair_per_member(rda_config, monkeypa
 
 @pytest.mark.parametrize("lo,shape", [(0, 7), (4000, (5, 100)), (2**40, (3, 2))])
 def test_one_value_length_range_draws_no_bits(lo, shape):
-    # _steady fills a one-value non-RDA length range with np.full instead of
+    # play_round holds a one-value non-RDA length range in msg_len instead of
     # calling Generator.integers; the stream stays the same only while
     # integers() draws no bits for such a range
     rng = np.random.default_rng([3, 1])
@@ -767,10 +788,10 @@ def test_live_neighbors_follow_deaths():
     election = sim._election
     refreshed = []
 
-    def checked(r):
+    def checked(r, u):
         alive = sim.alive.copy()
         before = sim.live_count
-        out = election(r)
+        out = election(r, u)
         refreshed.append(sim.live_count != before)
         w, counts = eepca.live_neighbors(sim.src, sim.dst, alive.astype(float))[:2]
         assert np.array_equal(sim.neighbors[0], w) and np.array_equal(sim.neighbors[1], counts)

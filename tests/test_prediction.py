@@ -30,10 +30,10 @@ class TestPrediction:
         steady = sim._steady
         seen = []
 
-        def recorded(assignment, heads, noise):
+        def recorded(assignment, heads, noise, *draws):
             members = np.flatnonzero(sim.is_rda & (assignment >= 0))
             their_heads, belief = assignment[members], sim.belief[members]
-            out = steady(assignment, heads, noise)
+            out = steady(assignment, heads, noise, *draws)
             seen.append((members, their_heads, belief - sim.belief[members]))
             return out
 

@@ -10,18 +10,19 @@ per node and frame) and a length range of more than one value (one integer
 draw per node and frame).  A third, of 21 nodes with a one-value RDA
 message-count range, which draws no bits, draws 21 lengths a round, 32 bits
 each: every other round then ends its length draws with half of a 64-bit
-step held for the next 32-bit draw, which the skipped send draws of the
-steady phase must leave in place.  The small fields run again with their member-head
-pick forced onto the float32 screen of large fields, and must give the same
-bytes as with their rank tables.  scripts/trace_digests.py checks a larger
-grid by hand.
+step held for the next 32-bit draw.  The small fields run again with their
+member-head pick forced onto the float32 screen of large fields, and must
+give the same bytes as with their rank tables.  scripts/trace_digests.py
+checks a larger grid by hand against its committed digests.
 
-A change that alters the model on purpose re-pins these digests and says so
-in CHANGES.md.
+A change that alters the model on purpose re-pins these digests, rewrites
+scripts/trace_digests.json, and says so in CHANGES.md.
 """
 
 import dataclasses
 import hashlib
+import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from wsncluster.baselines import PolicyKind
 from wsncluster.engine import run
 from wsncluster.model import load_scenario
 
-RDA50 = load_scenario(Path(__file__).parent.parent / "scenarios" / "rda50.json")
+ROOT = Path(__file__).parent.parent
+RDA50 = load_scenario(ROOT / "scenarios" / "rda50.json")
 FIELD1600 = dataclasses.replace(RDA50, n_nodes=1600, m_field=400.0)
 
 DIGESTS = {
@@ -132,3 +134,18 @@ def test_large_field_builds_no_rank_table():
     small = engine._Sim(RDA50, PolicyKind.EEPCA).pick_heads
     assert small.func is eepca.ranked_heads
     assert [a.shape for a in small.args] == [(100, 100), (100, 100)]
+
+
+def test_committed_digests_name_the_scripts_grid(tmp_path):
+    # scripts/trace_digests.json, which --check reads by default, holds one
+    # digest per run of the script's grid and its three CLI entries; the
+    # CLI names come from digesting stand-in files, so nothing is simulated
+    spec = importlib.util.spec_from_file_location(
+        "trace_digests", ROOT / "scripts" / "trace_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "summary.csv").write_text("config_hash,runs\nabc,1\n")
+    (tmp_path / "curves.csv").write_text("")
+    names = [name for name, *_ in script.grid()] + list(script.cli_digests(tmp_path))
+    assert len(set(names)) == len(names)
+    assert sorted(json.loads(script.BASELINE.read_text())) == sorted(names)
