@@ -1,27 +1,40 @@
 #!/usr/bin/env python3
-"""sha256 of the JSONL trace of every run in a fixed identity grid.
+"""Write the sha256 of every trace and CLI output file of the identity grid.
 
-    PYTHONPATH=src python scripts/trace_digests.py --check
-    PYTHONPATH=src python scripts/trace_digests.py --out digests.json
-    PYTHONPATH=src python scripts/trace_digests.py --check digests.json
+    PYTHONPATH=src python scripts/trace_digests.py && git diff scripts/trace_digests.json
+    PYTHONPATH=../parent/src python scripts/trace_digests.py --out ../old.json
 
-The grid is the one a change that must keep traces byte-identical is checked
-on: scenarios/table1.json and scenarios/rda50.json, seeds 0-4 under leach,
-sep and eepca, each run to exhaustion; and rda50 at n_nodes=1600 on a 400 m
-field, seeds 0, 1, 1000 and 1001 under leach and eepca, 40 rounds each.
-The CLI's output path is checked too: the summary.csv and curves.csv of one
-CLI grid, rda50 under leach, sep and eepca, seeds 0-1, 400 rounds at most.
-summary.csv is digested without its config_hash column, and that column
-on its own as a separate entry, so a change to the ScenarioConfig fields,
-which moves every config hash, shows in that entry alone.
---out writes a JSON object from run or file name to digest, sorted by name.
---check compares the digests with such a file written at another commit,
-by default the committed scripts/trace_digests.json, names every entry
-whose digest differs or that one side lacks, and exits 1 if there is any.
-It takes about a minute on one core.  A change that alters traces on
-purpose rewrites scripts/trace_digests.json with --out.  To write the
-baseline of a commit whose copy of this script digests differently, run
-this copy with PYTHONPATH at that commit's src/.
+This is the one definition of the grid on which a change that must keep
+traces byte-identical is checked, and scripts/trace_digests.json holds its
+58 digests.  tests/test_trace_identity.py loads this script and checks
+every entry of that file on each test run, one case per entry.  The grid:
+- a 20-node field (the tests' small_config) and three variants of it, each
+  under leach, sep and eepca, run to exhaustion: `small`; `small-tx0.6`, a
+  non-RDA send probability of 0.6 (one uniform draw compared per node and
+  frame); `small-len2000-6000`, a non-RDA length range of more than one
+  value (one integer draw per node and frame); and `small-n21-rda4`, 21
+  nodes, half of them RDA nodes holding exactly 4 messages a round, whose
+  21 length draws of 32 bits leave half of a 64-bit step held for the next
+  draw every other round;
+- scenarios/table1.json and scenarios/rda50.json, seeds 0-4 under leach,
+  sep and eepca, run to exhaustion: death rounds, the per-frame steady path
+  and prediction suppression;
+- rda50 at n_nodes=1600 on a 400 m field, seeds 0, 1, 1000 and 1001 under
+  leach and eepca, 40 rounds each: the large-field head pick;
+- the output files of two CLI grids: rda50 under leach, sep and eepca,
+  seeds 0-1, 400 rounds at most; and the 20-node field under the three
+  policies, seeds 0-1, swept over alpha 0.6 and 0.8, run to exhaustion.
+  Each grid's curves.csv and metadata.json are digested, and its
+  summary.csv without its config_hash column, and that column on its own
+  as a separate entry, so a change to the ScenarioConfig fields, which
+  moves every config hash, shows in that entry (and metadata.json) alone.
+
+The script writes a JSON object from run or file name to digest, sorted by
+name, to --out, by default scripts/trace_digests.json; it takes under a
+minute on one core.  A change that alters traces on purpose rewrites the
+committed file and says so in CHANGES.md; `git diff` then names the
+entries that moved.  To compare with another commit, write a second file
+with that commit's src/ on PYTHONPATH and diff the two files.
 """
 
 import argparse
@@ -30,24 +43,38 @@ import dataclasses
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
 from wsncluster import cli
 from wsncluster.engine import run
-from wsncluster.model import load_scenario
+from wsncluster.model import ScenarioConfig, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
-BASELINE = Path(__file__).resolve().with_suffix(".json")
+COMMITTED = Path(__file__).resolve().with_suffix(".json")
+
+SMALL = dataclasses.replace(
+    ScenarioConfig(), n_nodes=20, e_min=0.05, e_max=0.15, homogeneous_energy=0.1)
+SMALL_VARIANTS = {
+    "small": {},
+    "small-tx0.6": {"nonrda_tx_prob_per_frame": 0.6},
+    "small-len2000-6000": {"nonrda_len_range_bits": (2000, 6000)},
+    "small-n21-rda4": {"n_nodes": 21, "frac_rda": 0.5, "frac_malfunction": 0.1,
+                       "rda_msgs_range": (4, 4)},
+}
+POLICIES = ("leach", "sep", "eepca")
 
 
 def grid():
     """(run name, config, policy, max_rounds) for every run of the grid."""
+    for name, changes in SMALL_VARIANTS.items():
+        config = dataclasses.replace(SMALL, **changes)
+        for policy in POLICIES:
+            yield f"{name}/{policy}/seed={config.rng_seed}", config, policy, 10000
     table1 = load_scenario(ROOT / "scenarios" / "table1.json")
     rda50 = load_scenario(ROOT / "scenarios" / "rda50.json")
     for name, base in (("table1", table1), ("rda50", rda50)):
-        for policy in ("leach", "sep", "eepca"):
+        for policy in POLICIES:
             for seed in range(5):
                 yield f"{name}/{policy}/seed={seed}", base.with_seed(seed), policy, 10000
     field = dataclasses.replace(rda50, n_nodes=1600, m_field=400.0)
@@ -56,65 +83,61 @@ def grid():
             yield f"rda50-n1600/{policy}/seed={seed}", field.with_seed(seed), policy, 40
 
 
-CLI_ARGS = ["--scenario", str(ROOT / "scenarios" / "rda50.json"),
-            "--policy", "leach,sep,eepca", "--seeds", "2", "--max-rounds", "400"]
+CLI_GRIDS = {
+    "rda50": ["--policy", ",".join(POLICIES), "--seeds", "2", "--max-rounds", "400"],
+    "small-alpha": ["--policy", ",".join(POLICIES), "--seeds", "2", "--sweep", "alpha=0.6,0.8"],
+}
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def cli_digests(out: Path) -> dict:
-    """Digests of the CLI grid's files in out: curves.csv, summary.csv
-    without its config_hash column, and that column."""
-    with open(out / "summary.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    col = rows[0].index("config_hash")
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(row[:col] + row[col + 1:] for row in rows)
-    return {
-        "cli/rda50/curves.csv": hashlib.sha256((out / "curves.csv").read_bytes()).hexdigest(),
-        "cli/rda50/summary.csv/runs": _sha256(buf.getvalue()),
-        "cli/rda50/summary.csv/config_hash": _sha256("\n".join(row[col] for row in rows)),
-    }
+def trace_digest(config, policy, max_rounds, path: Path) -> str:
+    """Digest of one run's JSONL trace, written to path."""
+    run(config, policy, max_rounds=max_rounds).write_jsonl(path)
+    return _sha256(path.read_bytes())
+
+
+def cli_digests(out: Path, *args: str) -> dict:
+    """Run each CLI grid, with args appended to its options, into a
+    subdirectory of out and digest its files: curves.csv, metadata.json,
+    summary.csv without its config_hash column, and that column."""
+    out.mkdir(parents=True, exist_ok=True)
+    scenarios = {"rda50": ROOT / "scenarios" / "rda50.json", "small-alpha": out / "small.json"}
+    scenarios["small-alpha"].write_text(json.dumps(SMALL.to_flat_dict()))
+    digests = {}
+    for name, options in CLI_GRIDS.items():
+        grid_out = out / name
+        if cli.main(["--scenario", str(scenarios[name]), *options, *args,
+                     "--out", str(grid_out)]) != 0:
+            raise RuntimeError(f"the CLI grid {name} failed")
+        with open(grid_out / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("config_hash")
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(row[:col] + row[col + 1:] for row in rows)
+        digests.update({
+            f"cli/{name}/curves.csv": _sha256((grid_out / "curves.csv").read_bytes()),
+            f"cli/{name}/metadata.json": _sha256((grid_out / "metadata.json").read_bytes()),
+            f"cli/{name}/summary.csv/runs": _sha256(buf.getvalue().encode()),
+            f"cli/{name}/summary.csv/config_hash":
+                _sha256("\n".join(row[col] for row in rows).encode()),
+        })
+    return digests
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--check", metavar="BASELINE", type=Path, nargs="?", const=BASELINE,
-                        help=f"JSON file of digests to compare with (default {BASELINE.name})")
+    parser.add_argument("--out", type=Path, default=COMMITTED,
+                        help=f"JSON file to write (default {COMMITTED.name})")
     args = parser.parse_args()
-    if args.out is None and args.check is None:
-        parser.error("give --out, --check or both")
-    baseline = json.loads(args.check.read_text()) if args.check else None
-    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.jsonl"
-        for name, config, policy, max_rounds in grid():
-            run(config, policy, max_rounds=max_rounds).write_jsonl(path)
-            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        out = Path(tmp) / "cli"
-        if cli.main([*CLI_ARGS, "--out", str(out)]) != 0:
-            sys.exit("the CLI grid failed")
-        digests.update(cli_digests(out))
-    if args.out:
-        Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    if baseline is not None:
-        bad = 0
-        for name in sorted(digests.keys() | baseline.keys()):
-            if name not in baseline:
-                print(f"missing in {args.check}: {name}")
-            elif name not in digests:
-                print(f"missing in the grid: {name}")
-            elif digests[name] != baseline[name]:
-                print(f"differs: {name}")
-            else:
-                continue
-            bad += 1
-        print(f"{bad} entries differ or are missing" if bad
-              else f"all {len(digests)} entries match {args.check}")
-        sys.exit(1 if bad else 0)
+        trace = Path(tmp) / "trace.jsonl"
+        digests = {name: trace_digest(config, policy, max_rounds, trace)
+                   for name, config, policy, max_rounds in grid()}
+        digests.update(cli_digests(Path(tmp) / "cli"))
+    args.out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ JSON under tests/_cache, keyed by the scenario hash, the sweep parameters
 and a hash of the simulator source (src/wsncluster/*.py).  Any change to
 the source therefore recomputes every experiment: a cold run is about 1,650
 simulations, which the fixtures spread over every usable CPU through
-cli.run_grid, about 21 CPU-minutes (10.8 minutes wall in one pytest process
-on a 2-vCPU Xeon).  With a warm cache the whole module runs in seconds.
+cli.run_grid: a cold run of commit 1413743 took 14 min 03 s wall and
+27 min 41 s user CPU in one pytest process on a 2-vCPU Xeon, whose speed
+varies by about 2x between sessions.  With a warm cache the whole module
+runs in seconds.
 """
 
 import csv

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import tracemalloc
 
@@ -7,6 +6,7 @@ import pytest
 
 from wsncluster.cli import SweepSpec, apply_sweep_value, build_parser, main
 from wsncluster.model import ConfigError, ScenarioConfig
+from test_trace_identity import COMMITTED, script
 
 
 @pytest.fixture
@@ -158,27 +158,11 @@ class TestMain:
         assert rc == 3
 
 
-# sha256 of the CLI's output for small_config under leach, sep and eepca,
-# seeds 0-1 and alpha 0.6 and 0.8, every run to exhaustion.  Writing the
-# output must not change its bytes, whatever the number of workers.
-OUTPUT_DIGESTS = {
-    "summary.csv": "47bfcee305f7159328b33d55d7e5f53186cd0eb73e90e491bb7601fbe5417720",
-    "curves.csv": "c2bc916c91ba24da4cd0b100e6466504b6d5775b9626c771bba66b3dcd96d0cc",
-    "metadata.json": "caebcc914994180341911ab814c96dbcb0a94ec01bada723b6b2621a74309f2a",
-}
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_output_bytes_are_pinned(tmp_path, small_config, jobs):
-    scenario = tmp_path / "small.json"
-    scenario.write_text(json.dumps(small_config.to_flat_dict()))
-    out = tmp_path / "o"
-    rc = main(["--scenario", str(scenario), "--policy", "leach,sep,eepca",
-               "--seeds", "2", "--sweep", "alpha=0.6,0.8", "--jobs", jobs,
-               "--out", str(out)])
-    assert rc == 0
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in OUTPUT_DIGESTS} == OUTPUT_DIGESTS
+def test_output_bytes_do_not_depend_on_workers(tmp_path):
+    # the CLI grids of scripts/trace_digests.py, whose committed digests
+    # test_trace_identity checks at one worker, give the same bytes at two
+    digests = script.cli_digests(tmp_path, "--jobs", "2")
+    assert digests == {name: COMMITTED[name] for name in digests}
 
 
 def test_grid_heap_does_not_grow_with_runs(tmp_path, small_config):
