@@ -6,7 +6,7 @@
 
 This is the one definition of the grid on which a change that must keep
 traces byte-identical is checked, and scripts/trace_digests.json holds its
-58 digests.  tests/test_trace_identity.py loads this script and checks
+60 digests.  tests/test_trace_identity.py loads this script and checks
 every entry of that file on each test run, one case per entry.  The grid:
 - a 20-node field (the tests' small_config) and three variants of it, each
   under leach, sep and eepca, run to exhaustion: `small`; `small-tx0.6`, a
@@ -24,10 +24,10 @@ every entry of that file on each test run, one case per entry.  The grid:
 - the output files of two CLI grids: rda50 under leach, sep and eepca,
   seeds 0-1, 400 rounds at most; and the 20-node field under the three
   policies, seeds 0-1, swept over alpha 0.6 and 0.8, run to exhaustion.
-  Each grid's curves.csv and metadata.json are digested, and its
-  summary.csv without its config_hash column, and that column on its own
-  as a separate entry, so a change to the ScenarioConfig fields, which
-  moves every config hash, shows in that entry (and metadata.json) alone.
+  Each grid's curves.csv, metadata.json and summary.csv are digested as
+  written, and summary.csv twice more: without its config_hash column, and
+  that column on its own, so a change to the ScenarioConfig fields, which
+  moves every config hash, leaves the first of those two entries alone.
 
 The script writes a JSON object from run or file name to digest, sorted by
 name, to --out, by default scripts/trace_digests.json; it takes under a
@@ -101,8 +101,9 @@ def trace_digest(config, policy, max_rounds, path: Path) -> str:
 
 def cli_digests(out: Path, *args: str) -> dict:
     """Run each CLI grid, with args appended to its options, into a
-    subdirectory of out and digest its files: curves.csv, metadata.json,
-    summary.csv without its config_hash column, and that column."""
+    subdirectory of out and digest its files: curves.csv, metadata.json and
+    summary.csv as written, then summary.csv without its config_hash column,
+    and that column."""
     out.mkdir(parents=True, exist_ok=True)
     scenarios = {"rda50": ROOT / "scenarios" / "rda50.json", "small-alpha": out / "small.json"}
     scenarios["small-alpha"].write_text(json.dumps(SMALL.to_flat_dict()))
@@ -118,8 +119,9 @@ def cli_digests(out: Path, *args: str) -> dict:
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(row[:col] + row[col + 1:] for row in rows)
         digests.update({
-            f"cli/{name}/curves.csv": _sha256((grid_out / "curves.csv").read_bytes()),
-            f"cli/{name}/metadata.json": _sha256((grid_out / "metadata.json").read_bytes()),
+            f"cli/{name}/{file}": _sha256((grid_out / file).read_bytes())
+            for file in ("curves.csv", "metadata.json", "summary.csv")})
+        digests.update({
             f"cli/{name}/summary.csv/runs": _sha256(buf.getvalue().encode()),
             f"cli/{name}/summary.csv/config_hash":
                 _sha256("\n".join(row[col] for row in rows).encode()),

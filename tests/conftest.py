@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import trace_digests
 from wsncluster.model import RadioParams, ScenarioConfig, table1_scenario
 
 
@@ -17,10 +18,9 @@ def default_config():
 
 @pytest.fixture
 def small_config():
-    """A 20-node scenario that runs a round in well under a millisecond."""
-    return dataclasses.replace(
-        ScenarioConfig(), n_nodes=20, e_min=0.05, e_max=0.15,
-        homogeneous_energy=0.1)
+    """A 20-node scenario that runs a round in well under a millisecond:
+    the `small` field of the trace-identity grid."""
+    return trace_digests.SMALL
 
 
 @pytest.fixture

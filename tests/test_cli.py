@@ -4,9 +4,9 @@ import tracemalloc
 
 import pytest
 
+import trace_digests
 from wsncluster.cli import SweepSpec, apply_sweep_value, build_parser, main
 from wsncluster.model import ConfigError, ScenarioConfig
-from test_trace_identity import COMMITTED, script
 
 
 @pytest.fixture
@@ -161,8 +161,9 @@ class TestMain:
 def test_output_bytes_do_not_depend_on_workers(tmp_path):
     # the CLI grids of scripts/trace_digests.py, whose committed digests
     # test_trace_identity checks at one worker, give the same bytes at two
-    digests = script.cli_digests(tmp_path, "--jobs", "2")
-    assert digests == {name: COMMITTED[name] for name in digests}
+    digests = trace_digests.cli_digests(tmp_path, "--jobs", "2")
+    committed = json.loads(trace_digests.COMMITTED.read_text())
+    assert digests == {name: committed[name] for name in digests}
 
 
 def test_grid_heap_does_not_grow_with_runs(tmp_path, small_config):

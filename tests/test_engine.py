@@ -13,7 +13,7 @@ from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RunTrace, _Sim, frame_counts, run
 from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
-from test_trace_identity import script
+from trace_digests import SMALL_VARIANTS
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
 
@@ -197,12 +197,12 @@ def _stream_state(rng):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("variant", sorted(script.SMALL_VARIANTS))
+@pytest.mark.parametrize("variant", sorted(SMALL_VARIANTS))
 def test_play_round_draws_what_its_docstring_lists(variant, policy, small_config):
     # a fresh stream fed the calls play_round's docstring lists stands where
     # the run's stream does after every round; the steady-phase block is
     # drawn only in rounds where a head survives cluster formation
-    cfg = dataclasses.replace(small_config, **script.SMALL_VARIANTS[variant])
+    cfg = dataclasses.replace(small_config, **SMALL_VARIANTS[variant])
     sim = _Sim(cfg, policy)
     form, survived = sim._form_clusters, []
 

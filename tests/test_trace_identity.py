@@ -14,20 +14,14 @@ A change that alters the model on purpose rewrites the file by running the
 script, and says so in CHANGES.md.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trace_digests as script
 from wsncluster import eepca, engine
 from wsncluster.baselines import PolicyKind
-
-_spec = importlib.util.spec_from_file_location(
-    "trace_digests", Path(__file__).parent.parent / "scripts" / "trace_digests.py")
-script = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(script)
 
 RUNS = {name: run for name, *run in script.grid()}
 COMMITTED = json.loads(script.COMMITTED.read_text())
@@ -55,11 +49,6 @@ def test_trace_bytes_match_the_committed_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(COMMITTED.keys() - RUNS.keys()))
 def test_cli_files_match_the_committed_digest(name, cli_digests):
     assert cli_digests.get(name) == COMMITTED[name]
-
-
-def test_grids_small_field_is_small_config(small_config):
-    # the script cannot use the fixture, so the two definitions are compared
-    assert script.SMALL == small_config
 
 
 @pytest.mark.parametrize("name", sorted(
