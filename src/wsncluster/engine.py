@@ -114,10 +114,6 @@ class RoundRecord:
         }
 
 
-# set bits of each byte value: deaths per round from the packed masks
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 @dataclass
 class RunTrace:
     """A run's metadata and its rounds, kept as typed columns.
@@ -172,11 +168,6 @@ class RunTrace:
     @property
     def records(self) -> RoundRecords:
         return RoundRecords(self)
-
-    def death_counts(self) -> np.ndarray:
-        """The number of nodes that died in each round."""
-        rows = np.frombuffer(self.death_bits, np.uint8).reshape(-1, self.mask_bytes)
-        return _POPCOUNT[rows].sum(axis=1, dtype=np.int64)
 
     def _ids(self, bits: bytearray, k: int) -> tuple[int, ...]:
         row = bits[k * self.mask_bytes:(k + 1) * self.mask_bytes]

@@ -45,8 +45,10 @@ def summarize(trace: RunTrace) -> MetricsSummary:
     if not rounds:
         raise ValueError("cannot summarize an empty trace")
     n = int(np.count_nonzero(trace.e_init > 0))  # a node that starts dead never dies
-    dead = np.cumsum(trace.death_counts())
-    # round k is entry k: a milestone is the first round whose dead count reaches it
+    # no node revives, so n - alive_end is the running dead count; round k
+    # is entry k: a milestone is the first round whose dead count reaches it
+    alive = np.array(trace.alive_end)
+    dead = n - alive
     marks = np.searchsorted(dead, [1, math.ceil(0.1 * n), math.ceil(0.5 * n), n])
     fnd, p10, p50, lnd = (int(k) if k < rounds else CENSORED for k in marks)
     cum = np.cumsum(trace.bs_messages)
@@ -59,7 +61,7 @@ def summarize(trace: RunTrace) -> MetricsSummary:
         lnd_round=lnd,
         bs_messages_total=int(cum[-1]),
         cumulative_bs_messages=cum,
-        alive_curve=np.array(trace.alive_end),
+        alive_curve=alive,
         n_rounds=rounds,
     )
 
@@ -85,9 +87,7 @@ def write_summary_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row.get(k) is None else row.get(k))
-                             for k in SUMMARY_COLUMNS})
+        writer.writerows(rows)
 
 
 def write_curves_csv(fh, rows: str) -> None:

@@ -7,7 +7,7 @@ table scripts/run_experiment.py runs too.  They are expensive (a full
 JSON under tests/_cache, keyed by the scenario hash, the sweep parameters
 and a hash of the simulator source (src/wsncluster/*.py).  Any change to
 the source therefore recomputes every experiment: a cold run is about 1,650
-simulations, which the fixtures spread over every usable CPU through
+simulations, which _experiment spreads over every usable CPU through
 cli.run_grid: a cold run of commit 1413743 took 14 min 03 s wall and
 27 min 41 s user CPU in one pytest process on a 2-vCPU Xeon, whose speed
 varies by about 2x between sessions.  With a warm cache the whole module
@@ -15,8 +15,8 @@ runs in seconds.
 """
 
 import csv
+import functools
 import hashlib
-import importlib.util
 import json
 import os
 from pathlib import Path
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import run_experiment
 import wsncluster
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
@@ -108,33 +109,10 @@ def _grid(name: str) -> dict:
     return {cell: rows[i * n:(i + 1) * n] for i, cell in enumerate(cells)}
 
 
+@functools.cache
 def _experiment(name: str) -> dict:
+    """A table entry's grid, from its cache file or run once per session."""
     return _cached(name, _params(name), lambda: _grid(name))
-
-
-@pytest.fixture(scope="session")
-def lifetime_data():
-    return _experiment("lifetime")
-
-
-@pytest.fixture(scope="session")
-def rda_lifetime_data():
-    return _experiment("rda-lifetime")
-
-
-@pytest.fixture(scope="session")
-def alpha_data():
-    return _experiment("alpha")
-
-
-@pytest.fixture(scope="session")
-def het_data():
-    return _experiment("heterogeneity")
-
-
-@pytest.fixture(scope="session")
-def eps_data():
-    return _experiment("epsilon")
 
 
 def _mean(rows, key):
@@ -173,18 +151,10 @@ def test_table_grids_keep_their_cache_keys():
     }
 
 
-def _run_experiment_script():
-    path = ROOT / "scripts" / "run_experiment.py"
-    spec = importlib.util.spec_from_file_location("run_experiment", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_run_experiment_writes_the_grid(name, tmp_path):
     out = tmp_path / name
-    assert _run_experiment_script().main(
+    assert run_experiment.main(
         [name, "--seeds", "1", "--max-rounds", "2", "--out", str(out)]) == 0
     with open(out / "summary.csv") as fh:
         rows = [(r["sweep_value"], r["policy"]) for r in csv.DictReader(fh)]
@@ -196,7 +166,7 @@ def test_run_experiment_writes_the_grid(name, tmp_path):
 
 def test_run_experiment_rejects_an_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
-        _run_experiment_script().main(["lifetimes"])
+        run_experiment.main(["lifetimes"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(repr(name) in err for name in EXPERIMENTS), err
@@ -204,7 +174,8 @@ def test_run_experiment_rejects_an_unknown_name(capsys):
 
 # --- criterion 1: lifetime ordering --------------------------------------
 
-def test_c01_lifetime_ordering_and_ratios(lifetime_data):
+def test_c01_lifetime_ordering_and_ratios():
+    lifetime_data = _experiment("lifetime")
     lnd = {p: _mean(lifetime_data[f"None/{p}"], "lnd") for p in POLICIES}
     assert lnd["eepca"] > lnd["sep"] > lnd["leach"], f"mean LND: {lnd}"
     assert lnd["eepca"] / lnd["leach"] >= 1.5, f"mean LND: {lnd}"
@@ -213,16 +184,17 @@ def test_c01_lifetime_ordering_and_ratios(lifetime_data):
 
 # --- criterion 2: terminal death-curve sharpness -------------------------
 
-def test_c02_terminal_death_drop_sharper_than_leach(lifetime_data):
+def test_c02_terminal_death_drop_sharper_than_leach():
     def span_ratio(policy):
-        rows = lifetime_data[f"None/{policy}"]
+        rows = _experiment("lifetime")[f"None/{policy}"]
         return float(np.mean([(r["lnd"] - r["fnd"]) / r["lnd"] for r in rows]))
     assert span_ratio("eepca") < span_ratio("leach")
 
 
 # --- criterion 3: alpha sweep --------------------------------------------
 
-def test_c03_alpha_sweep_interior_maximum(alpha_data):
+def test_c03_alpha_sweep_interior_maximum():
+    alpha_data = _experiment("alpha")
     means = [_mean(alpha_data[f"{a}/eepca"], "fnd") for a in ALPHA_GRID]
     best = ALPHA_GRID[int(np.argmax(means))]
     assert ALPHA_GRID[0] < best < ALPHA_GRID[-1], f"fnd means: {means}"
@@ -231,7 +203,8 @@ def test_c03_alpha_sweep_interior_maximum(alpha_data):
 
 # --- criterion 4: heterogeneity sweep ------------------------------------
 
-def test_c04_stable_period_under_heterogeneity(het_data):
+def test_c04_stable_period_under_heterogeneity():
+    het_data = _experiment("heterogeneity")
     p10 = {p: [_mean(het_data[f"{f}/{p}"], "p10") for f in HET_GRID]
            for p in POLICIES}
     assert p10["sep"][-1] >= 1.15 * p10["leach"][-1], f"p10 at full het: {p10}"
@@ -241,7 +214,8 @@ def test_c04_stable_period_under_heterogeneity(het_data):
 
 # --- criterion 5: epsilon sweep ------------------------------------------
 
-def test_c05_epsilon_sweep_interior_maximum(eps_data):
+def test_c05_epsilon_sweep_interior_maximum():
+    eps_data = _experiment("epsilon")
     means = [_mean(eps_data[f"{e}/eepca"], "p10") for e in EPS_GRID]
     interior_max = max(means[1:-1])
     assert interior_max > means[0] and interior_max > means[-1], \
@@ -250,7 +224,8 @@ def test_c05_epsilon_sweep_interior_maximum(eps_data):
 
 # --- criterion 6: monitoring quality -------------------------------------
 
-def test_c06_bs_messages_exceed_baselines(rda_lifetime_data):
+def test_c06_bs_messages_exceed_baselines():
+    rda_lifetime_data = _experiment("rda-lifetime")
     bs = {p: _mean(rda_lifetime_data[f"None/{p}"], "bs") for p in POLICIES}
     assert bs["eepca"] > bs["leach"], f"mean BS messages: {bs}"
     assert bs["eepca"] > bs["sep"], f"mean BS messages: {bs}"
@@ -339,13 +314,7 @@ def test_c11_unit_factors_reduce_to_leach(monkeypatch):
     monkeypatch.setattr(eepca, "energy_factors_all", lambda e, *args: np.ones_like(e))
     monkeypatch.setattr(eepca, "cost_factors_all", lambda e_ideal, e_round: np.ones_like(e_round))
     b = run(BASE, PolicyKind.EEPCA, max_rounds=2000)
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.head_ids == rb.head_ids
-        assert ra.deaths == rb.deaths
-        assert ra.bs_messages == rb.bs_messages
-        assert ra.debits == rb.debits
-        assert ra.e_total_end == rb.e_total_end
+    assert list(a.records) == list(b.records)
 
 
 # --- criterion 12: byte-identical trace files ----------------------------

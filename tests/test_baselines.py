@@ -40,10 +40,6 @@ class TestPolicyKind:
 
 
 class TestLeachThreshold:
-    def test_golden_value(self):
-        # 0.1 / (1 - 0.1 * 5) = 0.2
-        assert leach_threshold(0.1, 5, True) == pytest.approx(0.2, rel=1e-12)
-
     def test_epoch_wraps(self):
         assert leach_threshold(0.1, 10, True) == pytest.approx(0.1, rel=1e-12)
         assert leach_threshold(0.1, 15, True) == pytest.approx(0.2, rel=1e-12)

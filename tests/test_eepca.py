@@ -15,6 +15,7 @@ from wsncluster.model import RadioParams, ScenarioConfig
 from wsncluster.radio import rx_energy, tx_energy
 
 RADIO = RadioParams()
+BCAST = tx_energy(2500, 12.0, RADIO)  # a table1 set-up broadcast
 
 
 # --- per-node reference forms of the vectorized election -------------------
@@ -291,8 +292,7 @@ class TestNeighborTables:
 
     def test_distances_estimated_exactly(self):
         x, y = np.array([0.0, 5.0, 0.0]), np.array([0.0, 0.0, 8.0])
-        bcast = tx_energy(2500, 12.0, RADIO)
-        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, bcast)
+        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, BCAST)
         est = dict(zip(zip(src.tolist(), dst.tolist()), d_est))
         assert est[0, 1] == pytest.approx(5.0, rel=1e-9)
         assert est[0, 2] == pytest.approx(8.0, rel=1e-9)
@@ -403,9 +403,8 @@ class TestNeighborEdges:
         # nodes each, and edges run to all 8 surrounding cells
         rng = np.random.default_rng(7)
         x, y = rng.uniform(0.0, 60.0, (2, 200))
-        bcast = tx_energy(2500, 12.0, RADIO)
-        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, bcast)
-        est, neigh = _dense_neighbors(x, y, 12.0, RADIO, bcast)
+        src, dst, d_est = eepca.neighbor_edges(x, y, 12.0, RADIO, BCAST)
+        est, neigh = _dense_neighbors(x, y, 12.0, RADIO, BCAST)
         assert np.array_equal(np.stack((src, dst)), np.stack(np.nonzero(neigh)))
         assert np.array_equal(d_est, est[neigh])
         steps = {(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)}
@@ -438,9 +437,8 @@ class TestMatrices:
     def test_estimated_matrix_recovers_true_distances(self):
         rng = np.random.default_rng(3)
         x, y = rng.uniform(0, 100, 12), rng.uniform(0, 100, 12)
-        bcast = tx_energy(2500, 12.0, RADIO)
         est = eepca.estimated_distance_matrix(x[:, None] - x[None, :],
-                                              y[:, None] - y[None, :], RADIO, bcast)
+                                              y[:, None] - y[None, :], RADIO, BCAST)
         true = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
         assert np.allclose(est, true, rtol=1e-9)
         assert (np.diag(est) == 0.0).all()
@@ -464,6 +462,22 @@ def _nearest_heads(xm, ym, xh, yh, radio, bcast):
     x, y = np.concatenate((xm, xh)), np.concatenate((ym, yh))
     return eepca.nearest_heads(x, y, eepca.screen_operand(x, y), np.arange(xm.size),
                                np.arange(xm.size, x.size), radio, bcast)
+
+
+def _assert_argmin(xm, ym, xh, yh, radio=RADIO, bcast=BCAST, picked=None):
+    """The head-pick oracle: the pick (choice, d_est), by default
+    _nearest_heads', is the argmin over every ranged member-head pair, the
+    lowest head on ties, and d_est holds the bits of the picked distances.
+    Returns the pick."""
+    with np.errstate(all="ignore"):
+        choice, d_est = picked or _nearest_heads(xm, ym, xh, yh, radio, bcast)
+        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
+                                                radio, bcast)
+    want = np.argmin(dense, axis=1)
+    assert np.array_equal(choice, want)
+    assert np.array_equal(d_est.view(np.int64),
+                          dense[np.arange(xm.size), want].view(np.int64))
+    return choice, d_est
 
 
 @st.composite
@@ -514,15 +528,7 @@ class TestNearestHeads:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.differing_executors])
     def test_equals_argmin_over_ranged_pairs(self, layout):
-        xm, ym, xh, yh, radio, bcast = layout
-        with np.errstate(all="ignore"):
-            choice, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
-            dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
-                                                    radio, bcast)
-        want = np.argmin(dense, axis=1)
-        assert np.array_equal(choice, want)
-        assert np.array_equal(d_est.view(np.int64),
-                              dense[np.arange(xm.size), want].view(np.int64))
+        _assert_argmin(*layout)
 
     @pytest.mark.parametrize("pairs", [1, 7, 13])
     def test_small_blocks_equal_argmin(self, pairs, monkeypatch):
@@ -536,13 +542,8 @@ class TestNearestHeads:
         rng = np.random.default_rng(5)
         xm, ym = rng.uniform(0, 400, m), rng.uniform(0, 400, m)
         xh, yh = rng.uniform(0, 400, 40), rng.uniform(0, 400, 40)
-        bcast = tx_energy(2500, 12.0, RADIO)
-        choice, d_est = _nearest_heads(xm, ym, xh, yh, RADIO, bcast)
-        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
-                                                RADIO, bcast)
         assert m * 40 > 3 * eepca._PAIRS_PER_BLOCK
-        assert np.array_equal(choice, np.argmin(dense, axis=1))
-        assert np.array_equal(d_est, dense.min(axis=1))
+        _assert_argmin(xm, ym, xh, yh)
 
 
 @st.composite
@@ -594,20 +595,6 @@ class TestHeadScreen:
     """The matrix-product screen of nearest_heads against the dense oracle
     where its expansion |h|^2 - 2 h.m + |m|^2 loses most of its digits."""
 
-    BCAST = tx_energy(2500, 12.0, RADIO)
-
-    @classmethod
-    def _check(cls, xm, ym, xh, yh, radio=RADIO, bcast=None):
-        bcast = cls.BCAST if bcast is None else bcast
-        with np.errstate(all="ignore"):
-            choice, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
-            dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
-                                                    radio, bcast)
-        want = np.argmin(dense, axis=1)
-        assert np.array_equal(choice, want)
-        assert np.array_equal(d_est.view(np.int64),
-                              dense[np.arange(xm.size), want].view(np.int64))
-
     @given(_offset_near_ties())
     # head 1 is one ulp (2**-23 m) nearer than head 0, 1e9 m from the origin:
     # with no rounding bound the screen sees head 0 alone as near
@@ -615,13 +602,13 @@ class TestHeadScreen:
               np.array([1e9 - 12.0, 1e9 + 12.0 - 2.0 ** -23]), np.array([1e9, 1e9])))
     @settings(max_examples=300, deadline=None)
     def test_offset_near_ties_equal_argmin(self, layout):
-        self._check(*layout)
+        _assert_argmin(*layout)
 
     def test_single_head(self):
         # one head is every member's nearest, also co-located or far away
         xm, ym = _pts((0, 0), (3, 4), (1e-200, 0), (1e150, 1e150), (7, 7))
-        self._check(xm, ym, *_pts((3, 4)))
-        self._check(xm, ym, *_pts((1e200, 0)))
+        _assert_argmin(xm, ym, *_pts((3, 4)))
+        _assert_argmin(xm, ym, *_pts((1e200, 0)))
 
     def test_infinite_head_norm(self):
         # |h|^2 overflows to inf for the far heads, or passes _SCREEN_MAX
@@ -629,12 +616,12 @@ class TestHeadScreen:
         # beside a far one both fall back to the argmin
         xm, ym = _pts((0, 0), (2, 1), (1e200, 1), (-1e200, 0), (2.0 ** 511, 1))
         xh, yh = _pts((1e200, 0), (1, 1), (3, 0), (-1e200, 5), (2.0 ** 511, 0))
-        self._check(xm, ym, xh, yh)
+        _assert_argmin(xm, ym, xh, yh)
 
     @given(_float32_near_ties())
     @settings(max_examples=300, deadline=None)
     def test_float32_near_ties_equal_argmin(self, layout):
-        self._check(*layout)
+        _assert_argmin(*layout)
 
     # the largest m_field ScenarioConfig accepts with the default radio
     LARGEST_FIELD = 1.13e47
@@ -647,8 +634,8 @@ class TestHeadScreen:
         rng = np.random.default_rng(12)
         for side in (self.LARGEST_FIELD, 2.0 ** 62):
             x, y = rng.uniform(0, side, 60), rng.uniform(0, side, 60)
-            self._check(x[:50], y[:50], x[50:], y[50:])
-            self._check(x[:50], y[:50], x[50:], y[50:], bcast=1e-3)
+            _assert_argmin(x[:50], y[:50], x[50:], y[50:])
+            _assert_argmin(x[:50], y[:50], x[50:], y[50:], bcast=1e-3)
 
     def test_largest_valid_field_operand_does_not_warn(self):
         rng = np.random.default_rng(13)
@@ -666,7 +653,7 @@ class TestHeadScreen:
         ulp = float(np.spacing(np.float32(offset))) if offset else 1e-30
         xh, yh = _pts((0, 0), (0, 0), (3, 4), (ulp, 0), (0, -ulp))
         xm, ym = _pts((0, 0), (3, 4), (ulp, 0), (1.5, 2), (ulp / 2, 0), (0, 0))
-        self._check(xm + offset, ym + offset, xh + offset, yh + offset)
+        _assert_argmin(xm + offset, ym + offset, xh + offset, yh + offset)
 
     def test_field_operand_equals_argmin(self):
         # the engine's call: one operand over the whole field, its members and
@@ -676,15 +663,12 @@ class TestHeadScreen:
         x, y = rng.uniform(0, 400, 500), rng.uniform(0, 400, 500)
         heads = np.sort(rng.choice(500, 30, replace=False))
         members = np.setdiff1d(np.arange(500), heads)
-        choice, d_est = eepca.nearest_heads(x, y, eepca.screen_operand(x, y), members,
-                                            heads, RADIO, self.BCAST)
-        xm, ym, xh, yh = x[members], y[members], x[heads], y[heads]
-        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
-                                                RADIO, self.BCAST)
-        assert np.array_equal(choice, np.argmin(dense, axis=1))
-        assert np.array_equal(d_est, dense.min(axis=1))
+        choice, d_est = _assert_argmin(
+            x[members], y[members], x[heads], y[heads],
+            picked=eepca.nearest_heads(x, y, eepca.screen_operand(x, y), members, heads,
+                                       RADIO, BCAST))
         assert x.size > eepca.RANK_MAX_NODES
-        picked, cpb = eepca.head_picker(x, y, RADIO, self.BCAST)(members, heads)
+        picked, cpb = eepca.head_picker(x, y, RADIO, BCAST)(members, heads)
         assert np.array_equal(picked, choice)
         assert np.array_equal(cpb.view(np.int64),
                               eepca.cost_per_bit_matrix(d_est, RADIO).view(np.int64))
@@ -732,18 +716,12 @@ class TestRankedHeads:
 
         xm, ym, xh, yh = x[members], y[members], x[h_idx], y[h_idx]
         picked, d_est = _nearest_heads(xm, ym, xh, yh, radio, bcast)
+        # ranked_heads' pick with nearest_heads' distances: both equal the argmin
+        _assert_argmin(xm, ym, xh, yh, radio, bcast, picked=(choice, d_est))
         assert np.array_equal(choice, picked)
         assert np.array_equal(cpb.view(np.int64),
                               eepca.cost_per_bit_matrix(d_est, radio).view(np.int64))
-
-        dense = eepca.estimated_distance_matrix(xm[:, None] - xh, ym[:, None] - yh,
-                                                radio, bcast)
-        want = np.argmin(dense, axis=1)
-        assert np.array_equal(choice, want)
-        d_want = dense[np.arange(members.size), want]
-        assert np.array_equal(cpb.view(np.int64),
-                              eepca.cost_per_bit_matrix(d_want, radio).view(np.int64))
-        return cpb, d_want
+        return cpb, d_est
 
     @given(_ranked_layouts())
     # one head at the far corner of a 9 x 9 lattice of 300 m steps: every

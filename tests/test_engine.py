@@ -12,32 +12,27 @@ from hypothesis import strategies as st
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RunTrace, _Sim, frame_counts, run
-from wsncluster.model import ConfigError, RadioParams, ScenarioConfig, table1_scenario
-from trace_digests import SMALL_VARIANTS
+from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, load_scenario,
+                              table1_scenario)
+from trace_digests import ROOT, SMALL_VARIANTS
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
-
-
-def _records_equal(a, b):
-    return all(
-        ra.r == rb.r and ra.head_ids == rb.head_ids
-        and ra.bs_messages == rb.bs_messages and ra.deaths == rb.deaths
-        and ra.suppressed == rb.suppressed and ra.debits == rb.debits
-        and ra.alive_end == rb.alive_end and ra.e_total_end == rb.e_total_end
-        for ra, rb in zip(a.records, b.records)) and len(a.records) == len(b.records)
+# TestDebitMessages and _scenarios draw fields of a few nodes, whose optimal
+# head proportion exceeds 1; test_p_opt_clamped_with_warning checks that warning
+_ignore_p_opt_clamp = pytest.mark.filterwarnings("ignore:optimal head proportion")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_replay_is_bit_identical(small_config, policy):
     a = run(small_config, policy, max_rounds=60)
     b = run(small_config, policy, max_rounds=60)
-    assert _records_equal(a, b)
+    assert list(a.records) == list(b.records)
     assert np.array_equal(a.e_final, b.e_final)
 
 
 def test_policy_accepts_string_names(small_config):
-    assert _records_equal(run(small_config, "leach", max_rounds=20),
-                          run(small_config, PolicyKind.LEACH, max_rounds=20))
+    assert list(run(small_config, "leach", max_rounds=20).records) == \
+        list(run(small_config, PolicyKind.LEACH, max_rounds=20).records)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -89,20 +84,25 @@ def test_baselines_never_suppress(small_config, policy):
     assert all(rec.suppressed == () for rec in trace.records)
 
 
+@pytest.mark.parametrize("name", ["table1", "rda50"])
+def test_sep_without_heterogeneity_is_leach(name):
+    # every node starts with the same energy, so SEP weights each one p_opt,
+    # as LEACH does, and the two elect alike to the last death
+    cfg = dataclasses.replace(load_scenario(ROOT / "scenarios" / f"{name}.json"),
+                              frac_energy_heterogeneous=0.0, rng_seed=0)
+    leach, sep = _Sim(cfg, PolicyKind.LEACH), _Sim(cfg, PolicyKind.SEP)
+    assert np.array_equal(sep.static_p.view(np.int64), leach.static_p.view(np.int64))
+    a, b = run(cfg, PolicyKind.LEACH), run(cfg, PolicyKind.SEP)
+    assert a.termination == "all-dead"
+    assert list(a.records) == list(b.records)
+    assert np.array_equal(a.e_final, b.e_final)
+
+
 def test_eepca_suppresses_rda_broadcasts(small_config):
     cfg = dataclasses.replace(small_config, frac_rda=0.5)
     trace = run(cfg, PolicyKind.EEPCA, max_rounds=10)
     assert trace.records[0].suppressed == ()  # no prediction exists yet
     assert any(rec.suppressed for rec in list(trace.records)[1:])
-
-
-def test_forced_unit_factors_reduce_to_classic_rotation(small_config, monkeypatch):
-    # small_config has no RDA node, so EEPCA suppresses no broadcast
-    a = run(small_config, PolicyKind.LEACH, max_rounds=50)
-    monkeypatch.setattr(eepca, "energy_factors_all", lambda e, *args: np.ones_like(e))
-    monkeypatch.setattr(eepca, "cost_factors_all", lambda e_ideal, e_round: np.ones_like(e_round))
-    b = run(small_config, PolicyKind.EEPCA, max_rounds=50)
-    assert _records_equal(a, b)
 
 
 def test_round_debits_equal_energy_drop(small_config):
@@ -323,6 +323,7 @@ def _debit_cases(draw):
             int(counts) if counts.ndim == 0 else counts)
 
 
+@_ignore_p_opt_clamp
 class TestDebitMessages:
     """The compare-first debit equals a floor_divide over every node, bit
     for bit, at and around the affordability boundary."""
@@ -680,6 +681,7 @@ def _scenarios(draw):
         assume(False)
 
 
+@_ignore_p_opt_clamp
 @given(cfg=_scenarios())
 @settings(max_examples=25, deadline=None)
 def test_valid_scenarios_conserve_energy(cfg):
@@ -697,6 +699,7 @@ def test_valid_scenarios_conserve_energy(cfg):
 PHASES = ("_setup_broadcasts", "_election", "_form_clusters", "_steady")
 
 
+@_ignore_p_opt_clamp
 @given(cfg=_scenarios())
 # batteries of 10-50 mJ run out within 60 rounds, many of them mid-round in
 # the per-frame steady path
@@ -724,6 +727,7 @@ def _checked_phase(sim, name, phase):
     return checked
 
 
+@_ignore_p_opt_clamp
 @given(cfg=_scenarios())
 @settings(max_examples=25, deadline=None)
 def test_healthy_nodes_belief_is_exact(cfg):

@@ -1,7 +1,7 @@
 import pytest
 
 from wsncluster.model import RadioParams, ScenarioConfig
-from wsncluster.planner import (d_to_bs, d_to_ch, expected_member_distances,
+from wsncluster.planner import (d_to_ch, expected_member_distances,
                                 expected_message_length, ideal_avg_tx_energy,
                                 ideal_member_counts, k_opt, make_plan, p_opt)
 
@@ -9,15 +9,6 @@ RADIO = RadioParams()
 
 
 class TestClosedForms:
-    def test_golden_bs_distance(self):
-        # 0.765 * 100 / 2
-        assert d_to_bs(100.0) == pytest.approx(38.25, rel=1e-12)
-
-    def test_golden_near_group_distance(self):
-        # at or beyond the crossover the near group averages 2/3 * 75 = 50 m
-        e_d1, _ = expected_member_distances(100.0, 75.0)
-        assert e_d1 == pytest.approx(50.0, rel=1e-12)
-
     def test_default_scenario_head_count(self):
         # frozen from an independent evaluation of the closed form
         assert k_opt(100, 100.0, RADIO) == pytest.approx(23.91528224301491, rel=1e-12)

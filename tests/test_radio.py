@@ -11,10 +11,6 @@ RADIO = RadioParams()
 
 
 class TestTxEnergy:
-    def test_golden_free_space(self):
-        # 4000 * 5e-9 + 4000 * 10e-12 * 50^2 = 2e-5 + 1e-4 * 1 = 1.2e-4 J
-        assert tx_energy(4000, 50.0, RADIO) == pytest.approx(1.2e-4, rel=1e-12)
-
     def test_golden_multipath(self):
         # 2000 * 5e-9 + 2000 * 1.3e-15 * 100^4 = 1e-5 + 2.6e-4
         assert tx_energy(2000, 100.0, RADIO) == pytest.approx(2.7e-4, rel=1e-12)
