@@ -206,13 +206,18 @@ def estimated_distance_matrix(dx: np.ndarray, dy: np.ndarray,
 
     The received strength k_rss * E / d^alpha_pathloss of a broadcast sent
     with energy E is inverted back to a distance.  Co-located nodes receive
-    infinite strength and so estimate 0.
+    infinite strength and so estimate 0.  The chain runs in place on the
+    hypot output, with the ufunc loops, and the ** fast paths (square, sqrt,
+    positive), of (k_e / (k_e / d^a))^(1/a) written out.
     """
-    d_true = np.hypot(dx, dy)
+    d = np.hypot(dx, dy)
     k_e = radio.k_rss * broadcast_energy
     with np.errstate(divide="ignore"):
-        rec = k_e / d_true ** radio.alpha_pathloss
-        return (k_e / rec) ** (1.0 / radio.alpha_pathloss)
+        d **= radio.alpha_pathloss
+        np.divide(k_e, d, out=d)  # received strength
+        np.divide(k_e, d, out=d)
+        d **= 1.0 / radio.alpha_pathloss
+    return d
 
 
 # Members are matched to heads in blocks of about this many member-head pairs:
@@ -462,20 +467,48 @@ def neighbor_edges(x: np.ndarray, y: np.ndarray, radius: float, radio: RadioPara
     # sorted positions bounds[c] .. bounds[c + 1] - 1 lie in cell c
     bounds = np.zeros((int(cx.max()) + 2) * stride + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=bounds.size - 1), out=bounds[1:])
-    # row p: p's cell after p, then the cells (0, +1) and (+1, -1 .. +1)
+    # row p: p's cell after p, then the cells (0, +1) and (+1, -1 .. +1).
+    # Each array the size of the cells or of the candidates is dropped once
+    # the next exists, and the steps that can run in place do.
     cells = key[order][:, None] + np.array([0, 1, stride - 1, stride, stride + 1])
-    lo, hi = bounds[cells], bounds[cells + 1]
+    lo = bounds[cells]
+    cells += 1
+    cnt = bounds[cells]  # hi, then hi - lo
+    del cells
     lo[:, 0] = np.arange(1, n + 1)
-    cnt = (hi - lo).ravel()
+    cnt -= lo
+    lo, cnt = lo.ravel(), cnt.ravel()
     query = np.repeat(np.arange(cnt.size), cnt)  # query 5p + k meets lo .. hi - 1
-    pos = np.arange(query.size) + (lo.ravel() - np.cumsum(cnt) + cnt)[query]
-    a, b = order[query // 5], order[pos]
-    dx, dy = x[a] - x[b], y[a] - y[b]
-    sq, (w_lo, w_hi) = dx * dx + dy * dy, ranging_window(radio, broadcast_energy)
+    lo -= np.cumsum(cnt)
+    lo += cnt
+    pos = lo[query]
+    del lo, cnt
+    pos += np.arange(pos.size)
+    query //= 5
+    a = order[query]
+    del query
+    b = order[pos]
+    del pos
+    # sq = dx*dx + dy*dy; the pairs kept are differenced again to be ranged
+    sq = x[a]
+    sq -= x[b]
+    sq *= sq
+    dy = y[a]
+    dy -= y[b]
+    dy *= dy
+    sq += dy
+    del dy
+    w_lo, w_hi = ranging_window(radio, broadcast_energy)
     near = ((sq <= radius * radius * (1.0 + _TIE_GAP)) | (sq < w_lo) | (sq > w_hi)).nonzero()[0]
-    d_est = estimated_distance_matrix(dx[near], dy[near], radio, broadcast_energy)
+    del sq
+    a, b = a[near], b[near]
+    d_est = estimated_distance_matrix(x[a] - x[b], y[a] - y[b], radio, broadcast_energy)
     keep = d_est <= radius
-    a, b, d_est = a[near[keep]], b[near[keep]], d_est[keep]
+    a, b, d_est = a[keep], b[keep], d_est[keep]
     key = np.concatenate((a * n + b, b * n + a))
+    del a, b
     idx = np.argsort(key)
-    return *np.divmod(key[idx], n), np.tile(d_est, 2)[idx]
+    key = key[idx]
+    d_est = np.tile(d_est, 2)[idx]
+    del idx
+    return *np.divmod(key, n), d_est

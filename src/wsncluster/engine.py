@@ -21,17 +21,18 @@ neighbors can compute for an RDA node without hearing a broadcast; for
 non-malfunctioning nodes it tracks ground truth exactly.
 
 Neighborhoods are held as edge arrays (src, dst) with the per-bit cost over
-each edge, built once per run; nothing in a run is n x n.  What the edges
-give over the alive nodes (eepca.live_neighbors: each edge's live weight,
-each node's live-neighbour count and its positive mask and floor of 1, and
-whether every neighbour is alive) is kept until a node dies.  The election's
-factors read it, and skip the live weights while every node lives; in a
-round where every alive node broadcasts and none dies sending (every LEACH
-and SEP round; EEPCA's round 0, and its rounds with no alive RDA node) the
-counts are the setup-broadcast reception counts; any other round counts its
-senders' edges.  A message debit of every node works on views of the energy
-and belief arrays, and a debit that every node affords tells its caller
-(_Sim.rich) to skip re-masking the nodes it sent for.
+each edge, built once per run.  The only n x n arrays are the head picker's
+rank and cost tables, on fields of at most eepca.RANK_MAX_NODES nodes.
+What the edges give over the alive nodes (eepca.live_neighbors: each edge's
+live weight, each node's live-neighbour count and its positive mask and
+floor of 1, and whether every neighbour is alive) is kept until a node dies.
+The election's factors read it, and skip the live weights while every node
+lives; in a round where every alive node broadcasts and none dies sending
+(every LEACH and SEP round; EEPCA's round 0, and its rounds with no alive
+RDA node) the counts are the setup-broadcast reception counts; any other
+round counts its senders' edges.  A message debit of every node works on
+views of the energy and belief arrays, and a debit that every node affords
+tells its caller (_Sim.rich) to skip re-masking the nodes it sent for.
 
 In cluster formation each member joins this round's nearest head, the one
 ranging every head would give, as the run's eepca.head_picker picks it
@@ -269,7 +270,7 @@ class _Sim:
         self.cpb_head = np.zeros(n)
         bx, by = config.bs_xy
         self.bs_cost = tx_energy(config.fused_len_bits, np.hypot(self.x - bx, self.y - by), radio)
-        # how members pick their head, built after the set-up peak
+        # how members pick their head
         self.pick_heads = eepca.head_picker(self.x, self.y, radio, bcast_e)
         self.e_da = config.e_da_per_bit
         self.e_elec = radio.e_elec
@@ -292,7 +293,7 @@ class _Sim:
         # whether the last _debit_messages delivered every message asked for
         # and killed no node, so its caller need not re-mask
         self.rich = True
-        # the columns each round is added to, made after the set-up peak
+        # the columns each round is added to
         self.trace = RunTrace(seed=config.rng_seed, policy=policy,
                               config_hash=config.config_hash(), e_init=self.e_init.copy())
         # column c: the frame counts of c messages, for every count msg_count

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RunTrace, _Sim, frame_counts, run
-from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, load_scenario,
-                              table1_scenario)
+from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, deploy,
+                              load_scenario, table1_scenario)
+from wsncluster.radio import tx_energy
 from trace_digests import ROOT, SMALL_VARIANTS
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
@@ -558,23 +559,42 @@ def test_large_field_round_allocates_under_a_mebibyte(rda_config):
         tracemalloc.stop()
 
 
-def test_large_field_rounds_peak_below_set_up(rda_config):
-    # the set-up peak, not a round's temporaries, bounds a large field's heap:
-    # 40 EEPCA rounds of rda50 at n=1600 (about 41 heads: most rounds screen
-    # every member in one block) peak lower than the _Sim set-up before them
-    cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
-    run(cfg, PolicyKind.EEPCA, max_rounds=2)  # warm-up: first-call caches
+def _peak_over_returned(build, cfg: ScenarioConfig, *args) -> float:
+    """The heap build(x, y, *args, radio, broadcast energy) allocates above
+    its start at its peak, over the bytes of the arrays it returns, on the
+    nodes of cfg with its set-up broadcast energy."""
+    x, y = deploy(cfg)[:2]
+    args = (x, y, *args, cfg.radio,
+            tx_energy(cfg.broadcast_bits, cfg.neighbor_radius, cfg.radio))
+    build(*args)  # warm-up: first-call caches
     tracemalloc.start()
     try:
-        sim = _Sim(cfg, PolicyKind.EEPCA)
-        set_up = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        for r in range(40):
-            sim.play_round(r)
-        rounds = tracemalloc.get_traced_memory()[1]
+        out = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rounds < set_up
+    return peak / sum(a.nbytes for a in out)
+
+
+@pytest.mark.parametrize("n_nodes,bound", [
+    (100, 3.5),                     # measured 3.23
+    (eepca.RANK_MAX_NODES, 3.2),    # measured 2.89
+])
+def test_rank_tables_peak_near_their_size(rda_config, n_nodes, bound):
+    # the ranging chain runs in place, so beside its rank table nearest_ranks
+    # holds at most three n x n float arrays at once, plus up to 128 KB of
+    # numpy's iterator buffers while it forms the coordinate differences
+    cfg = dataclasses.replace(rda_config, n_nodes=n_nodes,
+                              m_field=100.0 * math.sqrt(n_nodes / 100.0))
+    assert _peak_over_returned(eepca.nearest_ranks, cfg) < bound
+
+
+def test_neighbor_edges_peak_near_their_size(rda_config):
+    # each candidate-sized array is dropped once the next exists: the peak is
+    # five of them, while sq is formed, at rda50 roles at n=1600 (measured
+    # 2.78 times the 160 KB of edges)
+    cfg = dataclasses.replace(rda_config, n_nodes=1600, m_field=400.0)
+    assert _peak_over_returned(eepca.neighbor_edges, cfg, cfg.neighbor_radius) < 3.0
 
 
 @pytest.mark.parametrize("n_nodes,policy,max_rounds,measured", [

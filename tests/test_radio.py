@@ -86,6 +86,23 @@ class TestRanging:
         radio = RadioParams(k_rss=k, alpha_pathloss=alpha)
         assert _ranged(d, e, radio) == pytest.approx(d, rel=1e-9)
 
+    @given(pts=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                        min_size=1, max_size=12),
+           alpha=st.floats(1.0, 6.0), k=st.floats(0.1, 10.0), e=st.floats(1e-9, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_in_place_chain_has_the_written_out_bits(self, pts, alpha, k, e):
+        # every pair of the points, each point with itself at distance 0;
+        # alpha 1 and 2 take numpy's ** fast paths (positive, square, sqrt)
+        x, y = np.array(pts).T
+        dx, dy = x[:, None] - x, y[:, None] - y
+        for a in (1.0, 2.0, alpha):
+            radio = RadioParams(k_rss=k, alpha_pathloss=a)
+            k_e = radio.k_rss * e
+            with np.errstate(divide="ignore"):
+                want = (k_e / (k_e / np.hypot(dx, dy) ** a)) ** (1.0 / a)
+            got = estimated_distance_matrix(dx, dy, radio, e)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 @st.composite
 def _crossover_distances(draw):
