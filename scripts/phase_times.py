@@ -16,18 +16,19 @@ the shape of the lifetime experiments, whose late rounds have deaths, sparse
 grids and the per-frame steady path.  It prints one markdown table row per cell:
 heads per round, then microseconds per round for the whole round, each
 engine phase (setup broadcasts, election, cluster formation, steady phase)
-and the nearest-head pick inside cluster formation, then "other", the round
-less its four phases (every draw of the round, which play_round makes and
-passes to the phases, the trace recording and per-round bookkeeping), then
-minor page faults and kernel microseconds per round from
+and the nearest-head pick inside cluster formation, then "draws", the
+round's calls of its draws.RoundDraws (block1 and block2, which play_round
+makes and whose numbers it passes to the phases), then "other", the round
+less its four phases and its draws (the trace recording and per-round
+bookkeeping), then minor page faults and kernel microseconds per round from
 resource.getrusage.  The pick is
 eepca.nearest_heads, the float32 screen, above eepca.RANK_MAX_NODES nodes
 and eepca.ranked_heads, the lookup in the per-run rank table, at or below
-it.  Timers wrap the phase methods of engine._Sim and both pick functions
-from outside for the duration of the run, from before each _Sim is built,
-so the pick it is given is the timed one; the engine itself is unchanged
-and the traces are the ones an untimed run gives.  _Sim set-up is not
-counted.
+it.  Timers wrap the phase methods of engine._Sim, both pick functions
+and the draw calls from outside for the duration of the run, from before
+each _Sim is built, so the pick it is given is the timed one; the engine
+itself is unchanged and the traces are the ones an untimed run gives.
+_Sim set-up is not counted.
 
 Each cell is run --repeats times and its row holds the median of each
 column.  --against PATH also loads the simulator of the checkout at PATH,
@@ -35,9 +36,9 @@ under another package name, and steps a run of each tree in one loop, round
 by round, alternating which tree plays a round first; each cell then gets a
 row for PATH's tree (marked "against") above the row for this one.  Host
 speed that drifts between processes, minutes or even runs then hits both
-rows alike.  Against a tree that drew inside the election and steady
-phases (before play_round made every draw), compare the "round" column: the
-draws then moved from those phases to "other".  --sizes picks the node
+rows alike.  Against a tree without draws.RoundDraws, whose play_round
+called numpy's Generator itself, "draws" reads 0 and its draws are in
+"other": compare the "round" and "other" columns.  --sizes picks the node
 counts to run, any n >= 2 at the
 same density (the rows run to exhaustion come with 100), so a one-size
 comparison such as --sizes 1600 takes seconds.
@@ -65,9 +66,11 @@ EXHAUSTION = 10000  # run()'s default round limit
 PHASES = ("_setup_broadcasts", "_election", "_form_clusters", "_steady")
 # what picks each member's head inside _form_clusters
 PICKS = ("nearest_heads", "ranked_heads")
+# the round's draw calls, timed together as "draws"
+DRAWS = ("block1", "block2")
 # table columns in order; whichever pick runs is timed as nearest_heads
 COLUMNS = ("round", "_setup_broadcasts", "_election", "_form_clusters",
-           "nearest_heads", "_steady")
+           "nearest_heads", "_steady", "draws")
 
 
 def load_tree(checkout: Path, name: str):
@@ -93,23 +96,24 @@ def _timed(fn, totals, key):
 
 @contextlib.contextmanager
 def timed_phases(pkg, totals):
-    """Wrap the phase methods of pkg's engine._Sim and those PICKS its
-    eepca has in timers adding into totals, for the duration."""
+    """Wrap the phase methods of pkg's engine._Sim, those PICKS its eepca
+    has and the DRAWS of its draws.RoundDraws, if it has one, in timers
+    adding into totals, for the duration."""
     sim_cls = importlib.import_module(pkg.__name__ + ".engine")._Sim
     eepca = importlib.import_module(pkg.__name__ + ".eepca")
-    saved = {name: getattr(sim_cls, name) for name in PHASES}
-    picks = {name: getattr(eepca, name) for name in PICKS if hasattr(eepca, name)}
-    for name in PHASES:
-        setattr(sim_cls, name, _timed(saved[name], totals, name))
-    for name, fn in picks.items():
-        setattr(eepca, name, _timed(fn, totals, "nearest_heads"))
+    wrapped = [(sim_cls, name, name) for name in PHASES]
+    wrapped += [(eepca, name, "nearest_heads") for name in PICKS if hasattr(eepca, name)]
+    if importlib.util.find_spec(pkg.__name__ + ".draws") is not None:
+        draws_cls = importlib.import_module(pkg.__name__ + ".draws").RoundDraws
+        wrapped += [(draws_cls, name, "draws") for name in DRAWS]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in wrapped]
+    for (owner, name, key), (_, _, fn) in zip(wrapped, saved):
+        setattr(owner, name, _timed(fn, totals, key))
     try:
         yield sim_cls
     finally:
-        for name, fn in saved.items():
-            setattr(sim_cls, name, fn)
-        for name, fn in picks.items():
-            setattr(eepca, name, fn)
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 def time_cell(pkgs, configs, policy, rounds, first=0):
@@ -145,7 +149,8 @@ def time_cell(pkgs, configs, policy, rounds, first=0):
 def _row(label, policy, cells):
     """One table row: the median of each column over the runs in cells."""
     per_run = [[h / p, *(t[k] / p * 1e6 for k in COLUMNS),
-                (t["round"] - sum(t[k] for k in PHASES)) / p * 1e6, f / p, kern / p * 1e6]
+                (t["round"] - sum(t[k] for k in PHASES) - t["draws"]) / p * 1e6,
+                f / p, kern / p * 1e6]
                for t, p, h, f, kern in cells]
     heads, *us, faults, kernel = map(statistics.median, zip(*per_run))
     print(f"| {label} | {policy} | {heads:.1f} | "
@@ -189,8 +194,8 @@ def main() -> None:
     time_cell(pkgs, [pkg.load_scenario(ROOT / "scenarios" / "rda50.json") for pkg in pkgs],
               "eepca", 2)
     print("| n (field) | policy | heads/round | round | setup bcasts | election "
-          "| clusters | nearest heads | steady | other | minor faults | kernel µs |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+          "| clusters | nearest heads | steady | draws | other | minor faults | kernel µs |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for cells in zip(*(_configs(pkg, args.sizes) for pkg in pkgs)):
         configs = [config for _, config, _, _ in cells]
         label, _, policy, rounds = cells[-1]

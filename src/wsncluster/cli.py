@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import metrics
@@ -96,6 +95,8 @@ def run_grid(spec: SweepSpec):
              for policy in spec.policies
              for seed in spec.seed_ids]
     if spec.jobs > 1:
+        # imported here: a one-process grid does without its import cost
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             yield from pool.map(_one_run, tasks, chunksize=1)
     else:

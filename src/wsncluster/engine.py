@@ -54,18 +54,30 @@ and the lengths one per node, the bincount sums each node's length into a
 (count, head) column instead, and one small product with the table spreads
 those sums over the frames.
 
-Every policy makes the same draws each round, so the order of the rng calls
-is part of the model.  play_round makes them all, and the phases take them
-as arguments: before the phases, the RDA message counts and lengths, the
-election's uniforms and the malfunction noise; after cluster formation,
-only when a head survived it, the non-RDA send doubles (drawn even when a
-send probability of 1 makes each a send), then the non-RDA lengths.
+Every policy makes the same draws each round, so their order is part of
+the model.  play_round takes them all from the run's draws.RoundDraws, and
+the phases take them as arguments: before the phases, the RDA message
+counts and lengths, the election's uniforms and the malfunction noise;
+after cluster formation, only when a head survived it, the non-RDA send
+doubles, then the non-RDA lengths.  They are, bit for bit, what numpy
+2.4.6's Generator gives for the calls play_round lists on the run's PCG64
+stream, but RoundDraws makes them from bit_generator.random_raw words:
+a window of rounds at a time, fetched and transformed in bulk on the
+assumption that every round draws its steady block, cut at a round that
+draws none or rejects a bounded integer, and resumed exactly there (the
+generator moved back by advance, the held 32-bit half restored, a rejecting
+round drawn by itself); draws.py says how.  A steady block whose send
+doubles are all sends (send probability 1) and whose lengths are one value
+is moot and skipped, not drawn.  So a trace depends on PCG64's raw output
+and not on Generator's transforms, which numpy does not promise to keep
+across versions.
 
 A run's rounds are kept as typed columns on its RunTrace, which _Sim holds:
 play_round appends the round's BS message count, debits, alive count and
-total energy to one array each, and packs its head, death and suppression
-masks with np.packbits, a death or suppression mask that holds no node as
-the stored all-zero row, so nothing per round is a Python object.
+total energy to one array each and packs its head mask with np.packbits; a
+death is kept as the node's death round, and a suppression mask is packed
+only for a round that suppresses a node, so nothing per round is a Python
+object and rounds with no death or suppression store no row for them.
 trace.records is a read-only sequence view that builds a round's
 RoundRecord, ids as tuples, when it is read; metrics.summarize reads the
 columns, and total_debits sums the debits column.
@@ -73,6 +85,7 @@ columns, and total_debits sums the debits column.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -86,6 +99,7 @@ import numpy as np
 
 from . import eepca
 from .baselines import PolicyKind, sep_probabilities
+from .draws import RoundDraws
 from .model import ScenarioConfig, deploy
 from .planner import make_plan
 from .radio import rx_energy, tx_energy
@@ -120,10 +134,13 @@ class RunTrace:
     """A run's metadata and its rounds, kept as typed columns.
 
     Entry i of each column is round i.  bs_messages and alive_end are int64
-    and debits and e_total_end float64 array.array columns; head_bits,
-    death_bits and suppressed_bits hold each round's node mask packed by
-    np.packbits, mask_bytes bytes a round.  records views the columns as
-    RoundRecords, built on access.
+    and debits and e_total_end float64 array.array columns; head_bits holds
+    each round's head mask packed by np.packbits, mask_bytes bytes a round.
+    A node dies once, so death_round holds each node's death round (int32,
+    -1 while it lives; None before the first death), and suppressed_bits
+    holds the packed suppression masks of only the rounds that suppress a
+    node, whose numbers suppressed_rounds lists in order.  records views
+    the columns as RoundRecords, built on access.
     """
     seed: int
     policy: PolicyKind
@@ -134,24 +151,29 @@ class RunTrace:
 
     def __post_init__(self):
         self.mask_bytes = -(-self.e_init.size // 8)
-        self._no_node = bytes(self.mask_bytes)
         self.bs_messages = array("q")
         self.debits = array("d")
         self.alive_end = array("q")
         self.e_total_end = array("d")
         self.head_bits = bytearray()
-        self.death_bits = bytearray()
+        self.death_round = None
         self.suppressed_bits = bytearray()
+        self.suppressed_rounds = array("q")
 
     def add_round(self, heads, bs_messages, deaths, suppressed, debits,
                   alive_end, e_total_end) -> None:
         """Append the next round.  heads, deaths and suppressed are boolean
         node masks, deaths and suppressed None for a round without such
         nodes."""
+        r = self.n_rounds
         self.head_bits.extend(np.packbits(heads))
-        self.death_bits.extend(self._no_node if deaths is None else np.packbits(deaths))
-        self.suppressed_bits.extend(
-            self._no_node if suppressed is None else np.packbits(suppressed))
+        if deaths is not None:
+            if self.death_round is None:
+                self.death_round = np.full(self.e_init.size, -1, dtype=np.int32)
+            self.death_round[deaths] = r
+        if suppressed is not None and np.count_nonzero(suppressed):
+            self.suppressed_bits.extend(np.packbits(suppressed))
+            self.suppressed_rounds.append(r)
         self.bs_messages.append(bs_messages)
         self.debits.append(debits)
         self.alive_end.append(alive_end)
@@ -171,18 +193,20 @@ class RunTrace:
         return RoundRecords(self)
 
     def _ids(self, bits: bytearray, k: int) -> tuple[int, ...]:
-        row = bits[k * self.mask_bytes:(k + 1) * self.mask_bytes]
-        if row == self._no_node:
-            return ()
-        mask = np.unpackbits(np.frombuffer(row, np.uint8), count=self.e_init.size)
-        return tuple(mask.nonzero()[0].tolist())
+        """The nodes of the k-th mask packed in bits."""
+        row = np.frombuffer(bits, np.uint8, self.mask_bytes, k * self.mask_bytes)
+        return tuple(np.unpackbits(row, count=self.e_init.size).nonzero()[0].tolist())
 
     def _record(self, k: int) -> RoundRecord:
         """Round k, 0 <= k < n_rounds, as a RoundRecord."""
+        s = bisect.bisect_left(self.suppressed_rounds, k)
+        suppressed = (self._ids(self.suppressed_bits, s)
+                      if s < len(self.suppressed_rounds) and self.suppressed_rounds[s] == k
+                      else ())
         return RoundRecord(k, self._ids(self.head_bits, k), self.bs_messages[k],
-                           self._ids(self.death_bits, k),
-                           self._ids(self.suppressed_bits, k), self.debits[k],
-                           self.alive_end[k], self.e_total_end[k])
+                           () if self.death_round is None else
+                           tuple((self.death_round == k).nonzero()[0].tolist()),
+                           suppressed, self.debits[k], self.alive_end[k], self.e_total_end[k])
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -232,8 +256,6 @@ class _Sim:
         self.alive = self.e > 0.0
         self.r_s = np.zeros(n, dtype=np.int64)
         self.in_g = np.ones(n, dtype=bool)
-        self.msg_count = np.zeros(n, dtype=np.int64)
-        self.msg_len = np.zeros(n, dtype=np.int64)
         # a non-RDA node that sends every frame holds frames messages a round,
         # and one with a one-value length range holds that length: the round
         # forms neither from its draws (_steady)
@@ -241,16 +263,17 @@ class _Sim:
         lo_n, hi_n = config.nonrda_len_range_bits
         self.sends_every_frame = config.nonrda_tx_prob_per_frame == 1.0
         self.fixed_len = lo_n == hi_n
-        if self.sends_every_frame:
-            self.msg_count[~self.is_rda] = frames
-        if self.fixed_len:
-            self.msg_len[~self.is_rda] = lo_n
         # message counts of one-message debits, viewed read-only
         self.ones = np.ones(n, dtype=np.int64)
         self.ones.flags.writeable = False
         self.frame_col = np.arange(frames)[:, None]
 
-        self.rng = np.random.default_rng([config.rng_seed, 1])
+        # each round's msg_count and msg_len come whole from the draws, the
+        # non-RDA nodes holding the values above (0 where unused)
+        self.draws = RoundDraws(np.random.PCG64([config.rng_seed, 1]), config, self.is_rda,
+                                self.is_malf, frames if self.sends_every_frame else 0,
+                                lo_n if self.fixed_len else 0)
+        self.msg_count = self.msg_len = None  # the round's, from self.draws
 
         plan = make_plan(config)
         self.p_opt = plan.p_opt
@@ -488,15 +511,16 @@ class _Sim:
     # --- steady phase ------------------------------------------------------
 
     def _steady(self, assignment: np.ndarray, heads: np.ndarray, noise: np.ndarray,
-                send_draws: np.ndarray, lengths: np.ndarray) -> int:
-        """TDMA frames over the round's send doubles and non-RDA lengths
-        (msg_len for a one-value range); returns the bs message count."""
+                send_draws: Optional[np.ndarray], lengths: np.ndarray) -> int:
+        """TDMA frames over the round's send doubles (None when every frame
+        is a send, as msg_count holds) and non-RDA lengths (msg_len for a
+        one-value range); returns the bs message count."""
         cfg = self.cfg
         if self.count_table is not None:
             counts = self.count_table.take(self.msg_count, axis=1)
         else:
             counts = frame_counts(self.msg_count, cfg.frames_per_round)
-        if not self.sends_every_frame:  # else every draw is a send, as msg_count holds
+        if send_draws is not None:
             counts = np.where(self.is_rda, counts, send_draws < cfg.nonrda_tx_prob_per_frame)
         if not self.fixed_len:
             np.copyto(lengths, self.msg_len, where=self.is_rda)
@@ -604,29 +628,30 @@ class _Sim:
         """Play round r and add it to self.trace, which numbers its rounds
         by position: rounds are played from 0 in order.
 
-        The round's draws, for every node whatever the policy, with f frames:
-          1. rng.integers(n1, n2 + 1, n), the RDA counts (rda_msgs_range);
-          2. rng.integers(l1, l2 + 1, n), the RDA lengths (msg_len_range_bits);
-          3. rng.random(n), the election's uniforms;
-          4. rng.uniform(lo, hi, n), the noise (malfunction_noise_range);
+        The round's draws, for every node whatever the policy, are what
+        these calls of a numpy 2.4.6 Generator on the run's PCG64 stream
+        give, with f frames:
+          1. integers(n1, n2 + 1, n), the RDA counts (rda_msgs_range);
+          2. integers(l1, l2 + 1, n), the RDA lengths (msg_len_range_bits);
+          3. random(n), the election's uniforms;
+          4. uniform(lo, hi, n), the noise (malfunction_noise_range);
         then, only when a head survives cluster formation:
-          5. rng.random((f, n)), the non-RDA send doubles;
-          6. rng.integers(lo, hi + 1, (f, n)), the non-RDA lengths, only
-             when nonrda_len_range_bits holds more than one value (for one,
+          5. random((f, n)), the non-RDA send doubles;
+          6. integers(lo, hi + 1, (f, n)), the non-RDA lengths, only when
+             nonrda_len_range_bits holds more than one value (for one,
              integers() draws no bits and msg_len holds the length).
+        self.draws makes them from the raw words, a window of rounds at a
+        time (draws.py says how), and skips a steady block whose send
+        doubles are all sends (send probability 1) and whose lengths are
+        one value.  Its counts and lengths are the round's msg_count and
+        msg_len, non-RDA values in place, and its noise is 1.0 off the
+        malfunctioning nodes.
         """
-        cfg, rng, n = self.cfg, self.rng, self.n
         alive_before = self.alive.copy()
         n_before = np.count_nonzero(alive_before)
         self.debits = 0.0
 
-        n1, n2 = cfg.rda_msgs_range
-        l1, l2 = cfg.msg_len_range_bits
-        np.putmask(self.msg_count, self.is_rda, rng.integers(n1, n2 + 1, n))
-        np.putmask(self.msg_len, self.is_rda, rng.integers(l1, l2 + 1, n))
-        u = rng.random(n)
-        lo, hi = cfg.malfunction_noise_range
-        noise = np.where(self.is_malf, rng.uniform(lo, hi, n), 1.0)
+        self.msg_count, self.msg_len, u, noise = self.draws.block1()
 
         suppressed = self._setup_broadcasts(r)
         elected = self._election(r, u)
@@ -634,11 +659,9 @@ class _Sim:
 
         bs_msgs = 0
         if np.count_nonzero(heads):
-            frames = cfg.frames_per_round
-            send_draws = rng.random((frames, n))
-            lo_n, hi_n = cfg.nonrda_len_range_bits
-            lengths = self.msg_len if self.fixed_len else rng.integers(lo_n, hi_n + 1, (frames, n))
-            bs_msgs = self._steady(assignment, heads, noise, send_draws, lengths)
+            send_draws, lengths = self.draws.block2()
+            bs_msgs = self._steady(assignment, heads, noise, send_draws,
+                                   self.msg_len if lengths is None else lengths)
 
         alive_end = np.count_nonzero(self.alive)
         self.trace.add_round(

@@ -41,7 +41,8 @@ def tx_energy_per_bit(d, radio: RadioParams):
     e_elec + eps_mp*d^4, over a float or an array of distances.
 
     The multipath term is evaluated only at the distances d >= d0 that
-    take it; the free-space term (eps_fs*d)*d is formed in place.
+    take it; the free-space term (eps_fs*d)*d and the sum with e_elec are
+    formed in place.
     """
     d = np.asarray(d, dtype=float)
     amp = np.asarray(radio.eps_fs * d)
@@ -49,4 +50,5 @@ def tx_energy_per_bit(d, radio: RadioParams):
     far = d >= radio.d0
     if np.count_nonzero(far):
         amp[far] = radio.eps_mp * d[far] ** 4
-    return radio.e_elec + amp
+    amp += radio.e_elec
+    return amp if amp.ndim else amp[()]

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -164,6 +167,15 @@ def test_output_bytes_do_not_depend_on_workers(tmp_path):
     digests = trace_digests.cli_digests(tmp_path, "--jobs", "2")
     committed = json.loads(trace_digests.COMMITTED.read_text())
     assert digests == {name: committed[name] for name in digests}
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # a one-process grid never loads concurrent.futures.process; run_grid
+    # imports it only for --jobs above 1
+    code = ("import sys, wsncluster.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(trace_digests.ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_grid_heap_does_not_grow_with_runs(tmp_path, small_config):

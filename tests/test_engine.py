@@ -190,48 +190,53 @@ def test_count_table_is_not_built_past_the_node_count(small_config):
     assert sim.trace.n_rounds == 3
 
 
-def _stream_state(rng):
-    """What of rng's bit_generator.state its next draws read: the held
-    32-bit half only while has_uint32 is set."""
-    state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["has_uint32"] and state["uinteger"]
-
-
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("variant", sorted(SMALL_VARIANTS))
 def test_play_round_draws_what_its_docstring_lists(variant, policy, small_config):
-    # a fresh stream fed the calls play_round's docstring lists stands where
-    # the run's stream does after every round; the steady-phase block is
-    # drawn only in rounds where a head survives cluster formation
+    # each round hands its phases what the Generator calls play_round's
+    # docstring lists give on a fresh stream of the run's seed: RDA counts
+    # and lengths, the election's uniforms, the noise on malfunctioning
+    # nodes, and, only in rounds where a head survives cluster formation,
+    # the send doubles (none at send probability 1) and non-RDA lengths
     cfg = dataclasses.replace(small_config, **SMALL_VARIANTS[variant])
     sim = _Sim(cfg, policy)
-    form, survived = sim._form_clusters, []
+    election, steady, handed = sim._election, sim._steady, []
 
-    def recorded(elected):
-        out = form(elected)
-        survived.append(bool(np.count_nonzero(out[1])))
-        return out
+    def elect(r, u):
+        handed.append([sim.msg_count.copy(), sim.msg_len.copy(), u.copy()])
+        return election(r, u)
 
-    sim._form_clusters = recorded
+    def steady_phase(assignment, heads, noise, send_draws, lengths):
+        handed[-1] += [noise.copy(), send_draws, lengths.copy()]
+        return steady(assignment, heads, noise, send_draws, lengths)
+
+    sim._election, sim._steady = elect, steady_phase
     replay = np.random.default_rng([cfg.rng_seed, 1])
     n, frames = cfg.n_nodes, cfg.frames_per_round
     (n1, n2), (l1, l2) = cfg.rda_msgs_range, cfg.msg_len_range_bits
     lo, hi = cfg.malfunction_noise_range
     lo_n, hi_n = cfg.nonrda_len_range_bits
+    rda, malf = sim.is_rda, sim.is_malf
     for r in range(10000):
         if not sim.alive.any():
             break
         sim.play_round(r)
-        replay.integers(n1, n2 + 1, n)
-        replay.integers(l1, l2 + 1, n)
-        replay.random(n)
-        replay.uniform(lo, hi, n)
-        if survived[r]:
-            replay.random((frames, n))
+        counts, lengths, u, *steady_draws = handed[r]
+        assert np.array_equal(counts[rda], replay.integers(n1, n2 + 1, n)[rda]), f"round {r}"
+        assert np.array_equal(lengths[rda], replay.integers(l1, l2 + 1, n)[rda]), f"round {r}"
+        assert np.array_equal(u, replay.random(n)), f"round {r}"
+        noise = np.where(malf, replay.uniform(lo, hi, n), 1.0)
+        if steady_draws:
+            assert np.array_equal(steady_draws[0], noise), f"round {r}"
+            sends = replay.random((frames, n))
+            if cfg.nonrda_tx_prob_per_frame < 1.0:
+                assert np.array_equal(steady_draws[1], sends), f"round {r}"
+            else:
+                assert steady_draws[1] is None
             if lo_n != hi_n:
-                replay.integers(lo_n, hi_n + 1, (frames, n))
-        assert _stream_state(sim.rng) == _stream_state(replay), f"round {r}"
-    assert not sim.alive.any() and not all(survived)
+                assert np.array_equal(steady_draws[2],
+                                      replay.integers(lo_n, hi_n + 1, (frames, n))), f"round {r}"
+    assert not sim.alive.any() and not all(len(h) > 3 for h in handed)
 
 
 class TestScalarDebit:
@@ -666,9 +671,9 @@ class TestRoundView:
                             mask(rec.deaths) if rec.deaths else None, mask(rec.suppressed),
                             rec.debits, rec.alive_end, rec.e_total_end)
         assert list(again.records) == list(trace.records)
-        for col in ("head_bits", "death_bits", "suppressed_bits", "bs_messages",
-                    "debits", "alive_end", "e_total_end"):
-            assert getattr(again, col) == getattr(trace, col)
+        for col in ("head_bits", "death_round", "suppressed_bits", "suppressed_rounds",
+                    "bs_messages", "debits", "alive_end", "e_total_end"):
+            assert np.array_equal(getattr(again, col), getattr(trace, col))
         assert any(not rec.suppressed for rec in trace.records)
 
 
