@@ -10,7 +10,9 @@ Runs scenarios/rda50.json roles at the table1 density (100 nodes per
 scenario seed 0, 40 rounds each, and under eepca once more with non-RDA
 nodes sending in a frame with probability 0.6 (rows marked "tx 0.6"), whose
 whole-round steady phase sums bits with its per-frame bincount, which
-rda50's every-frame senders never reach; then scenarios/rda50.json itself
+rda50's every-frame senders never reach, and with non-RDA lengths drawn
+from 2,000-6,000 bits (rows marked "len 2000-6000"), whose draws take one
+call per draw, a round at a time; then scenarios/rda50.json itself
 (n = 100) under leach, sep and eepca, scenario seed 0, run to exhaustion,
 the shape of the lifetime experiments, whose late rounds have deaths, sparse
 grids and the per-frame steady path.  It prints one markdown table row per cell:
@@ -168,6 +170,8 @@ def _configs(pkg, sizes):
             yield f"{n} ({side:.0f} m)", config, policy, ROUNDS
         yield (f"{n} ({side:.0f} m), tx 0.6",
                dataclasses.replace(config, nonrda_tx_prob_per_frame=0.6), "eepca", ROUNDS)
+        yield (f"{n} ({side:.0f} m), len 2000-6000",
+               dataclasses.replace(config, nonrda_len_range_bits=(2000, 6000)), "eepca", ROUNDS)
     if 100 in sizes:
         for policy in ("leach", "sep", "eepca"):
             yield "100 (100 m), to exhaustion", rda50, policy, EXHAUSTION

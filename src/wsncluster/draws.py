@@ -14,13 +14,12 @@ its numbers equal Generator's bit for bit and depend only on PCG64's raw
 output:
   - a double is (word >> 11) * 2**-53, one word each, and uniform(lo, hi) is
     lo + (hi - lo) * double;
-  - a bounded integer over r = hi - lo + 1 values is Lemire's: for
-    r <= 2**32, m = half * r over 32-bit halves, the low half of each word
-    first and its high half held for the next half drawn (PCG64's
-    next_uint32, which doubles leave alone), rejected while
-    m mod 2**32 < 2**32 mod r, else lo + (m >> 32); for r > 2**32 the same
-    over whole words, modulo 2**64 and with the product's upper 64 bits;
-    r = 1 draws nothing.
+  - a bounded integer over r = hi - lo + 1 values is Lemire's over 32-bit
+    halves, the low half of each word first and its high half held for the
+    next half drawn (PCG64's next_uint32, which doubles leave alone):
+    m = half * r, rejected while m mod 2**32 < 2**32 mod r, else
+    lo + (m >> 32); r = 1 draws nothing.  ScenarioConfig keeps every range
+    below 2**31, so r <= 2**31, and numpy draws every such range this way.
 RoundDraws keeps the held half itself.
 
 A send probability of 1 makes every send double a send, and a one-value
@@ -29,14 +28,17 @@ with bit_generator.advance, not drawn.
 
 Rounds are drawn a window at a time: the words of WINDOW_WORDS // (a round's
 words) rounds (at least one), fetched with random_raw and transformed in
-bulk, assuming every round draws its steady block.  A round with no steady
-block, or one in which some bounded integer is rejected, cuts the window
-there: the generator moves back (advance by a negative count) to where that
-round's steady block or the round itself starts, with the half held there,
-and a round that rejects is drawn by itself, one call per draw.  So is
-every round while a range spans more than 2**32 values, and the window
-holds one round while a round's halves are odd in number, as the held half
-then moves from round to round.
+bulk, assuming every round draws its steady block.  A window holds each
+round's first block and send doubles (live or skipped), never non-RDA
+lengths, whose halves would lie between two rounds' first blocks: a ranged
+non-RDA length range draws every round by itself, one call per draw.  So the
+half held at a round's steady block is the one held at the next round's
+start.  A round with no steady block, or one in which some bounded integer
+is rejected, cuts the window there: the generator moves back (advance by a
+negative count) to where that round's steady block or the round itself
+starts, with the half held there, and a round that rejects is drawn by
+itself.  The window holds one round while a round's halves are odd in
+number, as the held half then moves from round to round.
 """
 
 from __future__ import annotations
@@ -63,32 +65,16 @@ def _unit(words: np.ndarray) -> np.ndarray:
 
 
 def _bounded(x: np.ndarray, d: _Ints):
-    """Lemire's integers of draw d from 32-bit halves x, or from words x if
-    d is wide: the values, and a mask of those accepted, None when none can
-    be rejected."""
+    """Lemire's integers of draw d from 32-bit halves x: the values, and a
+    mask of those accepted, None when none can be rejected."""
     ok = None
-    if d.wide:
-        if d.threshold is not None:
-            ok = x * np.uint64(d.r) >= d.threshold   # the product modulo 2**64
-        v = _mulhi(x, d.r)
-    else:
-        if d.threshold is not None:
-            ok = x * np.uint32(d.r) >= d.threshold   # the product modulo 2**32
-        v = x.astype(np.uint64)
-        v *= d.r
-        v >>= 32
+    if d.threshold is not None:
+        ok = x * np.uint32(d.r) >= d.threshold   # the product modulo 2**32
+    v = x.astype(np.uint64)
+    v *= d.r
+    v >>= 32
     v += d.lo
     return v.view(np.int64), ok
-
-
-def _mulhi(x: np.ndarray, r: int) -> np.ndarray:
-    """The upper 64 bits of x * r, from 32-bit limbs."""
-    low = np.uint64(0xFFFFFFFF)
-    xl, xh = x & low, x >> np.uint64(32)
-    rl, rh = np.uint64(r & 0xFFFFFFFF), np.uint64(r >> 32)
-    ll, lh, hl = xl * rl, xl * rh, xh * rl
-    mid = (ll >> np.uint64(32)) + (lh & low) + (hl & low)
-    return xh * rh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
 
 
 class _Ints:
@@ -97,8 +83,7 @@ class _Ints:
 
     def __init__(self, lo: int, hi: int, held: int | None = None):
         self.lo, self.r = lo, hi - lo + 1
-        self.wide = self.r > 2**32   # drawn from whole words
-        self.threshold = 2**(64 if self.wide else 32) % self.r or None
+        self.threshold = 2**32 % self.r or None
         self.held = held
 
 
@@ -127,22 +112,17 @@ class RoundDraws:
         self.sends_live = cfg.nonrda_tx_prob_per_frame != 1.0
         m1, m2 = cfg.nonrda_len_range_bits
         self.steady_lengths = _Ints(m1, m2) if m1 < m2 else None
-        self.steady_live = self.sends_live or self.steady_lengths is not None
         # a one-value range draws nothing: its value is held
         self.fixed = {d: np.where(drawn, d.lo, d.held)
                       for d in (self.counts, self.lengths) if d.r == 1}
-        # the bounded-integer draws, with their sizes, in the order drawn
-        self.ranged = [(d, n) for d in (self.counts, self.lengths) if d.r > 1]
+        # the first block's bounded-integer draws, n values each, in the
+        # order drawn: h1 halves a round
+        self.ranged = [d for d in (self.counts, self.lengths) if d.r > 1]
         self.h1 = len(self.ranged) * n
-        self.h2 = 0
-        if self.steady_lengths is not None:
-            self.ranged.append((self.steady_lengths, f * n))
-            self.h2 = f * n
-        words = ((self.h1 + 1) // 2 + 2 * n
-                 + (f * n + (self.h2 + 1) // 2 if self.steady_live else 0))
-        if any(d.wide for d, _ in self.ranged):
+        words = (self.h1 + 1) // 2 + 2 * n + (f * n if self.sends_live else 0)
+        if self.steady_lengths is not None:  # a window holds no non-RDA lengths
             self.window = 0
-        elif (self.h1 + self.h2) % 2:
+        elif self.h1 % 2:
             self.window = 1
         else:
             self.window = max(1, WINDOW_WORDS // words)
@@ -173,7 +153,7 @@ class RoundDraws:
         out, got = np.empty(size, dtype=np.int64), 0
         while got < size:
             need = size - got
-            v, ok = _bounded(self.bg.random_raw(need) if d.wide else self._next_halves(need), d)
+            v, ok = _bounded(self._next_halves(need), d)
             if ok is not None:
                 v = v[ok]
             out[got:got + v.size] = v
@@ -214,75 +194,55 @@ class RoundDraws:
         self.win = None  # the old window's arrays go before the new ones come
         w, n, f = self.window, self.n, self.frames
         held = self.pend is not None
-        r1 = (self.h1 - held + 1) // 2          # words of the round's first halves
-        held_mid = (self.h1 - held) % 2
-        r2 = (self.h2 - held_mid + 1) // 2      # and of its steady-block halves
-        width = r1 + 2 * n + (f * n + r2 if self.steady_live else 0)
-        self.stride = width if self.steady_live else width + f * n
+        r1 = (self.h1 - held + 1) // 2          # words of a round's halves
         self.mid = r1 + 2 * n
+        width = self.mid + (f * n if self.sends_live else 0)
+        self.stride = self.mid + f * n
         self.fetched = w * self.stride
-        if self.steady_live or w == 1:
+        if self.sends_live or w == 1:
             raw = self.bg.random_raw((w, width))
-            if not self.steady_live:
+            if not self.sends_live:
                 self.bg.advance(f * n)
         else:
             raw = np.empty((w, width), dtype=np.uint64)
             for row in raw:
                 row[:] = self.bg.random_raw(width)
                 self.bg.advance(f * n)
-        # every round draws h1 + h2 of the window's halves
-        h = self.h1 + self.h2
-        stream = self._stream(raw, r1, r2)
-        starts = np.arange(w) * h
-        self.pend_start = (stream.take(starts).tolist() if held else [None] * w) + [
+        # the window's halves in the order drawn, the held one first; every
+        # round draws h1 of them
+        h = self.h1
+        stream = _halves(raw[:, :r1]).reshape(-1)
+        if held:
+            stream = np.concatenate((np.array([self.pend], dtype=np.uint32), stream))
+        self.pend_start = (stream.take(np.arange(w) * h).tolist() if held else [None] * w) + [
             int(stream[w * h]) if stream.size > w * h else None]
-        self.pend_mid = stream.take(starts + self.h1).tolist() if held_mid else [None] * w
         halves = stream[:w * h].reshape(w, h)
 
-        self.valid, at, ints = w, 0, {}
+        self.valid, ints = w, {}
         undrawn, quiet = self.window_masks or (~self.drawn, ~self.noisy)
-        for d, size in self.ranged:
-            v, ok = _bounded(halves[:, at:at + size], d)
-            at += size
+        for i, d in enumerate(self.ranged):
+            v, ok = _bounded(halves[:, i * n:(i + 1) * n], d)
             if ok is not None and np.count_nonzero(ok) < ok.size:
                 self.valid = min(self.valid, int(np.argmin(ok.all(axis=1))))
-            if d.held is not None:
-                np.putmask(v, undrawn, d.held)
+            np.putmask(v, undrawn, d.held)
             ints[d] = v
         del stream, halves  # the heap peaks in a fill: drop what is done with
         counts, lengths = (ints[d] if d in ints else np.broadcast_to(self.fixed[d], (w, n))
                            for d in (self.counts, self.lengths))
         u = _unit(raw[:, r1:r1 + n])
         noise = self._noise(_unit(raw[:, r1 + n:self.mid]), quiet)
-        sends = (_unit(raw[:, self.mid:self.mid + f * n]).reshape(w, f, n)
-                 if self.sends_live else None)
-        steady_lengths = ints[self.steady_lengths].reshape(w, f, n) if self.h2 else None
-        self.win = counts, lengths, u, noise, sends, steady_lengths
+        sends = _unit(raw[:, self.mid:]).reshape(w, f, n) if self.sends_live else None
+        self.win = counts, lengths, u, noise, sends
         self.rows, self.k = w, 0
-
-    def _stream(self, raw: np.ndarray, r1: int, r2: int) -> np.ndarray:
-        """The window's 32-bit halves in the order they are drawn, the held
-        half first: a round's r1 first words and r2 last words of raw.  A
-        view of raw for one round with neither a held half nor r2."""
-        first = _halves(raw[:, :r1])
-        held = self.pend is not None
-        if not held and not r2:
-            return first.reshape(-1)
-        stream = np.empty(held + first.size + 2 * raw.shape[0] * r2, dtype=np.uint32)
-        if held:
-            stream[0] = self.pend
-        by_round = stream[held:].reshape(raw.shape[0], -1)
-        by_round[:, :2 * r1] = first
-        by_round[:, 2 * r1:] = _halves(raw[:, raw.shape[1] - r2:])
-        return stream
 
     def _settle(self, k: int, mid: bool = False) -> None:
         """Move the generator to the start of the window's round k, or to
-        its steady block, hold the half held there, and drop the window."""
+        its steady block, hold the half held there (at the steady block, the
+        one held at round k + 1's start), and drop the window."""
         offset = k * self.stride + (self.mid if mid else 0)
         if offset != self.fetched:
             self.bg.advance(offset - self.fetched)
-        self.pend = (self.pend_mid if mid else self.pend_start)[k]
+        self.pend = self.pend_start[k + mid]
         self.win = None
         self.rows = self.k = self.valid = 0
 
@@ -323,6 +283,5 @@ class RoundDraws:
         self.due = False
         if self.alone:
             return self._block2_alone()
-        k = self.k - 1
-        sends, lengths = self.win[4:]
-        return (None if sends is None else sends[k]), (None if lengths is None else lengths[k])
+        sends = self.win[4]
+        return (None if sends is None else sends[self.k - 1]), None

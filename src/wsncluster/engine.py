@@ -61,12 +61,12 @@ counts and lengths, the election's uniforms and the malfunction noise;
 after cluster formation, only when a head survived it, the non-RDA send
 doubles, then the non-RDA lengths.  They are, bit for bit, what numpy
 2.4.6's Generator gives for the calls play_round lists on the run's PCG64
-stream, but RoundDraws makes them from bit_generator.random_raw words:
-a window of rounds at a time, fetched and transformed in bulk on the
-assumption that every round draws its steady block, cut at a round that
-draws none or rejects a bounded integer, and resumed exactly there (the
-generator moved back by advance, the held 32-bit half restored, a rejecting
-round drawn by itself); draws.py says how.  A steady block whose send
+stream, but RoundDraws makes them from bit_generator.random_raw words
+(bounded integers from 32-bit halves, as ScenarioConfig keeps each range
+below 2**31): a window of rounds at a time, each round's first block and
+send doubles, cut at a round that draws no steady block or rejects a bounded
+integer and resumed exactly there, or, with ranged non-RDA lengths, a round
+at a time, one call per draw; draws.py says how.  A steady block whose send
 doubles are all sends (send probability 1) and whose lengths are one value
 is moot and skipped, not drawn.  So a trace depends on PCG64's raw output
 and not on Generator's transforms, which numpy does not promise to keep
@@ -641,11 +641,11 @@ class _Sim:
              nonrda_len_range_bits holds more than one value (for one,
              integers() draws no bits and msg_len holds the length).
         self.draws makes them from the raw words, a window of rounds at a
-        time (draws.py says how), and skips a steady block whose send
-        doubles are all sends (send probability 1) and whose lengths are
-        one value.  Its counts and lengths are the round's msg_count and
-        msg_len, non-RDA values in place, and its noise is 1.0 off the
-        malfunctioning nodes.
+        time, or a round at a time with ranged non-RDA lengths (draws.py
+        says how), and skips a steady block whose send doubles are all sends
+        (send probability 1) and whose lengths are one value.  Its counts and
+        lengths are the round's msg_count and msg_len, non-RDA values in
+        place, and its noise is 1.0 off the malfunctioning nodes.
         """
         alive_before = self.alive.copy()
         n_before = np.count_nonzero(alive_before)

@@ -170,6 +170,15 @@ class ScenarioConfig:
             raise ConfigError("broadcast_bits", "must be positive")
         if self.fused_len_bits < 0:
             raise ConfigError("fused_len_bits", "must be non-negative")
+        # below 2**31 a count times a length stays below 2**62, in int64, and
+        # every bounded draw takes 32-bit halves (draws.py)
+        for name in ("rda_msgs_range", "msg_len_range_bits", "nonrda_len_range_bits",
+                     "broadcast_bits", "fused_len_bits"):
+            v = getattr(self, name)
+            if max(v if isinstance(v, tuple) else (v,)) >= 2**31:
+                raise ConfigError(name, "must stay below 2**31")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed", "must be non-negative")
         if self.neighbor_radius <= 0:
             raise ConfigError("neighbor_radius", "must be positive")
         if self.e_da_per_bit < 0:

@@ -92,6 +92,20 @@ class TestMain:
         assert f"error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields, error", [
+        ({"rng_seed": -1}, "rng_seed: must be non-negative"),
+        ({"rda_msgs_range": [2**62, 2**62 + 3]}, "rda_msgs_range: must stay below 2**31"),
+        ({"msg_len_range_bits": [2**70, 2**70]}, "msg_len_range_bits: must stay below 2**31"),
+        ({"broadcast_bits": 2**31}, "broadcast_bits: must stay below 2**31"),
+    ])
+    def test_out_of_range_field_is_config_error(self, tmp_path, capsys, fields, error):
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(fields))
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_plan_overflow_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({"bs_pos": [150.0, 50.0], "eps_mp": 1e300,

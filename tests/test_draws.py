@@ -1,16 +1,19 @@
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsncluster.draws import RoundDraws
 from wsncluster.model import ScenarioConfig
 
-# one value, 5, 4001 (the default lengths), and spans of 2**31 or more, where
-# Lemire's method rejects often below 2**32 and takes whole words above it
-_RANGES = st.sampled_from([0, 4, 4000, 2**31, 2**32 - 2, 2**32 - 1, 2**32, 2**40]).flatmap(
-    lambda span: st.integers(0, 10**6).map(lambda lo: (lo, lo + span)))
+# one value, 5, 4001 (the default lengths), 3 * 2**29 and 2**32 // 3 + 1,
+# where Lemire's method rejects one draw in four and one in three, and
+# 2**31 - 1 and 2**31, the widest ranges ScenarioConfig takes, which reject
+# almost never and never
+_RANGES = st.sampled_from([0, 4, 4000, 3 * 2**29 - 1, 2**32 // 3, 2**31 - 2, 2**31 - 1]
+                          ).flatmap(lambda span: st.integers(0, min(10**6, 2**31 - 1 - span)
+                                                             ).map(lambda lo: (lo, lo + span)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -18,6 +21,10 @@ _RANGES = st.sampled_from([0, 4, 4000, 2**31, 2**32 - 2, 2**32 - 1, 2**32, 2**40
        steady_lengths=_RANGES, send_prob=st.sampled_from([1.0, 0.6]),
        noise=st.sampled_from([(0.5, 1.5), (1.0, 1.0), (0.1, 7.3)]),
        steady=st.lists(st.booleans(), min_size=1, max_size=40), seed=st.integers(0, 2**32))
+# one node and one ranged draw: a round draws one half, so the window holds
+# one round and the half held at its steady block is the next round's
+@example(n=1, frames=1, counts=(0, 4), lengths=(7, 7), steady_lengths=(0, 0), send_prob=1.0,
+         noise=(0.5, 1.5), steady=[False, True, False, False, True], seed=0)
 def test_round_draws_equal_generator_calls(n, frames, counts, lengths, steady_lengths,
                                            send_prob, noise, steady, seed):
     # every draw equals, bit for bit, numpy's Generator calls in the order

@@ -15,7 +15,7 @@ from wsncluster.engine import RunTrace, _Sim, frame_counts, run
 from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, deploy,
                               load_scenario, table1_scenario)
 from wsncluster.radio import tx_energy
-from trace_digests import ROOT, SMALL_VARIANTS
+from trace_digests import ROOT, SMALL, SMALL_VARIANTS
 
 POLICIES = [PolicyKind.LEACH, PolicyKind.SEP, PolicyKind.EEPCA]
 # TestDebitMessages and _scenarios draw fields of a few nodes, whose optimal
@@ -182,7 +182,7 @@ def test_count_table_equals_frame_counts_of_msg_count(rda_config, policy, frames
 def test_count_table_is_not_built_past_the_node_count(small_config):
     # a message-count range wider than the field keeps no table: it would
     # outgrow the counts of a round
-    cfg = dataclasses.replace(small_config, frac_rda=0.5, rda_msgs_range=(0, 10**12))
+    cfg = dataclasses.replace(small_config, frac_rda=0.5, rda_msgs_range=(0, 2**31 - 1))
     sim = _Sim(cfg, PolicyKind.EEPCA)
     assert sim.count_table is None
     for r in range(3):
@@ -677,10 +677,19 @@ class TestRoundView:
         assert any(not rec.suppressed for rec in trace.records)
 
 
+def _schedule_ranges(high):
+    """(lo, hi) ranges of one value or more, below `high`."""
+    return st.integers(0, high - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.just(lo) | st.integers(lo, high - 1)))
+
+
 @st.composite
 def _scenarios(draw):
-    """Valid finite scenarios of up to 60 nodes; invalid draws are rejected."""
+    """Valid finite scenarios of up to 60 nodes; invalid draws are rejected.
+    Message schedules and bit fields reach 2**31 - 1, the largest value
+    ScenarioConfig takes."""
     unit = st.floats(0.0, 1.0)
+    bits = st.integers(0, 10**4) | st.integers(0, 2**31 - 1)
     side = draw(st.floats(1.0, 300.0))
     alpha = draw(unit)
     e_min = draw(st.floats(0.0, 1.0))
@@ -697,6 +706,10 @@ def _scenarios(draw):
         frames_per_round=draw(st.integers(1, 5)),
         neighbor_radius=draw(st.floats(0.5, 200.0)),
         malfunction_noise_range=(lo, lo + draw(st.floats(0.0, 1.0))),
+        rda_msgs_range=draw(_schedule_ranges(20) | _schedule_ranges(2**31)),
+        msg_len_range_bits=draw(_schedule_ranges(10**4) | _schedule_ranges(2**31)),
+        nonrda_len_range_bits=draw(_schedule_ranges(10**4) | _schedule_ranges(2**31)),
+        broadcast_bits=draw(bits), fused_len_bits=draw(bits),
         rng_seed=draw(st.integers(0, 2**31)),
         radio=RadioParams(alpha_pathloss=draw(st.floats(1.0, 6.0)),
                           k_rss=draw(st.sampled_from([1.0, 3.7e-4]))))
@@ -708,12 +721,19 @@ def _scenarios(draw):
 
 @_ignore_p_opt_clamp
 @given(cfg=_scenarios())
+# counts and lengths up to 2**31 - 1, whose products stay below 2**62; the
+# nodes die in the steady phase of the first two rounds
+@example(cfg=dataclasses.replace(
+    SMALL, frac_rda=0.5, rda_msgs_range=(2**31 - 4, 2**31 - 1),
+    msg_len_range_bits=(2**31 - 4001, 2**31 - 1), nonrda_len_range_bits=(0, 2**31 - 1),
+    nonrda_tx_prob_per_frame=0.6))
 @settings(max_examples=25, deadline=None)
 def test_valid_scenarios_conserve_energy(cfg):
     for policy in POLICIES:
         trace = run(cfg, policy, max_rounds=60)
         assert all(math.isfinite(rec.debits) and math.isfinite(rec.e_total_end)
                    for rec in trace.records)
+        assert all(rec.debits >= 0 for rec in trace.records)
         assert np.isfinite(trace.e_final).all()
         dropped = trace.e_init.sum() - trace.e_final.sum()
         assert dropped == pytest.approx(trace.total_debits, rel=1e-9)

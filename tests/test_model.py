@@ -73,6 +73,18 @@ class TestValidation:
         # names the field, and an extreme ratio on it still names the ratio
         ({"m_field": 1e60}, "m_field"),
         ({"m_field": 1e60, "radio": RadioParams(eps_fs=1e300, eps_mp=1e-300)}, "eps_mp"),
+        # message schedules and bit fields stay below 2**31: 2**62 messages
+        # overflowed int64 in the steady phase's count times length, and the
+        # network's energy rose; 2**70 and 2**1100 bits raised OverflowError
+        # in run()
+        ({"rda_msgs_range": (2**62, 2**62 + 3)}, "rda_msgs_range"),
+        ({"rda_msgs_range": (3, 2**31)}, "rda_msgs_range"),
+        ({"msg_len_range_bits": (2**70, 2**70)}, "msg_len_range_bits"),
+        ({"nonrda_len_range_bits": (2**31, 2**31)}, "nonrda_len_range_bits"),
+        ({"broadcast_bits": 2**1100}, "broadcast_bits"),
+        ({"fused_len_bits": 2**31}, "fused_len_bits"),
+        # numpy's seeding takes no negative seed
+        ({"rng_seed": -1}, "rng_seed"),
     ])
     def test_invalid_field_raises_with_field_name(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
