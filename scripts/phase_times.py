@@ -41,7 +41,7 @@ speed that drifts between processes, minutes or even runs then hits both
 rows alike.  Against a tree without draws.RoundDraws, whose play_round
 called numpy's Generator itself, "draws" reads 0 and its draws are in
 "other": compare the "round" and "other" columns.  --sizes picks the node
-counts to run, any n >= 2 at the
+counts to run, any n from 2 to ScenarioConfig's bound of 4,096, at the
 same density (the rows run to exhaustion come with 100), so a one-size
 comparison such as --sizes 1600 takes seconds.
 """
@@ -60,6 +60,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import wsncluster
+from wsncluster.model import MAX_NODES
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 400, 1600, 3200)
@@ -184,11 +185,11 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=1,
                     help="runs of each cell per tree; rows hold the medians")
     ap.add_argument("--sizes", type=int, nargs="+", default=SIZES, metavar="N",
-                    help="node counts to run, each at least 2, at 100 nodes per "
-                         f"hectare (default {' '.join(map(str, SIZES))})")
+                    help=f"node counts to run, each from 2 to {MAX_NODES}, at 100 nodes "
+                         f"per hectare (default {' '.join(map(str, SIZES))})")
     args = ap.parse_args()
-    if min(args.sizes) < 2:
-        ap.error("--sizes takes node counts of at least 2")
+    if min(args.sizes) < 2 or max(args.sizes) > MAX_NODES:
+        ap.error(f"--sizes takes node counts from 2 to {MAX_NODES}")
     trees = [("", wsncluster)]
     if args.against is not None:
         trees.insert(0, (" (against)", load_tree(args.against.resolve(),

@@ -2,7 +2,7 @@
 """Write the sha256 of every trace and CLI output file of the identity grid.
 
     PYTHONPATH=src python scripts/trace_digests.py && git diff scripts/trace_digests.json
-    PYTHONPATH=../parent/src python scripts/trace_digests.py --out ../old.json
+    PYTHONPATH=../parent/src python scripts/trace_digests.py --out ../old.json --traces ../old
 
 This is the one definition of the grid on which a change that must keep
 traces byte-identical is checked, and scripts/trace_digests.json holds its
@@ -34,7 +34,10 @@ name, to --out, by default scripts/trace_digests.json; it takes under a
 minute on one core.  A change that alters traces on purpose rewrites the
 committed file and says so in CHANGES.md; `git diff` then names the
 entries that moved.  To compare with another commit, write a second file
-with that commit's src/ on PYTHONPATH and diff the two files.
+with that commit's src/ on PYTHONPATH and diff the two files.  --traces DIR
+keeps each run's trace as DIR/<run name>.jsonl and the CLI grids' files
+under DIR/cli; scripts/trace_diff.py compares two such trees and says, for
+each run, where it first moved and whether only the reported sums did.
 """
 
 import argparse
@@ -133,12 +136,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=COMMITTED,
                         help=f"JSON file to write (default {COMMITTED.name})")
+    parser.add_argument("--traces", type=Path, metavar="DIR",
+                        help="keep the traces and CLI files in DIR, for scripts/trace_diff.py")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        trace = Path(tmp) / "trace.jsonl"
-        digests = {name: trace_digest(config, policy, max_rounds, trace)
-                   for name, config, policy, max_rounds in grid()}
-        digests.update(cli_digests(Path(tmp) / "cli"))
+        digests = {}
+        for name, config, policy, max_rounds in grid():
+            trace = args.traces / f"{name}.jsonl" if args.traces else Path(tmp) / "trace.jsonl"
+            trace.parent.mkdir(parents=True, exist_ok=True)
+            digests[name] = trace_digest(config, policy, max_rounds, trace)
+        digests.update(cli_digests((args.traces or Path(tmp)) / "cli"))
     args.out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 

@@ -104,6 +104,12 @@ class RadioParams:
             raise ConfigError("alpha_pathloss", "must lie in [1, 6]")
 
 
+# At both bounds a round takes under a second and a run under 1 GB, on a
+# field where every node neighbours every other: n_nodes * n_nodes edges.
+MAX_NODES = 4096
+MAX_FRAMES_PER_ROUND = 1024
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one simulated network scenario."""
@@ -140,6 +146,8 @@ class ScenarioConfig:
             raise ConfigError("m_field", "must be positive")
         if self.n_nodes < 1:
             raise ConfigError("n_nodes", "must be at least 1")
+        if self.n_nodes > MAX_NODES:
+            raise ConfigError("n_nodes", f"must be at most {MAX_NODES}")
         if self.e_min > self.e_max:
             raise ConfigError("e_min", "must not exceed e_max")
         if self.e_min < 0:
@@ -160,6 +168,8 @@ class ScenarioConfig:
             raise ConfigError("alpha", "alpha + beta must equal 1")
         if self.frames_per_round < 1:
             raise ConfigError("frames_per_round", "must be at least 1")
+        if self.frames_per_round > MAX_FRAMES_PER_ROUND:
+            raise ConfigError("frames_per_round", f"must be at most {MAX_FRAMES_PER_ROUND}")
         for name in ("rda_msgs_range", "msg_len_range_bits", "nonrda_len_range_bits",
                      "malfunction_noise_range"):
             lo, hi = getattr(self, name)
@@ -191,8 +201,8 @@ class ScenarioConfig:
         The amplifier ratio eps_fs / eps_mp and the field size set the ideal
         head count, and with it the ideal cluster radius that
         planner.make_plan raises to the 4th power; extreme ratios or fields
-        overflow there, or divide by a head count that rounds to 0 or inf,
-        and run() would fail in set-up instead.  The error names eps_mp when
+        overflow to inf there, or divide by a head count that rounds to 0 or
+        inf, and run() would fail in set-up instead.  The error names eps_mp when
         the ratio leaves the range on table 1's 100 m field too, and m_field
         otherwise.
         """
@@ -201,7 +211,7 @@ class ScenarioConfig:
             warnings.simplefilter("ignore")  # make_plan warns again in run()
             try:
                 plan = make_plan(self)
-            except (OverflowError, ZeroDivisionError):
+            except ZeroDivisionError:
                 plan = None
         if plan is not None and all(math.isfinite(v) for v in (
                 plan.k_opt, plan.d_cluster, plan.e_consume_avg)):

@@ -12,7 +12,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import RadioParams, ScenarioConfig
+from .radio import tx_energy_per_bit
 
 
 @dataclass(frozen=True)
@@ -26,11 +29,6 @@ class IdealPlan:
 def d_to_bs(m_field: float) -> float:
     """Mean head-to-base-station distance for a centred BS: 0.765 * M/2."""
     return 0.765 * m_field / 2.0
-
-
-def d_to_ch(m_field: float, k: float) -> float:
-    """Mean member-to-head distance: M / sqrt(2 pi k)."""
-    return m_field / math.sqrt(2.0 * math.pi * k)
 
 
 def k_opt(n: int, m_field: float, radio: RadioParams) -> float:
@@ -77,16 +75,11 @@ def expected_member_distances(d_cluster: float, d0: float) -> tuple[float, float
 
 def ideal_avg_tx_energy(l_bits: float, n: int, k: float, m1: float, m2: float,
                         e_d1: float, e_d2: float, radio: RadioParams) -> float:
-    """Ideal mean energy for one member-to-head transmission.
-
-    The amplifier term applies the transmit model's distance exponents (d^2
-    free-space, d^4 multipath) to the expected distances.
+    """Ideal mean energy for one member-to-head transmission: the per-bit
+    transmit cost at each group's expected distance, weighed by its members.
     """
-    amp1 = radio.eps_fs * e_d1 * e_d1
-    amp2 = radio.eps_mp * e_d2 ** 4
-    per_cluster = n / k
-    total = m1 * (radio.e_elec + amp1) + m2 * (radio.e_elec + amp2)
-    return l_bits * total / per_cluster
+    near, far = tx_energy_per_bit(np.array([e_d1, e_d2]), radio).tolist()
+    return l_bits * (m1 * near + m2 * far) / (n / k)
 
 
 def expected_message_length(config: ScenarioConfig) -> float:

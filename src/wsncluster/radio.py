@@ -1,7 +1,8 @@
 """First-order radio energy model.
 
 Transmission cost is piecewise in distance: free-space (d^2 amplifier) below
-the crossover distance d0, multipath (d^4) at or above it.
+the crossover distance d0, multipath (d^4) at or above it.  Every transmit
+cost is a length in bits times tx_energy_per_bit, the one formula.
 """
 
 from __future__ import annotations
@@ -13,20 +14,11 @@ from .model import ContractViolation, RadioParams
 
 def tx_energy(l_bits: float, d, radio: RadioParams):
     """Energy in joules to transmit l_bits over distance d, a float or an
-    array of distances.
-
-    Takes the multipath branch at exactly d == d0.  Each element costs
-    l*e_elec + l*eps_fs*d*d or l*e_elec + l*eps_mp*d**4, to the bit, with
-    d**4 from the scalar power one element at a time: numpy's array power
-    rounds differently in the last bit.
-    """
+    array of distances: l_bits * tx_energy_per_bit(d, radio), to the bit."""
     d = np.asarray(d, dtype=float)
     if l_bits < 0 or np.count_nonzero(d < 0):
         raise ContractViolation(f"tx_energy requires l >= 0 and d >= 0, got l={l_bits}, d={d}")
-    with np.errstate(over="ignore"):
-        d4 = np.array([v ** 4 for v in d.flat]).reshape(d.shape)
-        amp = np.where(d < radio.d0, l_bits * radio.eps_fs * d * d, l_bits * radio.eps_mp * d4)
-    return l_bits * radio.e_elec + amp
+    return l_bits * tx_energy_per_bit(d, radio)
 
 
 def rx_energy(l_bits: float, radio: RadioParams) -> float:
@@ -37,18 +29,24 @@ def rx_energy(l_bits: float, radio: RadioParams) -> float:
 
 
 def tx_energy_per_bit(d, radio: RadioParams):
-    """Vectorized per-bit transmit cost, e_elec + eps_fs*d^2 or
-    e_elec + eps_mp*d^4, over a float or an array of distances.
+    """Per-bit transmit cost, e_elec + (eps_fs*d)*d below d0 and
+    e_elec + eps_mp*((d*d)*(d*d)) at or above it, over a float or an array
+    of distances.
 
-    The multipath term is evaluated only at the distances d >= d0 that
-    take it; the free-space term (eps_fs*d)*d and the sum with e_elec are
-    formed in place.
+    d^4 is two multiplies, d*d and its square, each correctly rounded, so
+    the cost has the same bits on every host: numpy's array power rounds
+    d^4 differently under different SIMD loops (AVX512 or not), and libm's
+    pow may differ from both.  The multipath term is evaluated only at the
+    distances that take it.
     """
     d = np.asarray(d, dtype=float)
     amp = np.asarray(radio.eps_fs * d)
     amp *= d
     far = d >= radio.d0
     if np.count_nonzero(far):
-        amp[far] = radio.eps_mp * d[far] ** 4
+        d4 = d[far]
+        d4 *= d4
+        d4 *= d4
+        amp[far] = radio.eps_mp * d4
     amp += radio.e_elec
     return amp if amp.ndim else amp[()]

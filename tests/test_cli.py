@@ -97,6 +97,8 @@ class TestMain:
         ({"rda_msgs_range": [2**62, 2**62 + 3]}, "rda_msgs_range: must stay below 2**31"),
         ({"msg_len_range_bits": [2**70, 2**70]}, "msg_len_range_bits: must stay below 2**31"),
         ({"broadcast_bits": 2**31}, "broadcast_bits: must stay below 2**31"),
+        ({"frames_per_round": 2**31}, "frames_per_round: must be at most 1024"),
+        ({"n_nodes": 10**6}, "n_nodes: must be at most 4096"),
     ])
     def test_out_of_range_field_is_config_error(self, tmp_path, capsys, fields, error):
         path = tmp_path / "range.json"

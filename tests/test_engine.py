@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from wsncluster import eepca
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import RunTrace, _Sim, frame_counts, run
-from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, deploy,
-                              load_scenario, table1_scenario)
+from wsncluster.model import (MAX_FRAMES_PER_ROUND, ConfigError, RadioParams, ScenarioConfig,
+                              deploy, load_scenario, table1_scenario)
 from wsncluster.radio import tx_energy
 from trace_digests import ROOT, SMALL, SMALL_VARIANTS
 
@@ -686,8 +686,8 @@ def _schedule_ranges(high):
 @st.composite
 def _scenarios(draw):
     """Valid finite scenarios of up to 60 nodes; invalid draws are rejected.
-    Message schedules and bit fields reach 2**31 - 1, the largest value
-    ScenarioConfig takes."""
+    Message schedules and bit fields reach 2**31 - 1, and frames per round
+    MAX_FRAMES_PER_ROUND, the largest values ScenarioConfig takes."""
     unit = st.floats(0.0, 1.0)
     bits = st.integers(0, 10**4) | st.integers(0, 2**31 - 1)
     side = draw(st.floats(1.0, 300.0))
@@ -703,7 +703,7 @@ def _scenarios(draw):
         frac_energy_heterogeneous=draw(unit), frac_rda=draw(unit),
         frac_malfunction=draw(unit), alpha=alpha, beta=1.0 - alpha,
         epsilon_tol=draw(unit), nonrda_tx_prob_per_frame=draw(unit),
-        frames_per_round=draw(st.integers(1, 5)),
+        frames_per_round=draw(st.integers(1, 5) | st.integers(1, MAX_FRAMES_PER_ROUND)),
         neighbor_radius=draw(st.floats(0.5, 200.0)),
         malfunction_noise_range=(lo, lo + draw(st.floats(0.0, 1.0))),
         rda_msgs_range=draw(_schedule_ranges(20) | _schedule_ranges(2**31)),

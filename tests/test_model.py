@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from wsncluster.baselines import PolicyKind
 from wsncluster.engine import _Sim
-from wsncluster.model import (ConfigError, RadioParams, ScenarioConfig, deploy,
-                              load_scenario, scenario_from_dict, table1_scenario)
+from wsncluster.model import (MAX_FRAMES_PER_ROUND, MAX_NODES, ConfigError, RadioParams,
+                              ScenarioConfig, deploy, load_scenario, scenario_from_dict,
+                              table1_scenario)
 
 
 class TestValidation:
@@ -64,7 +65,7 @@ class TestValidation:
         ({"bs_pos": (1.0,)}, "bs_pos"),
         ({"radio": None}, "radio"),
         # amplifier ratios whose ideal cluster plan leaves the float range:
-        # a radius past 1e77 m overflows d**4, an infinite head count divides
+        # a radius past 1e77 m overflows d^4, an infinite head count divides
         # by a zero cluster size
         ({"bs_pos": (150.0, 50.0), "radio": RadioParams(eps_mp=1e300, d0=150.0)},
          "eps_mp"),
@@ -85,11 +86,23 @@ class TestValidation:
         ({"fused_len_bits": 2**31}, "fused_len_bits"),
         # numpy's seeding takes no negative seed
         ({"rng_seed": -1}, "rng_seed"),
+        # 2**62 frames raised "array is too big", 2**31 a MemoryError and
+        # 10**7 had not played two rounds in a minute, at 4 nodes
+        ({"frames_per_round": MAX_FRAMES_PER_ROUND + 1}, "frames_per_round"),
+        ({"frames_per_round": 10**7}, "frames_per_round"),
+        ({"frames_per_round": 2**31}, "frames_per_round"),
+        ({"frames_per_round": 2**62}, "frames_per_round"),
+        ({"n_nodes": MAX_NODES + 1}, "n_nodes"),
+        ({"n_nodes": 2**62}, "n_nodes"),
     ])
     def test_invalid_field_raises_with_field_name(self, kwargs, field_name):
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig(**kwargs)
         assert exc.value.field_name == field_name
+
+    def test_bounds_are_valid(self):
+        cfg = ScenarioConfig(n_nodes=MAX_NODES, frames_per_round=MAX_FRAMES_PER_ROUND)
+        assert (cfg.n_nodes, cfg.frames_per_round) == (4096, 1024)
 
     @pytest.mark.parametrize("kwargs, field_name", [
         ({"e_elec": 0.0}, "e_elec"),

