@@ -15,6 +15,15 @@ class TestTxEnergy:
         # 2000 * 5e-9 + 2000 * 1.3e-15 * 100^4 = 1e-5 + 2.6e-4
         assert tx_energy(2000, 100.0, RADIO) == pytest.approx(2.7e-4, rel=1e-12)
 
+    def test_multipath_branch_at_exactly_d0(self):
+        # d == d0 takes the d^4 branch, the float just below it the d^2 one
+        d0 = RADIO.d0
+        below = np.nextafter(d0, 0)
+        assert tx_energy(1000, d0, RADIO) == \
+            1000 * (RADIO.e_elec + RADIO.eps_mp * ((d0 * d0) * (d0 * d0)))
+        assert tx_energy(1000, below, RADIO) == \
+            1000 * (RADIO.e_elec + RADIO.eps_fs * below * below)
+
     def test_zero_bits_costs_nothing(self):
         assert tx_energy(0, 30.0, RADIO) == 0.0
 
